@@ -50,6 +50,8 @@ DENSE_DMAX = 64
 
 ATTAINABILITY_TOL = 1e-10
 
+_TINY = np.finfo(float).tiny
+
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
 
@@ -84,6 +86,11 @@ class SweepConfig:
             raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
         if self.d_max > CLOSED_FORM_DMAX:
             raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
+        # |F_off| is the smallest entry and shrinks with d: normal at dmax keeps every row finite
+        if self.machine == "shrink" and abs(qfim_shrink_entries(self.d_max, self.eta)[1]) < _TINY:
+            raise UsageError(
+                f"--eta {self.eta} is too small: QFIM entries underflow at d={self.d_max}"
+            )
         if self.fmt not in ("csv", "json"):
             raise UsageError("--format must be csv or json")
         if self.phases is not None:
@@ -93,6 +100,8 @@ class SweepConfig:
                 raise UsageError(
                     f"--phases needs exactly {self.d_min - 1} values for d={self.d_min}"
                 )
+            if not np.all(np.isfinite(self.phases)):
+                raise UsageError("--phases must be finite numbers")
 
     def eta_for(self, d: int) -> float:
         if self.machine == "pure":
@@ -195,6 +204,8 @@ def cmd_figure(which: int, d_max: int, out: str | None) -> int:
         raise UsageError("figure selector must be 1, 2, or 3")
     if d_max < 3:
         raise UsageError("--dmax must be at least 3 for figure data")
+    if d_max > CLOSED_FORM_DMAX:
+        raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
     dims = range(2, d_max + 1)
     if which == 1:
         header = ["d", "f_in_diag", "scaled_bound", "f_out_diag"]

@@ -34,6 +34,13 @@ def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
     return ls, dsup, g
 
 
+def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Im sum_j conj(x[m, j]) w[j] x[n, j] over the trailing axes of x, as
+    M - M.T with M = (Re x * w) @ (Im x).T: exactly antisymmetric, zero diagonal."""
+    m = (x.real * w).reshape(x.shape[0], -1) @ x.imag.reshape(x.shape[0], -1).T
+    return m - m.T
+
+
 def attainability_closed(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
     """Imaginary parts of the commutator traces, as a real antisymmetric matrix.
 
@@ -41,14 +48,9 @@ def attainability_closed(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.nda
     vanishes.  dvecs is laid out as in qfim_from_spectral.
     """
     ls, dsup, g = _support_blocks(sd, dvecs)
-    nparams = dsup.shape[0]
-
-    weighted = (dsup.conj() * ls[None, :, None]).reshape(nparams, -1)
-    out = 4.0 * (weighted @ dsup.reshape(nparams, -1).T).imag
-
+    out = 4.0 * _imag_form(dsup, ls[:, None])
     w = 8.0 * np.outer(ls, ls) * (ls[:, None] - ls[None, :]) / (ls[:, None] + ls[None, :]) ** 2
-    gw = (g * w[None, :, :]).reshape(nparams, -1)
-    out -= (gw @ g.conj().reshape(nparams, -1).T).imag
+    out -= _imag_form(g.conj(), w)
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_dim, _check_eta, eta_uqcm
-from .states import PhaseVector, basis_derivative, basis_derivatives, complement_basis
+from .states import PhaseVector, basis_derivatives, complement_basis
 
 # eigenvalues at or below this are treated as outside the support
 SUPPORT_TOL = 1e-12
@@ -224,7 +224,7 @@ def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, fl
         p = PhaseVector.zero(d)
     sd = spectral_output(p, eta_uqcm(d))
     lam = sd.eigenvalues
-    d1 = np.array([basis_derivative(p, n, 1) for n in range(d)])
+    d1 = basis_derivatives(p)[0]
     delta = np.einsum("nc,nc->n", d1.conj(), d1).real
     first = float(np.sum(4.0 * lam * delta))
     g = d1.conj() @ sd.eigenvectors.T

@@ -5,10 +5,12 @@ d-1 relative phases,
 
     |psi(phi)> = (1/sqrt(d)) * sum_j exp(i*phi_j) |j>,    phi_0 = 0,
 
-and is generated from the uniform reference state by a diagonal phase-shift
-unitary.  Everything downstream (cloning outputs, information matrices,
-variance bounds) is built from this family, its analytic phase derivatives,
-and an explicit orthonormal basis of the complement of |psi(phi)>.
+and is generated from the uniform reference state by the diagonal phase-shift
+unitary U(phi) = diag(e^{i phi_j}).  The same unitary carries a fixed real
+basis to the complement basis, |psi_n(phi)> = e^{-i phi_n} U(phi) |psi_n(0)>,
+so every phase derivative follows from the generator P_mu = |mu><mu|:
+d_mu |psi_n> = i (P_mu - delta_{mu n}) |psi_n> (the unitary-parametrisation
+form; Liu, Yuan, Lu, Wang, J. Phys. A 53, 023001 (2020)).
 """
 
 from __future__ import annotations
@@ -98,20 +100,13 @@ def _chi_vector(p: PhaseVector, n: int) -> np.ndarray:
 
     chi_n = (1/sqrt(2)) * (-e^{-i phi_n} |0> + |n>); each chi_n is orthogonal
     to equatorial_state(p), and <chi_m|chi_n> = e^{i(phi_m - phi_n)}/2 for
-    m != n.
+    m != n.  The paper's Gram-Schmidt construction starts from these; it is
+    kept as the reference that complement_basis is checked against.
     """
     chi = np.zeros(p.dim, dtype=complex)
     chi[0] = -np.exp(-1j * p.full_phases[n]) / _SQRT2
     chi[n] = 1.0 / _SQRT2
     return chi
-
-
-def _chi_derivative(p: PhaseVector, n: int, mu: int) -> np.ndarray:
-    """Derivative of _chi_vector(p, n) with respect to phi_mu."""
-    dchi = np.zeros(p.dim, dtype=complex)
-    if mu == n:
-        dchi[0] = 1j * np.exp(-1j * p.full_phases[n]) / _SQRT2
-    return dchi
 
 
 def complement_basis(p: PhaseVector) -> np.ndarray:
@@ -121,51 +116,41 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
     equatorial_state(p) itself and rows 1..d-1 span its orthogonal
     complement.  Row n (n >= 1) is the normalized Gram-Schmidt combination
 
-        sqrt(2n/(n+1)) * (chi_n - (1/n) sum_{j<n} e^{i(phi_j - phi_n)} chi_j).
+        sqrt(2n/(n+1)) * (chi_n - (1/n) sum_{j<n} e^{i(phi_j - phi_n)} chi_j),
+
+    built in one step as e^{-i phi_n} U(phi) applied to the real Helmert row
+    (-1/sqrt(n(n+1)) on slots 0..n-1, sqrt(n/(n+1)) on slot n).
     """
     d = p.dim
-    full = p.full_phases
-    basis = np.zeros((d, d), dtype=complex)
-    basis[0] = equatorial_state(p)
-    chis = [np.empty(0)] + [_chi_vector(p, n) for n in range(1, d)]
-    for n in range(1, d):
-        v = chis[n].copy()
-        for j in range(1, n):
-            v -= np.exp(1j * (full[j] - full[n])) / n * chis[j]
-        basis[n] = np.sqrt(2.0 * n / (n + 1.0)) * v
-    return basis
+    n = np.arange(1, d, dtype=float)[:, None]
+    k = np.arange(d)
+    rows = np.where(k == n, np.sqrt(n / (n + 1.0)), 0.0)
+    rows = np.where(k < n, -1.0 / np.sqrt(n * (n + 1.0)), rows)
+    e = np.exp(1j * p.full_phases)
+    return np.vstack((np.full(d, 1.0 / np.sqrt(d)), rows)) * (e.conj()[:, None] * e)
 
 
-def basis_derivative(p: PhaseVector, n: int, mu: int) -> np.ndarray:
-    """Analytic derivative of the nth complement-basis vector w.r.t. phi_mu.
-
-    n = 0 reduces to state_derivative.  For n >= 1 the Gram-Schmidt
-    combination is differentiated term by term, so the result is exact up to
-    rounding (no finite differences involved).
-    """
-    if not 0 <= n <= p.dim - 1:
-        raise IndexError(f"basis index must be in 0..{p.dim - 1}, got {n}")
-    _check_param_index(p.dim, mu)
-    if n == 0:
-        return state_derivative(p, mu)
-    full = p.full_phases
-    dv = _chi_derivative(p, n, mu)
-    for j in range(1, n):
-        w = np.exp(1j * (full[j] - full[n]))
-        dw = 1j * w * (float(mu == j) - float(mu == n))
-        dv -= (dw * _chi_vector(p, j) + w * _chi_derivative(p, j, mu)) / n
-    return np.sqrt(2.0 * n / (n + 1.0)) * dv
+def _generator_weights(d: int, mu) -> np.ndarray:
+    """Entries [..., n, k] = delta_{k mu} - delta_{n mu} of P_mu - delta_{mu n}; mu broadcasts."""
+    mu = np.asarray(mu)[..., None, None]
+    k = np.arange(d)
+    return (k == mu).astype(float) - (k[:, None] == mu)
 
 
 def basis_derivatives(p: PhaseVector) -> np.ndarray:
     """All basis-vector derivatives, shape (d-1, d, d).
 
     Entry [mu-1, n] is the derivative of complement_basis(p)[n] with respect
-    to phi_mu.
+    to phi_mu, i (P_mu - delta_{mu n}) |psi_n> by the generator identity;
+    exact up to rounding, with no finite differences involved.
     """
-    return np.array(
-        [
-            [basis_derivative(p, n, mu) for n in range(p.dim)]
-            for mu in range(1, p.dim)
-        ]
-    )
+    return 1j * _generator_weights(p.dim, np.arange(1, p.dim)) * complement_basis(p)
+
+
+def basis_derivative(p: PhaseVector, n: int, mu: int) -> np.ndarray:
+    """Derivative of the nth complement-basis vector w.r.t. phi_mu, as in
+    basis_derivatives; n = 0 reduces to state_derivative."""
+    if not 0 <= n <= p.dim - 1:
+        raise IndexError(f"basis index must be in 0..{p.dim - 1}, got {n}")
+    _check_param_index(p.dim, mu)
+    return (1j * _generator_weights(p.dim, mu) * complement_basis(p))[n]

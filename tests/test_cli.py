@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from phaseclone.cli import main
@@ -103,6 +104,35 @@ class TestCompute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("phases", ["nan,1", "1,inf"])
+    def test_non_finite_phases_rejected(self, capsys, phases):
+        code, _, err = run(
+            capsys, "compute", "--machine", "uqcm",
+            "--dmin", "3", "--dmax", "3", "--phases", phases,
+        )
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("eta", ["1e-200", "1e-170", "5e-324"])
+    def test_underflowing_eta_rejected(self, capsys, eta):
+        code, _, err = run(capsys, "compute", "--machine", "shrink", "--eta", eta)
+        assert code == 2
+        assert "too small" in err
+
+    def test_smallest_accepted_eta(self, capsys):
+        # the boundary is |F_off(d=8)| = 4 eta^2/(8 (2 + 6 eta)) at the smallest
+        # normal float, i.e. eta ~ sqrt(4 tiny) for eta << 1
+        edge = float(np.sqrt(4.0 * np.finfo(float).tiny))
+        argv = ["compute", "--machine", "shrink", "--dmax", "8", "--eta"]
+        code, _, _ = run(capsys, *argv, repr(edge * (1 - 1e-9)))
+        assert code == 2
+        code, out, _ = run(capsys, *argv, repr(edge * (1 + 1e-9)))
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 7
+        assert all(np.isfinite(float(v)) for row in rows for v in row[1:7] if v != "nan")
+        assert all(row[header.index("attainable")] == "true" for row in rows)
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("machine = shrink\neta = 0.4\ndmin = 2\ndmax = 2\n")
@@ -173,6 +203,12 @@ class TestFigure:
     def test_small_dmax_rejected(self, capsys):
         code, _, _ = run(capsys, "figure", "2", "--dmax", "2")
         assert code == 2
+
+    def test_dmax_cap(self, capsys):
+        code, out, err = run(capsys, "figure", "1", "--dmax", "2000000")
+        assert code == 2
+        assert out == ""
+        assert "must not exceed" in err
 
     def test_invalid_selector_rejected(self, capsys):
         assert main(["figure", "4"]) == 2

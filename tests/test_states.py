@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseclone.states import (
+    TWO_PI,
     PhaseVector,
     _chi_vector,
     basis_derivative,
@@ -147,6 +150,48 @@ class TestComplementBasis:
                 got = np.vdot(_chi_vector(p, m), _chi_vector(p, n))
                 want = 1.0 if m == n else np.exp(1j * (full[m] - full[n])) / 2
                 assert abs(got - want) < 1e-14
+
+
+def gram_schmidt_rows(p):
+    """The paper's Gram-Schmidt construction, row by row from the chi vectors:
+    sqrt(2n/(n+1)) * (chi_n - (1/n) sum_{j<n} e^{i(phi_j-phi_n)} chi_j)."""
+    full = p.full_phases
+    chis = [None] + [_chi_vector(p, n) for n in range(1, p.dim)]
+    rows = [equatorial_state(p)]
+    for n in range(1, p.dim):
+        v = chis[n].copy()
+        for j in range(1, n):
+            v -= np.exp(1j * (full[j] - full[n])) / n * chis[j]
+        rows.append(np.sqrt(2.0 * n / (n + 1.0)) * v)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32, 64])
+def test_complement_basis_matches_gram_schmidt(d):
+    rng = np.random.default_rng(500 + d)
+    for p in [PhaseVector.zero(d)] + [PhaseVector.random(d, rng) for _ in range(3)]:
+        assert np.abs(complement_basis(p) - gram_schmidt_rows(p)).max() < 1e-13
+
+
+# uniform phases, and phases within 1e-9 of the 2*pi wrap on either side
+_phase = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
+    st.floats(-1e-9, 1e-9),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.integers(2, 64))
+def test_basis_derivatives_property(data, d):
+    p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
+    stack = basis_derivatives(p)
+    for mu in range(1, d):
+        fd = central_difference(complement_basis, p, mu)
+        assert np.abs(stack[mu - 1] - fd).max() < 1e-6
+    mu = data.draw(st.integers(1, d - 1))
+    for n in range(d):
+        assert np.array_equal(stack[mu - 1, n], basis_derivative(p, n, mu))
 
 
 class TestBasisDerivative:
