@@ -12,7 +12,8 @@ certifies simultaneous estimation of all phases.
 
 from .channels import (
     FULL_UNITARY_DMAX,
-    CloningModel,
+    MACHINES,
+    ParamChannel,
     eta_pqcm,
     eta_uqcm,
     pqcm_coefficients,
@@ -30,7 +31,6 @@ from .crb import (
 )
 from .oracle import (
     DEFAULT_FD_STEP,
-    ParamChannel,
     attainability_numeric,
     qfim_numeric,
     rho_derivative,
@@ -39,6 +39,7 @@ from .oracle import (
 from .qfim import (
     SUPPORT_TOL,
     SpectralDecomposition,
+    closed_entries,
     equatorial_structure_residuals,
     qfim_from_spectral,
     qfim_pqcm_closed,
@@ -69,9 +70,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "CloningModel",
     "DEFAULT_FD_STEP",
     "FULL_UNITARY_DMAX",
+    "MACHINES",
     "ParamChannel",
     "PhaseVector",
     "SUPPORT_TOL",
@@ -81,6 +82,7 @@ __all__ = [
     "attainability_numeric",
     "basis_derivative",
     "basis_derivatives",
+    "closed_entries",
     "complement_basis",
     "equatorial_state",
     "equatorial_structure_residuals",

@@ -9,6 +9,8 @@ maximally mixed state,
 with a machine-specific shrinking factor eta(d).  The full tripartite
 unitaries (original x copy x ancilla, ancilla dimension d) are implemented as
 well, so the scaling form can be validated independently via partial trace.
+ParamChannel is the one model of a machine that the CLI, the verification
+suite and the finite-difference oracle share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .states import PhaseVector, equatorial_state
 
 # vector length d**3 caps the explicit tripartite path; closed forms cover larger d
 FULL_UNITARY_DMAX = 32
+
+MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
 
 def _check_dim(d: int) -> None:
@@ -156,34 +160,44 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
 
 
 @dataclass(frozen=True)
-class CloningModel:
-    """A cloning machine identified by its shrinking behaviour.
+class ParamChannel:
+    """A phase-parametrized family of single-copy outputs: the one machine model.
 
-    kind is one of "uqcm", "pqcm", or "shrink"; eta is stored only for the
-    generic "shrink" kind (for the two machines it is a derived quantity of
-    the dimension and is never stored).
+    kind is one of MACHINES: "pure" (the input projector), "uqcm"/"pqcm"
+    (the two cloners), or "shrink" (the scaling form with a fixed eta, the
+    only kind that stores eta).  density is definition-level: for the two
+    cloners it builds the full tripartite state and traces, so it never
+    touches the scaling form.  shrinking_factor gives eta(d) for any kind.
     """
 
     kind: str
     eta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uqcm", "pqcm", "shrink"):
-            raise ValueError(f"unknown cloning model kind {self.kind!r}")
+        if self.kind not in MACHINES:
+            raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == "shrink":
             if self.eta is None:
-                raise ValueError("generic shrink model requires eta")
+                raise ValueError("shrink channel requires eta")
             _check_eta(self.eta)
         elif self.eta is not None:
-            raise ValueError(f"eta is a derived quantity for {self.kind!r}")
+            raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
 
     def shrinking_factor(self, d: int) -> float:
+        if self.kind == "pure":
+            return 1.0
         if self.kind == "uqcm":
             return eta_uqcm(d)
         if self.kind == "pqcm":
             return eta_pqcm(d)
         return float(self.eta)
 
-    def output(self, p: PhaseVector) -> np.ndarray:
-        """Single-copy output density matrix in the scaling form."""
-        return shrink_output(p, self.shrinking_factor(p.dim))
+    def density(self, p: PhaseVector) -> np.ndarray:
+        if self.kind == "pure":
+            psi = equatorial_state(p)
+            return np.outer(psi, psi.conj())
+        if self.kind == "shrink":
+            return shrink_output(p, self.eta)
+        if self.kind == "uqcm":
+            return reduce_first_qudit(uqcm_full_output(p))
+        return reduce_first_qudit(pqcm_full_output(p))

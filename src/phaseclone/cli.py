@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import eta_pqcm, eta_uqcm
+from .channels import FULL_UNITARY_DMAX, MACHINES, ParamChannel, eta_pqcm, eta_uqcm
 from .crb import attainability_closed, total_variance_bound
 from .qfim import (
     CLOSED_FORM_DMAX,
+    closed_entries,
     qfim_pqcm_entries,
     qfim_pure_entries,
-    qfim_shrink_entries,
     qfim_uqcm_entries,
     spectral_output,
 )
@@ -52,8 +52,6 @@ ATTAINABILITY_TOL = 1e-10
 
 _TINY = np.finfo(float).tiny
 
-MACHINES = ("pure", "uqcm", "pqcm", "shrink")
-
 
 class UsageError(Exception):
     pass
@@ -72,22 +70,18 @@ class SweepConfig:
     fmt: str = "csv"
     tolerances: dict[str, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if self.machine not in MACHINES:
-            raise UsageError(f"--machine must be one of {', '.join(MACHINES)}")
-        if self.machine == "shrink":
-            if self.eta is None:
-                raise UsageError("machine=shrink requires --eta in (0, 1]")
-            if not 0.0 < self.eta <= 1.0:
-                raise UsageError(f"--eta must lie in (0, 1], got {self.eta}")
-        elif self.eta is not None:
-            raise UsageError("--eta is only meaningful with machine=shrink")
+    def validate(self) -> ParamChannel:
+        """Check the sweep settings and return the machine they name."""
+        try:
+            channel = ParamChannel(self.machine, self.eta)
+        except ValueError as exc:
+            raise UsageError(f"machine={self.machine}: {exc}") from exc
         if not 2 <= self.d_min <= self.d_max:
             raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
         if self.d_max > CLOSED_FORM_DMAX:
             raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
         # |F_off| is the smallest entry and shrinks with d: normal at dmax keeps every row finite
-        if self.machine == "shrink" and abs(qfim_shrink_entries(self.d_max, self.eta)[1]) < _TINY:
+        if channel.kind == "shrink" and abs(closed_entries(channel, self.d_max)[1]) < _TINY:
             raise UsageError(
                 f"--eta {self.eta} is too small: QFIM entries underflow at d={self.d_max}"
             )
@@ -102,24 +96,7 @@ class SweepConfig:
                 )
             if not np.all(np.isfinite(self.phases)):
                 raise UsageError("--phases must be finite numbers")
-
-    def eta_for(self, d: int) -> float:
-        if self.machine == "pure":
-            return 1.0
-        if self.machine == "uqcm":
-            return eta_uqcm(d)
-        if self.machine == "pqcm":
-            return eta_pqcm(d)
-        return float(self.eta)
-
-    def entries_for(self, d: int) -> tuple[float, float]:
-        if self.machine == "pure":
-            return qfim_pure_entries(d)
-        if self.machine == "uqcm":
-            return qfim_uqcm_entries(d)
-        if self.machine == "pqcm":
-            return qfim_pqcm_entries(d)
-        return qfim_shrink_entries(d, self.eta)
+        return channel
 
 
 def _fmt(x) -> str:
@@ -145,15 +122,13 @@ def _csv_text(header: list[str], rows: list[list], comments: list[str] | None = 
     return "\n".join(lines) + "\n"
 
 
-def _attainable(d: int, eta: float, p: PhaseVector) -> bool:
-    if d > DENSE_DMAX:
-        return True  # entries vanish identically for the equatorial family
+def _attainable(eta: float, p: PhaseVector) -> bool:
     a = attainability_closed(spectral_output(p, eta), basis_derivatives(p))
     return bool(np.abs(a).max() <= ATTAINABILITY_TOL)
 
 
 def cmd_compute(cfg: SweepConfig) -> int:
-    cfg.validate()
+    channel = cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     header = [
         "d", "eta", "f_diag", "f_offdiag",
@@ -161,20 +136,17 @@ def cmd_compute(cfg: SweepConfig) -> int:
     ]
     rows = []
     for d in range(cfg.d_min, cfg.d_max + 1):
-        eta = cfg.eta_for(d)
-        fdiag, foff = cfg.entries_for(d)
+        eta = channel.shrinking_factor(d)
+        fdiag, foff = closed_entries(channel, d)
         lam1 = fdiag + (d - 2) * foff
         lam2 = fdiag - foff if d > 2 else float("nan")
-        if d <= DENSE_DMAX:
-            var_min = total_variance_bound(d, eta).total_variance_min
-        else:
-            var_min = (d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2)
-        if cfg.phases is not None:
-            flag = _attainable(d, eta, PhaseVector(d, np.asarray(cfg.phases)))
-        elif d <= DENSE_DMAX:
-            flag = _attainable(d, eta, PhaseVector.random(d, rng))
-        else:
+        var_min = total_variance_bound(d, eta).total_variance_min
+        if d > DENSE_DMAX:
             flag = True  # entries vanish identically for the equatorial family
+        elif cfg.phases is not None:
+            flag = _attainable(eta, PhaseVector(d, np.asarray(cfg.phases)))
+        else:
+            flag = _attainable(eta, PhaseVector.random(d, rng))
         rows.append([d, eta, fdiag, foff, lam1, lam2, var_min, flag])
 
     if cfg.fmt == "json":
@@ -232,10 +204,10 @@ def cmd_figure(which: int, d_max: int, out: str | None) -> int:
 
 
 def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
-    if cfg.d_max < 2:
-        raise UsageError("--dmax must be at least 2")
-    if cfg.fd_step <= 0:
-        raise UsageError("--fd-step must be positive")
+    if not 2 <= cfg.d_max <= FULL_UNITARY_DMAX:
+        raise UsageError(f"--dmax must satisfy 2 <= dmax <= {FULL_UNITARY_DMAX}")
+    if not (np.isfinite(cfg.fd_step) and cfg.fd_step > 0):
+        raise UsageError("--fd-step must be a finite positive number")
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
@@ -245,13 +217,13 @@ def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
         )
 
     results = run_verification(
-        dmax_full=cfg.d_max, seed=cfg.seed, fd_step=cfg.fd_step, mutate=mutate, progress=progress
+        dmax_full=cfg.d_max, seed=cfg.seed, fd_step=cfg.fd_step, mutate=mutate,
+        progress=progress, tolerances=cfg.tolerances,
     )
-    if cfg.tolerances:
-        results = [
-            CheckResult(r.name, r.max_error, cfg.tolerances.get(r.name, r.tolerance))
-            for r in results
-        ]
+    # check names are known only once the suite has run
+    unknown = sorted(set(cfg.tolerances) - {r.name for r in results})
+    if unknown:
+        raise UsageError("config keys name no check: " + ", ".join(f"tol_{n}" for n in unknown))
     report = [r.as_dict() for r in results]
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     n_fail = sum(not r.passed for r in results)
@@ -261,15 +233,19 @@ def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            values[key.strip().lower().replace("-", "_")] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        values[key.strip().lower().replace("-", "_")] = val.strip()
     return values
 
 
@@ -296,7 +272,10 @@ def _tolerance_overrides(file_values: dict[str, str]) -> dict[str, float]:
     out = {}
     for key, raw in file_values.items():
         if key.startswith("tol_"):
-            out[key[4:]] = float(raw)
+            tol = _resolve(None, file_values, key, float, None)
+            if not (np.isfinite(tol) and tol >= 0):
+                raise UsageError(f"config value {key}={raw!r}: tolerance must be finite and >= 0")
+            out[key[4:]] = tol
     return out
 
 

@@ -1,7 +1,10 @@
 """Definition-level numeric cross-check path.
 
-Everything here is computed from finite differences of the density matrix
-and an eigenbasis solve of the symmetric-logarithmic-derivative equation
+The channels are channels.ParamChannel instances, and the oracle calls
+nothing on them but .density; for the two cloners that builds the full
+tripartite state and traces, never the scaling form.  Everything here is
+computed from finite differences of the density matrix and an eigenbasis
+solve of the symmetric-logarithmic-derivative equation
 
     d_rho = (rho L + L rho) / 2,
 
@@ -12,58 +15,18 @@ module are used, so agreement between the two paths is a genuine check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import (
-    _check_eta,
-    pqcm_full_output,
-    reduce_first_qudit,
-    shrink_output,
-    uqcm_full_output,
-)
-from .states import PhaseVector, equatorial_state
+from .channels import ParamChannel
+from .states import PhaseVector
 
 DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ParamChannel:
-    """A phase-parametrized family of output states.
-
-    kind selects the map: "pure" (input projector), "shrink" (scaling form
-    with fixed eta), or "uqcm"/"pqcm" (single-copy output obtained by
-    building the full tripartite state and tracing, so these two never touch
-    the scaling form).
-    """
-
-    kind: str
-    eta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("pure", "shrink", "uqcm", "pqcm"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "shrink":
-            if self.eta is None:
-                raise ValueError("shrink channel requires eta")
-            _check_eta(self.eta)
-        elif self.eta is not None:
-            raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
-
-    def density(self, p: PhaseVector) -> np.ndarray:
-        if self.kind == "pure":
-            psi = equatorial_state(p)
-            return np.outer(psi, psi.conj())
-        if self.kind == "shrink":
-            return shrink_output(p, self.eta)
-        if self.kind == "uqcm":
-            return reduce_first_qudit(uqcm_full_output(p))
-        return reduce_first_qudit(pqcm_full_output(p))
-
-
-def rho_derivative(channel, p: PhaseVector, mu: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def rho_derivative(
+    channel: ParamChannel, p: PhaseVector, mu: int, h: float = DEFAULT_FD_STEP
+) -> np.ndarray:
     """Central-difference derivative of channel.density with respect to phi_mu."""
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
@@ -94,13 +57,13 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray, support_tol: float = SLD_SUPPOR
     return v @ ltil @ v.conj().T
 
 
-def _slds(channel, p: PhaseVector, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _slds(channel: ParamChannel, p: PhaseVector, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
     rho = channel.density(p)
     slds = [sld_solve(rho, rho_derivative(channel, p, mu, h)) for mu in range(1, p.dim)]
     return rho, slds
 
 
-def qfim_numeric(channel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def qfim_numeric(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """QFIM from the defining symmetrized trace, Tr[rho (L_m L_n + L_n L_m)]/2."""
     rho, slds = _slds(channel, p, h)
     n = len(slds)
@@ -113,7 +76,9 @@ def qfim_numeric(channel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndar
     return f
 
 
-def attainability_numeric(channel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def attainability_numeric(
+    channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP
+) -> np.ndarray:
     """Commutator-trace imaginary parts Im Tr(rho L_m L_n), as a real matrix."""
     rho, slds = _slds(channel, p, h)
     n = len(slds)

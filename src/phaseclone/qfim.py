@@ -104,6 +104,17 @@ def qfim_pqcm_closed(d: int) -> np.ndarray:
     return _structured_matrix(d, fdiag, foff)
 
 
+def closed_entries(channel, d: int) -> tuple[float, float]:
+    """Closed-form (diagonal, off-diagonal) QFIM entries for a ParamChannel at dimension d."""
+    if channel.kind == "pure":
+        return qfim_pure_entries(d)
+    if channel.kind == "uqcm":
+        return qfim_uqcm_entries(d)
+    if channel.kind == "pqcm":
+        return qfim_pqcm_entries(d)
+    return qfim_shrink_entries(d, channel.eta)
+
+
 def equatorial_structure_residuals(f: np.ndarray) -> tuple[float, float, float]:
     """How far a matrix is from the equatorial-family QFIM structure.
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from phaseclone.channels import (
     FULL_UNITARY_DMAX,
-    CloningModel,
+    ParamChannel,
     eta_pqcm,
     eta_uqcm,
     pqcm_coefficients,
@@ -163,24 +163,19 @@ class TestReduceFirstQudit:
 
 
 class TestCloningModel:
+    """The machine model shared by the CLI, verify and the oracle (ParamChannel)."""
+
     def test_shrinking_factor_dispatch(self):
-        assert CloningModel("uqcm").shrinking_factor(3) == eta_uqcm(3)
-        assert CloningModel("pqcm").shrinking_factor(3) == eta_pqcm(3)
-        assert CloningModel("shrink", 0.5).shrinking_factor(3) == 0.5
+        assert ParamChannel("pure").shrinking_factor(3) == 1.0
+        assert ParamChannel("uqcm").shrinking_factor(3) == eta_uqcm(3)
+        assert ParamChannel("pqcm").shrinking_factor(3) == eta_pqcm(3)
+        assert ParamChannel("shrink", 0.5).shrinking_factor(3) == 0.5
 
     def test_output_matches_shrink_form(self):
         p = PhaseVector.random(3, np.random.default_rng(8))
-        assert_allclose(CloningModel("uqcm").output(p), shrink_output(p, eta_uqcm(3)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CloningModel("bogus")
-        with pytest.raises(ValueError):
-            CloningModel("shrink")  # eta required
-        with pytest.raises(ValueError):
-            CloningModel("shrink", 0.0)
-        with pytest.raises(ValueError):
-            CloningModel("uqcm", 0.5)  # derived, never stored
+        for kind in ("uqcm", "pqcm"):
+            ch = ParamChannel(kind)
+            assert_allclose(ch.density(p), shrink_output(p, ch.shrinking_factor(3)))
 
 
 class TestValidateDensityMatrix:

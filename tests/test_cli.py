@@ -147,8 +147,23 @@ class TestCompute:
         assert float(rows[0][1]) == 0.9
 
     def test_missing_config_file(self, capsys):
-        code, _, _ = run(capsys, "compute", "--machine", "pure", "--config", "/no/such/file.cfg")
-        assert code == 1
+        code, _, err = run(capsys, "compute", "--machine", "pure", "--config", "/no/such/file.cfg")
+        assert code == 2
+        assert "cannot read config file" in err
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00machine = pure\n")
+        code, _, err = run(capsys, "compute", "--config", str(cfg))
+        assert code == 2
+        assert "cannot read config file" in err
+
+    def test_unknown_machine_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("machine = bogus\n")
+        code, out, _ = run(capsys, "compute", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
 
 
 class TestFigure:
@@ -243,6 +258,45 @@ class TestVerify:
         cfg.write_text("tol_scaling_form_uqcm = 1.0\n")
         code, _, _ = run(capsys, "verify", "--dmax", "3", "--mutate", "--config", str(cfg))
         assert code == 0  # loosened tolerance masks the injected fault
+
+    def test_progress_report_and_summary_agree(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("tol_scaling_form_uqcm = 1.0\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "verify", "--dmax", "3", "--mutate", "--config", str(cfg),
+            "--out", str(report_path),
+        )
+        report = json.loads(report_path.read_text())
+        expected = [
+            f"[{'pass' if e['pass'] else 'FAIL'}] {e['name']}: "
+            f"max_error={e['max_error']:.3e} tolerance={e['tolerance']:.1e}"
+            for e in report
+        ]
+        n_pass = sum(e["pass"] for e in report)
+        assert err.splitlines() == expected + [f"{n_pass}/{len(report)} checks passed"]
+        assert code == (0 if n_pass == len(report) else 3)
+        assert [e["tolerance"] for e in report if e["name"] == "scaling_form_uqcm"] == [1.0]
+
+    @pytest.mark.parametrize(
+        "args", [("--dmax", "33"), ("--fd-step", "nan"), ("--fd-step", "inf")]
+    )
+    def test_bad_input_rejected_before_any_check(self, capsys, args):
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "[pass]" not in err
+
+    @pytest.mark.parametrize(
+        "line", ["tol_sld_residual = abc", "tol_sld_residual = nan", "tol_no_such_check = 1e-3"]
+    )
+    def test_bad_tolerance_override_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--dmax", "2", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseclone.channels import eta_pqcm, eta_uqcm
@@ -14,6 +16,7 @@ from phaseclone.qfim import (
     qfim_pqcm_closed,
     qfim_pure,
     qfim_shrink_closed,
+    qfim_shrink_entries,
     qfim_uqcm_closed,
     spectral_output,
 )
@@ -130,3 +133,20 @@ class TestTotalVarianceBound:
             total_variance_bound(3, 0.0)
         with pytest.raises(ValueError):
             total_variance_bound(3, 1.0001)
+
+
+# d reaches the largest figure-3 sweep the benchmark runs; eta draws include both cloners
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 250),
+    eta=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((eta_uqcm, eta_pqcm))),
+)
+def test_variance_closed_form_matches_dense_inverse(d, eta):
+    if callable(eta):
+        eta = eta(d)
+    vb = total_variance_bound(d, eta)
+    finv = np.linalg.inv(qfim_shrink_closed(d, eta))
+    assert vb.total_variance_min == pytest.approx(np.trace(finv), rel=1e-8)
+    relation = -2.0 * (d - 1) / (d * qfim_shrink_entries(d, eta)[1])
+    assert vb.total_variance_min == pytest.approx(relation, rel=1e-10)
+    assert_allclose(vb.per_parameter_bounds, np.diag(finv), rtol=1e-8)

@@ -173,3 +173,16 @@ class TestParamChannel:
             ParamChannel("shrink", 1.3)
         with pytest.raises(ValueError):
             ParamChannel("uqcm", 0.5)
+
+    def test_cloners_never_use_the_scaling_form(self, monkeypatch):
+        import phaseclone.channels as channels
+
+        def scaling_form(*args, **kwargs):
+            raise AssertionError("the oracle route reached channels.shrink_output")
+
+        monkeypatch.setattr(channels, "shrink_output", scaling_form)
+        p = PhaseVector.random(3, np.random.default_rng(5))
+        for kind, closed in (("uqcm", qfim_uqcm_closed), ("pqcm", qfim_pqcm_closed)):
+            ch = ParamChannel(kind)
+            assert np.trace(ch.density(p)).real == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(qfim_numeric(ch, p) - closed(3)).max() < 1e-5
