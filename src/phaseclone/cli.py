@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error,
 3 verification failure.
 
 Options may also be supplied through a key=value config file (--config);
-explicit flags win over file values.  CSV output uses a header row, 12
+explicit flags win over file values, and a key that names no option of the
+subcommand is a usage error.  CSV output uses a header row, 12
 significant digits, and LF line endings, so fixed inputs give byte-identical
 files.
 """
@@ -37,7 +38,7 @@ from .qfim import (
     spectral_output,
 )
 from .states import PhaseVector, basis_derivatives
-from .verify import DEFAULT_SEED, CheckResult, run_verification
+from .verify import DEFAULT_SEED, TOLERANCES, CheckResult, run_verification
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -76,6 +77,8 @@ class SweepConfig:
             channel = ParamChannel(self.machine, self.eta)
         except ValueError as exc:
             raise UsageError(f"machine={self.machine}: {exc}") from exc
+        if self.seed < 0:
+            raise UsageError("--seed must be a non-negative integer")
         if not 2 <= self.d_min <= self.d_max:
             raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
         if self.d_max > CLOSED_FORM_DMAX:
@@ -208,6 +211,10 @@ def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
         raise UsageError(f"--dmax must satisfy 2 <= dmax <= {FULL_UNITARY_DMAX}")
     if not (np.isfinite(cfg.fd_step) and cfg.fd_step > 0):
         raise UsageError("--fd-step must be a finite positive number")
+    unknown = sorted(set(cfg.tolerances) - set(TOLERANCES))
+    if unknown:
+        raise UsageError("config keys name no check: " + ", ".join(f"tol_{n}" for n in unknown))
+    cfg.validate()  # the checks shared with compute, such as the seed
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
@@ -220,10 +227,6 @@ def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
         dmax_full=cfg.d_max, seed=cfg.seed, fd_step=cfg.fd_step, mutate=mutate,
         progress=progress, tolerances=cfg.tolerances,
     )
-    # check names are known only once the suite has run
-    unknown = sorted(set(cfg.tolerances) - {r.name for r in results})
-    if unknown:
-        raise UsageError("config keys name no check: " + ", ".join(f"tol_{n}" for n in unknown))
     report = [r.as_dict() for r in results]
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)
     n_fail = sum(not r.passed for r in results)
@@ -249,16 +252,45 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args_value, file_values: dict[str, str], key: str, cast, default):
-    if args_value is not None:
-        return args_value
-    if key in file_values:
-        raw = file_values[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
-    return default
+def _cast(key: str, raw: str, cast):
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
+
+
+def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's value options by config key (--fd-step -> fd_step)."""
+    return {
+        a.option_strings[-1].lstrip("-").replace("-", "_"): a
+        for a in parser._actions
+        if a.option_strings and a.nargs != 0 and a.dest != "config"
+    }
+
+
+def _apply_config_file(args: argparse.Namespace) -> dict[str, str]:
+    """Fill options not given as flags from --config; return the file's values.
+
+    Every key must name a value option of the subcommand; verify also takes
+    tol_<check> keys, which cmd_verify checks against the declared checks.
+    """
+    if args.config is None:
+        return {}
+    file_values = _parse_config_file(args.config)
+    unknown = [
+        k for k in file_values
+        if k not in args.file_options and not (args.command == "verify" and k.startswith("tol_"))
+    ]
+    if unknown:
+        raise UsageError(f"config keys name no option of {args.command}: " + ", ".join(unknown))
+    for key, action in args.file_options.items():
+        if key in file_values and getattr(args, action.dest) is None:
+            setattr(args, action.dest, _cast(key, file_values[key], action.type or str))
+    return file_values
+
+
+def _or(value, default):
+    return default if value is None else value
 
 
 def _parse_phases(text: str) -> list[float]:
@@ -272,7 +304,7 @@ def _tolerance_overrides(file_values: dict[str, str]) -> dict[str, float]:
     out = {}
     for key, raw in file_values.items():
         if key.startswith("tol_"):
-            tol = _resolve(None, file_values, key, float, None)
+            tol = _cast(key, raw, float)
             if not (np.isfinite(tol) and tol >= 0):
                 raise UsageError(f"config value {key}={raw!r}: tolerance must be finite and >= 0")
             out[key[4:]] = tol
@@ -315,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a deliberate shrinking-factor error (self-test; must fail)",
     )
+    for p in (pc, pf, pv):
+        p.set_defaults(file_options=_file_options(p))
     return parser
 
 
@@ -326,37 +360,32 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+        file_values = _apply_config_file(args)
 
         if args.command == "compute":
-            phases_raw = _resolve(args.phases, file_values, "phases", str, None)
-            cfg = SweepConfig(
-                machine=_resolve(args.machine, file_values, "machine", str, None) or "",
-                eta=_resolve(args.eta, file_values, "eta", float, None),
-                d_min=_resolve(args.dmin, file_values, "dmin", int, 2),
-                d_max=_resolve(args.dmax, file_values, "dmax", int, 20),
-                phases=_parse_phases(phases_raw) if phases_raw is not None else None,
-                seed=_resolve(args.seed, file_values, "seed", int, DEFAULT_SEED),
-                out=_resolve(args.out, file_values, "out", str, None),
-                fmt=_resolve(args.fmt, file_values, "format", str, "csv"),
-            )
-            if not cfg.machine:
+            if not args.machine:
                 raise UsageError("--machine is required (pure, uqcm, pqcm, or shrink)")
+            cfg = SweepConfig(
+                machine=args.machine,
+                eta=args.eta,
+                d_min=_or(args.dmin, 2),
+                d_max=_or(args.dmax, 20),
+                phases=_parse_phases(args.phases) if args.phases is not None else None,
+                seed=_or(args.seed, DEFAULT_SEED),
+                out=args.out,
+                fmt=_or(args.fmt, "csv"),
+            )
             return cmd_compute(cfg)
 
         if args.command == "figure":
-            return cmd_figure(
-                args.which,
-                _resolve(args.dmax, file_values, "dmax", int, 20),
-                _resolve(args.out, file_values, "out", str, None),
-            )
+            return cmd_figure(args.which, _or(args.dmax, 20), args.out)
 
         cfg = SweepConfig(
             machine="pure",
-            d_max=_resolve(args.dmax, file_values, "dmax", int, 8),
-            seed=_resolve(args.seed, file_values, "seed", int, DEFAULT_SEED),
-            fd_step=_resolve(args.fd_step, file_values, "fd_step", float, 1e-5),
-            out=_resolve(args.out, file_values, "out", str, None),
+            d_max=_or(args.dmax, 8),
+            seed=_or(args.seed, DEFAULT_SEED),
+            fd_step=_or(args.fd_step, 1e-5),
+            out=args.out,
             tolerances=_tolerance_overrides(file_values),
         )
         return cmd_verify(cfg, mutate=args.mutate)

@@ -5,7 +5,8 @@ basis orthonormality, scaling-form reduction of the full cloning unitaries,
 closed-form versus spectral-route agreement, ordering and positivity of the
 information matrices, variance-bound identities, attainability, and the
 finite-difference oracle comparisons.  Each check reports its worst observed
-error against a fixed tolerance.
+error against a fixed tolerance.  TOLERANCES declares every check, in run
+order, with that tolerance; it is the one list of check names.
 """
 
 from __future__ import annotations
@@ -24,6 +25,59 @@ UQCM = channels.ParamChannel("uqcm")
 PQCM = channels.ParamChannel("pqcm")
 SHRINK = channels.ParamChannel("shrink", 0.4)
 CHANNELS = (PURE, UQCM, PQCM, SHRINK)
+
+# every check in run order; an inequality check at 0.0 allows no violation
+TOLERANCES: dict[str, float] = {
+    # state and basis construction
+    "complement_basis_orthonormality": 1e-12,
+    "phase_shift_generates_state": 1e-14,
+    "state_derivative_finite_difference": 1e-8,
+    "basis_derivative_finite_difference": 1e-6,
+    "gauge_period_invariance": 1e-12,
+    # cloning channels
+    "scaling_form_uqcm": 1e-10,
+    "scaling_form_pqcm": 1e-10,
+    "fidelity_phase_independence_uqcm": 1e-12,
+    "fidelity_phase_independence_pqcm": 1e-12,
+    "eta_uqcm_large_d_limit": 0.02,
+    "eta_pqcm_large_d_limit": 0.02,
+    "eta_gap_large_d": 1e-3,
+    # closed forms vs the spectral route
+    "spectral_vs_closed_uqcm": 1e-10,
+    "spectral_vs_closed_pqcm": 1e-10,
+    "spectral_vs_closed_shrink": 1e-10,
+    "uqcm_diagonal_term_sums": 1e-10,
+    "telescoping_sum_identity": 1e-14,
+    "diag_offdiag_relation": 1e-10,
+    "qfim_phase_independence": 1e-10,
+    # orderings and inequalities
+    "pqcm_minus_uqcm_psd": 1e-12,
+    "pqcm_diagonal_dominates": 0.0,
+    "information_shrinks_under_cloning": 0.0,
+    "uqcm_matches_generic_shrink": 1e-14,
+    "pqcm_matches_generic_shrink": 1e-12,
+    "qfim_monotone_in_eta": 0.0,
+    # variance bounds
+    "variance_trace_inverse": 1e-8,
+    "variance_pure_closed_form": 0.0,
+    "variance_ordering": 0.0,
+    "variance_monotone_in_eta": 0.0,
+    "pure_inverse_eigenvalues": 1e-10,
+    "structured_vs_dense_eigenvalues": 1e-10,
+    "spectral_reconstruction": 1e-12,
+    # attainability
+    "attainability_closed_zero": 1e-10,
+    "attainability_weight_forms_agree": 1e-12,
+    "attainability_numeric_zero": 1e-6,
+    "attainability_paths_agree": 1e-6,
+    # finite-difference oracle vs closed forms
+    "oracle_agreement_pure": 1e-5,
+    "oracle_agreement_uqcm": 1e-5,
+    "oracle_agreement_pqcm": 1e-5,
+    "oracle_agreement_shrink": 1e-5,
+    "oracle_step_robustness": 1e-6,
+    "sld_residual": 1e-8,
+}
 
 
 @dataclass(frozen=True)
@@ -69,15 +123,15 @@ def run_verification(
     unitaries.  With mutate=True a deliberate error is injected into the
     shrinking factor used by the scaling-form check, which must then fail;
     this validates that the harness can actually detect a wrong channel.
-    tolerances maps check names to tolerances that replace the built-in
-    ones; progress sees each result with its final tolerance.
+    tolerances maps check names to tolerances that replace the ones in
+    TOLERANCES; progress sees each result with its final tolerance.
     """
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     tolerances = tolerances or {}
 
-    def add(name: str, err: float, tol: float) -> None:
-        res = CheckResult(name, float(err), float(tolerances.get(name, tol)))
+    def add(name: str, err: float) -> None:
+        res = CheckResult(name, float(err), float(tolerances.get(name, TOLERANCES[name])))
         results.append(res)
         if progress is not None:
             progress(res)
@@ -90,7 +144,7 @@ def run_verification(
         for _ in range(100):
             b = states.complement_basis(PhaseVector.random(d, rng))
             err = max(err, np.abs(b.conj() @ b.T - np.eye(d)).max())
-    add("complement_basis_orthonormality", err, 1e-12)
+    add("complement_basis_orthonormality", err)
 
     err = 0.0
     for d in range(2, 17):
@@ -98,7 +152,7 @@ def run_verification(
             p = PhaseVector.random(d, rng)
             gen = states.phase_shift_unitary(p) @ states.equatorial_state(PhaseVector.zero(d))
             err = max(err, np.abs(states.equatorial_state(p) - gen).max())
-    add("phase_shift_generates_state", err, 1e-14)
+    add("phase_shift_generates_state", err)
 
     err = 0.0
     for d in (2, 3, 5, 8):
@@ -106,7 +160,7 @@ def run_verification(
         for mu in range(1, d):
             fd = _fd_state(states.equatorial_state, p, mu, 1e-5)
             err = max(err, np.abs(states.state_derivative(p, mu) - fd).max())
-    add("state_derivative_finite_difference", err, 1e-8)
+    add("state_derivative_finite_difference", err)
 
     err = 0.0
     for d in (2, 3, 4, 6):
@@ -115,7 +169,7 @@ def run_verification(
             fd = _fd_state(states.complement_basis, p, mu, 1e-5)
             for n in range(d):
                 err = max(err, np.abs(states.basis_derivative(p, n, mu) - fd[n]).max())
-    add("basis_derivative_finite_difference", err, 1e-6)
+    add("basis_derivative_finite_difference", err)
 
     err = 0.0
     for d in (2, 5, 9):
@@ -127,7 +181,7 @@ def run_verification(
             err = max(err, np.abs(states.equatorial_state(p) - states.equatorial_state(q)).max())
             err = max(err, np.abs(states.complement_basis(p) - states.complement_basis(q)).max())
             err = max(err, np.abs(channels.shrink_output(p, 0.7) - channels.shrink_output(q, 0.7)).max())
-    add("gauge_period_invariance", err, 1e-12)
+    add("gauge_period_invariance", err)
 
     # --- cloning channels ----------------------------------------------
     # density traces the full tripartite state for both cloners
@@ -140,7 +194,7 @@ def run_verification(
             for _ in range(20):
                 p = PhaseVector.random(d, rng)
                 err = max(err, np.linalg.norm(ch.density(p) - channels.shrink_output(p, eta)))
-        add(f"scaling_form_{ch.kind}", err, 1e-10)
+        add(f"scaling_form_{ch.kind}", err)
 
     for ch in (UQCM, PQCM):
         err = 0.0
@@ -154,11 +208,11 @@ def run_verification(
             fids = np.asarray(fids)
             err = max(err, fids.max() - fids.min())
             err = max(err, np.abs(fids - (eta + (1 - eta) / d)).max())
-        add(f"fidelity_phase_independence_{ch.kind}", err, 1e-12)
+        add(f"fidelity_phase_independence_{ch.kind}", err)
 
-    add("eta_uqcm_large_d_limit", abs(channels.eta_uqcm(100) - 0.5), 0.02)
-    add("eta_pqcm_large_d_limit", abs(channels.eta_pqcm(100) - 0.5), 0.02)
-    add("eta_gap_large_d", channels.eta_pqcm(100) - channels.eta_uqcm(100), 1e-3)
+    add("eta_uqcm_large_d_limit", abs(channels.eta_uqcm(100) - 0.5))
+    add("eta_pqcm_large_d_limit", abs(channels.eta_pqcm(100) - 0.5))
+    add("eta_gap_large_d", channels.eta_pqcm(100) - channels.eta_uqcm(100))
 
     # --- closed forms vs the spectral route ------------------------------
     for ch in (UQCM, PQCM, SHRINK):
@@ -167,7 +221,7 @@ def run_verification(
             p = PhaseVector.random(d, rng)
             spectral = qfim.qfim_shrink_spectral(p, ch.shrinking_factor(d))
             err = max(err, np.abs(spectral - _closed_qfim(ch, d)).max())
-        add(f"spectral_vs_closed_{ch.kind}", err, 1e-10)
+        add(f"spectral_vs_closed_{ch.kind}", err)
 
     err = 0.0
     for d in range(2, 13):
@@ -175,19 +229,19 @@ def run_verification(
         second_closed = 2.0 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
         err = max(err, abs(first - 4.0 / d), abs(second - second_closed))
         err = max(err, abs((first - second) - qfim.qfim_uqcm_entries(d)[0]))
-    add("uqcm_diagonal_term_sums", err, 1e-10)
+    add("uqcm_diagonal_term_sums", err)
 
     err = max(
         abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d))
         for d in range(2, 65)
     )
-    add("telescoping_sum_identity", err, 1e-14)
+    add("telescoping_sum_identity", err)
 
     err = 0.0
     for d in range(2, 33):
         for ch in CHANNELS:
             err = max(err, max(qfim.equatorial_structure_residuals(_closed_qfim(ch, d))))
-    add("diag_offdiag_relation", err, 1e-10)
+    add("diag_offdiag_relation", err)
 
     err = 0.0
     for d in (3, 5):
@@ -196,47 +250,47 @@ def run_verification(
         for _ in range(9):
             f = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
             err = max(err, np.abs(f - ref).max())
-    add("qfim_phase_independence", err, 1e-10)
+    add("qfim_phase_independence", err)
 
     # --- orderings and inequalities --------------------------------------
     err = 0.0
     for d in range(2, 65):
         gap = qfim.qfim_pqcm_closed(d) - qfim.qfim_uqcm_closed(d)
         err = max(err, -np.linalg.eigvalsh(gap)[0])
-    add("pqcm_minus_uqcm_psd", err, 1e-12)
+    add("pqcm_minus_uqcm_psd", err)
 
     err = max(
         max(0.0, qfim.qfim_uqcm_entries(d)[0] - qfim.qfim_pqcm_entries(d)[0])
         for d in range(2, 1001)
     )
-    add("pqcm_diagonal_dominates", err, 0.0)
+    add("pqcm_diagonal_dominates", err)
 
     err = 0.0
     for d in range(2, 65):
         bound = channels.eta_uqcm(d) * qfim.qfim_pure_entries(d)[0]
         err = max(err, qfim.qfim_uqcm_entries(d)[0] - bound)
-    add("information_shrinks_under_cloning", max(0.0, err), 0.0)
+    add("information_shrinks_under_cloning", max(0.0, err))
 
     err = 0.0
     for d in range(2, 65):
         fu = qfim.qfim_uqcm_entries(d)
         fs = qfim.qfim_shrink_entries(d, channels.eta_uqcm(d))
         err = max(err, abs(fu[0] - fs[0]), abs(fu[1] - fs[1]))
-    add("uqcm_matches_generic_shrink", err, 1e-14)
+    add("uqcm_matches_generic_shrink", err)
 
     err = 0.0
     for d in range(2, 65):
         fp = qfim.qfim_pqcm_entries(d)
         fs = qfim.qfim_shrink_entries(d, channels.eta_pqcm(d))
         err = max(err, abs(fp[0] - fs[0]), abs(fp[1] - fs[1]))
-    add("pqcm_matches_generic_shrink", err, 1e-12)
+    add("pqcm_matches_generic_shrink", err)
 
     err = 0.0
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         diags = np.array([qfim.qfim_shrink_entries(d, e)[0] for e in etas])
         err = max(err, max(0.0, -np.diff(diags).min()))
-    add("qfim_monotone_in_eta", err, 0.0)
+    add("qfim_monotone_in_eta", err)
 
     # --- variance bounds --------------------------------------------------
     err = 0.0
@@ -245,13 +299,13 @@ def run_verification(
             vb = crb.total_variance_bound(d, eta)
             dense = float(np.trace(np.linalg.inv(qfim.qfim_shrink_closed(d, eta))).real)
             err = max(err, abs(vb.total_variance_min - dense))
-    add("variance_trace_inverse", err, 1e-8)
+    add("variance_trace_inverse", err)
 
     err = max(
         abs(crb.total_variance_bound(d, 1.0).total_variance_min - d * (d - 1) / 2.0)
         for d in range(2, 65)
     )
-    add("variance_pure_closed_form", err, 0.0)
+    add("variance_pure_closed_form", err)
 
     err = 0.0
     for d in range(2, 21):
@@ -259,21 +313,21 @@ def run_verification(
         e_u = crb.total_variance_bound(d, channels.eta_uqcm(d)).total_variance_min
         e_p = crb.total_variance_bound(d, channels.eta_pqcm(d)).total_variance_min
         err = max(err, e_in - e_p, e_p - e_u)
-    add("variance_ordering", max(0.0, err), 0.0)
+    add("variance_ordering", max(0.0, err))
 
     err = 0.0
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         bounds = np.array([crb.total_variance_bound(d, e).total_variance_min for e in etas])
         err = max(err, max(0.0, np.diff(bounds).max()))
-    add("variance_monotone_in_eta", err, 0.0)
+    add("variance_monotone_in_eta", err)
 
     err = 0.0
     for d in range(2, 17):
         inv_eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(qfim.qfim_pure(d))))
         expect = np.sort(np.concatenate((np.full(d - 2, d / 4.0), [d * d / 4.0])))
         err = max(err, np.abs(inv_eigs - expect).max())
-    add("pure_inverse_eigenvalues", err, 1e-10)
+    add("pure_inverse_eigenvalues", err)
 
     err = 0.0
     for d in range(3, 33):
@@ -281,7 +335,7 @@ def run_verification(
             l1, l2, mult2 = crb.qfim_eigenvalues(f)
             structured = np.sort(np.concatenate(([l1], np.full(mult2, l2))))
             err = max(err, np.abs(structured - np.linalg.eigvalsh(f)).max())
-    add("structured_vs_dense_eigenvalues", err, 1e-10)
+    add("structured_vs_dense_eigenvalues", err)
 
     err = 0.0
     for d in range(2, 11):
@@ -289,7 +343,7 @@ def run_verification(
             p = PhaseVector.random(d, rng)
             rho = qfim.reconstruct_density(qfim.spectral_output(p, eta))
             err = max(err, np.abs(rho - channels.shrink_output(p, eta)).max())
-    add("spectral_reconstruction", err, 1e-12)
+    add("spectral_reconstruction", err)
 
     # --- attainability ----------------------------------------------------
     err_closed = 0.0
@@ -303,8 +357,8 @@ def run_verification(
                 a = crb.attainability_closed(sd, dv)
                 err_closed = max(err_closed, np.abs(a).max())
                 err_forms = max(err_forms, np.abs(a - crb._attainability_raw_weight(sd, dv)).max())
-    add("attainability_closed_zero", err_closed, 1e-10)
-    add("attainability_weight_forms_agree", err_forms, 1e-12)
+    add("attainability_closed_zero", err_closed)
+    add("attainability_weight_forms_agree", err_forms)
 
     err_num = 0.0
     err_agree = 0.0
@@ -318,8 +372,8 @@ def run_verification(
                     qfim.spectral_output(p, ch.shrinking_factor(d)), states.basis_derivatives(p)
                 )
                 err_agree = max(err_agree, np.abs(num - closed).max())
-    add("attainability_numeric_zero", err_num, 1e-6)
-    add("attainability_paths_agree", err_agree, 1e-6)
+    add("attainability_numeric_zero", err_num)
+    add("attainability_paths_agree", err_agree)
 
     # --- finite-difference oracle vs closed forms -------------------------
     for ch in CHANNELS:
@@ -329,7 +383,7 @@ def run_verification(
             for _ in range(5):
                 p = PhaseVector.random(d, rng)
                 err = max(err, np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
-        add(f"oracle_agreement_{ch.kind}", err, 1e-5)
+        add(f"oracle_agreement_{ch.kind}", err)
 
     err = 0.0
     for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5)):
@@ -337,7 +391,7 @@ def run_verification(
         coarse = oracle.qfim_numeric(ch, p, 1e-4)
         fine = oracle.qfim_numeric(ch, p, 5e-5)
         err = max(err, np.abs(coarse - fine).max())
-    add("oracle_step_robustness", err, 1e-6)
+    add("oracle_step_robustness", err)
 
     err = 0.0
     for d in full_dims:
@@ -349,6 +403,6 @@ def run_verification(
                     drho = oracle.rho_derivative(ch, p, mu, fd_step)
                     sld = oracle.sld_solve(rho, drho)
                     err = max(err, np.linalg.norm(drho - 0.5 * (rho @ sld + sld @ rho)))
-    add("sld_residual", err, 1e-8)
+    add("sld_residual", err)
 
     return results

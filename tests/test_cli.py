@@ -297,6 +297,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "usage error" in err
+        assert "[pass]" not in err and "[FAIL]" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [(("compute",), "machine = pure\ndmaxx = 3\n"), (("figure", "2"), "tol_sld_residual = 1\n")],
+    ids=["compute-dmaxx", "figure-tol"],
+)
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "name no option" in err
+
+
+@pytest.mark.parametrize("argv", [("compute", "--machine", "pure", "--dmax", "3"), ("verify", "--dmax", "2")])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, from_file):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    code, out, err = run(capsys, *argv, *(("--config", str(cfg)) if from_file else ("--seed", "-1")))
+    assert code == 2
+    assert out == ""
+    assert "--seed must be a non-negative integer" in err
 
 
 def test_version_flag(capsys):

@@ -126,13 +126,8 @@ class TestQfimNumeric:
         f = qfim_numeric(ParamChannel("uqcm"), p)
         assert np.array_equal(f, f.T)
 
-    def test_step_robustness(self):
-        # halving the step must not move the estimate appreciably
-        p = PhaseVector.random(3, np.random.default_rng(9))
-        ch = ParamChannel("uqcm")
-        coarse = qfim_numeric(ch, p, h=1e-4)
-        fine = qfim_numeric(ch, p, h=5e-5)
-        assert np.abs(coarse - fine).max() < 1e-6
+    def test_step_robustness(self, check):
+        check("oracle_step_robustness")
 
 
 class TestAttainabilityNumeric:

@@ -11,7 +11,6 @@ from phaseclone.qfim import (
     qfim_pqcm_closed,
     qfim_pqcm_entries,
     qfim_pure,
-    qfim_pure_entries,
     qfim_shrink_closed,
     qfim_shrink_entries,
     qfim_shrink_spectral,
@@ -50,7 +49,7 @@ class TestShrinkClosed:
     def test_qubit_uqcm_point(self):
         assert qfim_shrink_entries(2, 2 / 3)[0] == pytest.approx(4 / 9, abs=1e-15)
 
-    @pytest.mark.parametrize("d", [2, 4, 9])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 32])
     def test_monotone_in_eta(self, d):
         # finite differences of the diagonal entry over an eta grid
         etas = np.linspace(0.1, 1.0, 19)
@@ -96,19 +95,14 @@ class TestClonerClosedForms:
         assert abs(fp[0] - fs[0]) <= 1e-12
         assert abs(fp[1] - fs[1]) <= 1e-12
 
-    def test_pqcm_minus_uqcm_psd(self):
-        for d in range(2, 65):
-            gap = qfim_pqcm_closed(d) - qfim_uqcm_closed(d)
-            assert np.linalg.eigvalsh(gap)[0] >= -1e-12
+    def test_pqcm_minus_uqcm_psd(self, check):
+        check("pqcm_minus_uqcm_psd")
 
-    def test_pqcm_diagonal_dominates(self):
-        for d in range(2, 1001):
-            assert qfim_pqcm_entries(d)[0] >= qfim_uqcm_entries(d)[0]
+    def test_pqcm_diagonal_dominates(self, check):
+        check("pqcm_diagonal_dominates")
 
-    def test_cloning_shrinks_information(self):
-        # diagonal bounded by the shrinking factor times the pure value
-        for d in range(2, 65):
-            assert qfim_uqcm_entries(d)[0] <= eta_uqcm(d) * qfim_pure_entries(d)[0]
+    def test_cloning_shrinks_information(self, check):
+        check("information_shrinks_under_cloning")
 
 
 class TestStructureResiduals:
@@ -119,6 +113,16 @@ class TestStructureResiduals:
             assert dspread < 1e-10
             assert ospread < 1e-10
             assert relation < 1e-10
+
+    def test_relation_up_to_d64(self):
+        # every closed form at each d, a random eta, and the spectral matrices
+        rng = np.random.default_rng(9)
+        for d in range(2, 65):
+            family = [qfim_pure(d), qfim_uqcm_closed(d), qfim_pqcm_closed(d)]
+            family.append(qfim_shrink_closed(d, rng.uniform(0.2, 1.0)))
+            if d <= 10:
+                family.append(qfim_shrink_spectral(PhaseVector.random(d, rng), eta_uqcm(d)))
+            assert max(max(equatorial_structure_residuals(f)) for f in family) < 1e-10
 
     def test_detects_broken_structure(self):
         f = qfim_pure(4).copy()
@@ -173,14 +177,8 @@ class TestSpectralRoute:
         with pytest.raises(ValueError):
             qfim_from_spectral(sd, np.zeros((2, 3, 3), dtype=complex))
 
-    def test_phase_independence(self):
-        d = 5
-        rng = np.random.default_rng(123)
-        eta = eta_uqcm(d)
-        ref = qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
-        for _ in range(9):
-            f = qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
-            assert np.abs(f - ref).max() < 1e-10
+    def test_phase_independence(self, check):
+        check("qfim_phase_independence")
 
 
 class TestDiagonalTermSums:
@@ -200,7 +198,5 @@ class TestDiagonalTermSums:
         assert abs(second - second_closed) < 1e-10
         assert abs((first - second) - qfim_uqcm_entries(d)[0]) < 1e-10
 
-    def test_telescoping_identity(self):
-        for d in range(2, 65):
-            partial = sum(1.0 / (n * (n + 1)) for n in range(1, d))
-            assert abs(partial - (1.0 - 1.0 / d)) < 1e-14
+    def test_telescoping_identity(self, check):
+        check("telescoping_sum_identity")
