@@ -21,7 +21,6 @@ from .channels import (
     reduce_first_qudit,
     shrink_output,
     uqcm_full_output,
-    validate_density_matrix,
 )
 from .crb import (
     VarianceBound,
@@ -114,5 +113,4 @@ __all__ = [
     "total_variance_bound",
     "uqcm_diagonal_terms",
     "uqcm_full_output",
-    "validate_density_matrix",
 ]

@@ -77,6 +77,21 @@ def _check_full_unitary_dim(d: int) -> None:
         )
 
 
+def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
+    """Flat d^3 vector sum_i a_i (diag |iii> + off sum_{j != i} (|ijj> + |jij>)).
+
+    The three index sets (i,i,i), (i,j,j) and (j,i,j) with i != j are
+    disjoint, so each entry is written once.
+    """
+    d = a.shape[0]
+    out = np.zeros((d, d, d), dtype=complex)
+    k = np.arange(d)
+    out[k, k, k] = diag * a
+    i, j = np.nonzero(k[:, None] != k)
+    out[i, j, j] = out[j, i, j] = off * a[i]
+    return out.reshape(d**3)
+
+
 def uqcm_full_output(p: PhaseVector) -> np.ndarray:
     """Tripartite output of the universal cloner on an equatorial input.
 
@@ -90,17 +105,9 @@ def uqcm_full_output(p: PhaseVector) -> np.ndarray:
     """
     d = p.dim
     _check_full_unitary_dim(d)
-    a = equatorial_state(p)
     alpha = 2.0 / np.sqrt(2.0 * (d + 1))
     beta = 1.0 / np.sqrt(2.0 * (d + 1))
-    out = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        out[i, i, i] += alpha * a[i]
-        for j in range(d):
-            if j != i:
-                out[i, j, j] += beta * a[i]
-                out[j, i, j] += beta * a[i]
-    return out.reshape(d**3)
+    return _tripartite(equatorial_state(p), alpha, beta)
 
 
 def pqcm_full_output(p: PhaseVector) -> np.ndarray:
@@ -115,17 +122,8 @@ def pqcm_full_output(p: PhaseVector) -> np.ndarray:
     """
     d = p.dim
     _check_full_unitary_dim(d)
-    a = equatorial_state(p)
     alpha, beta = pqcm_coefficients(d)
-    scale = beta / np.sqrt(2.0 * (d - 1))
-    out = np.zeros((d, d, d), dtype=complex)
-    for j in range(d):
-        out[j, j, j] += alpha * a[j]
-        for l in range(d):
-            if l != j:
-                out[j, l, l] += scale * a[j]
-                out[l, j, l] += scale * a[j]
-    return out.reshape(d**3)
+    return _tripartite(equatorial_state(p), alpha, beta / np.sqrt(2.0 * (d - 1)))
 
 
 def reduce_first_qudit(psi: np.ndarray) -> np.ndarray:
@@ -141,22 +139,6 @@ def reduce_first_qudit(psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"state length {n} is not a qudit-cube d**3 with d >= 2")
     m = psi.reshape(d, d * d)
     return m @ m.conj().T
-
-
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tol."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > tol:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    tr = abs(np.trace(rho) - 1.0)
-    if tr > tol:
-        raise ValueError(f"trace deviates from 1 by {tr:.3e}")
-    lam_min = np.linalg.eigvalsh(rho)[0]
-    if lam_min < -tol:
-        raise ValueError(f"matrix has negative eigenvalue {lam_min:.3e}")
 
 
 @dataclass(frozen=True)

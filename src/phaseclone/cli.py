@@ -294,8 +294,13 @@ def _or(value, default):
 
 
 def _parse_phases(text: str) -> list[float]:
+    if text.strip() == "":
+        raise UsageError("--phases is empty; give d-1 comma-separated numbers or leave it out")
+    tokens = text.split(",")
+    if any(tok.strip() == "" for tok in tokens):
+        raise UsageError(f"--phases has an empty entry: {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"--phases expects comma-separated numbers: {exc}") from exc
 

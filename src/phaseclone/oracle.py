@@ -3,14 +3,17 @@
 The channels are channels.ParamChannel instances, and the oracle calls
 nothing on them but .density; for the two cloners that builds the full
 tripartite state and traces, never the scaling form.  Everything here is
-computed from finite differences of the density matrix and an eigenbasis
-solve of the symmetric-logarithmic-derivative equation
+computed from central finite differences of the density matrix, one per
+phase, and the symmetric-logarithmic-derivative equation
 
-    d_rho = (rho L + L rho) / 2,
+    d_rho_m = (rho L_m + L_m rho) / 2,
 
-followed by the defining traces F_mn = Re Tr(rho L_m L_n) and
-A_mn = Im Tr(rho L_m L_n).  None of the closed forms from the analytic
-module are used, so agreement between the two paths is a genuine check.
+solved for the whole (d-1, d, d) stack of derivatives in one eigenbasis of
+rho.  The defining traces G_mn = Tr(rho L_m L_n) for every pair (m, n) are
+one Gram product of the flattened rho L_m with the flattened transposes
+L_n^T; then F = Re(G + G^T)/2 and A = Im G.  This module imports only
+ParamChannel and PhaseVector, none of the closed forms or generator
+helpers, so agreement between the two paths is a genuine check.
 """
 
 from __future__ import annotations
@@ -43,47 +46,44 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray, support_tol: float = SLD_SUPPOR
     In the eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) wherever the
     denominator exceeds support_tol; kernel-kernel entries are set to zero
     (any completion solves the defining equation there, and the information
-    traces are insensitive to that block).
+    traces are insensitive to that block).  drho may be a stack of shape
+    (..., d, d); one eigendecomposition of rho then serves every slice, and
+    a slice with no weight on the support raises ValueError.
     """
     lam, v = np.linalg.eigh(rho)
     dtil = v.conj().T @ drho @ v
     denom = lam[:, None] + lam[None, :]
     solvable = denom > support_tol
-    total = np.linalg.norm(dtil)
-    if total > 1e-10 and np.linalg.norm(dtil[solvable]) < 1e-14 * total:
+    total = np.linalg.norm(dtil, axis=(-2, -1))
+    on_support = np.linalg.norm(np.where(solvable, dtil, 0.0), axis=(-2, -1))
+    if np.any((total > 1e-10) & (on_support < 1e-14 * total)):
         raise ValueError("derivative has no weight on the support of rho")
-    ltil = np.zeros_like(dtil)
-    ltil[solvable] = 2.0 * dtil[solvable] / denom[solvable]
+    ltil = np.divide(2.0 * dtil, denom, out=np.zeros_like(dtil), where=solvable)
     return v @ ltil @ v.conj().T
 
 
-def _slds(channel: ParamChannel, p: PhaseVector, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _slds(channel: ParamChannel, p: PhaseVector, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho and its (d-1, d, d) stack of SLDs, one per phase."""
     rho = channel.density(p)
-    slds = [sld_solve(rho, rho_derivative(channel, p, mu, h)) for mu in range(1, p.dim)]
-    return rho, slds
+    drho = np.stack([rho_derivative(channel, p, mu, h) for mu in range(1, p.dim)])
+    return rho, sld_solve(rho, drho)
+
+
+def _sld_gram(channel: ParamChannel, p: PhaseVector, h: float) -> np.ndarray:
+    """G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, as one matrix product."""
+    rho, slds = _slds(channel, p, h)
+    n, d = slds.shape[:2]
+    return (rho @ slds).reshape(n, d * d) @ slds.transpose(0, 2, 1).reshape(n, d * d).T
 
 
 def qfim_numeric(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """QFIM from the defining symmetrized trace, Tr[rho (L_m L_n + L_n L_m)]/2."""
-    rho, slds = _slds(channel, p, h)
-    n = len(slds)
-    f = np.zeros((n, n))
-    for m in range(n):
-        for k in range(m, n):
-            val = 0.5 * np.trace(rho @ (slds[m] @ slds[k] + slds[k] @ slds[m])).real
-            f[m, k] = val
-            f[k, m] = val
-    return f
+    g = _sld_gram(channel, p, h)
+    return 0.5 * (g + g.T).real
 
 
 def attainability_numeric(
     channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """Commutator-trace imaginary parts Im Tr(rho L_m L_n), as a real matrix."""
-    rho, slds = _slds(channel, p, h)
-    n = len(slds)
-    out = np.zeros((n, n))
-    for m in range(n):
-        for k in range(n):
-            out[m, k] = np.trace(rho @ slds[m] @ slds[k]).imag
-    return out
+    return _sld_gram(channel, p, h).imag

@@ -16,11 +16,11 @@ form; Liu, Yuan, Lu, Wang, J. Phys. A 53, 023001 (2020)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +95,16 @@ def state_derivative(p: PhaseVector, mu: int) -> np.ndarray:
     return out
 
 
-def _chi_vector(p: PhaseVector, n: int) -> np.ndarray:
-    """Raw complement vector with nonzero entries only at slots 0 and n.
-
-    chi_n = (1/sqrt(2)) * (-e^{-i phi_n} |0> + |n>); each chi_n is orthogonal
-    to equatorial_state(p), and <chi_m|chi_n> = e^{i(phi_m - phi_n)}/2 for
-    m != n.  The paper's Gram-Schmidt construction starts from these; it is
-    kept as the reference that complement_basis is checked against.
-    """
-    chi = np.zeros(p.dim, dtype=complex)
-    chi[0] = -np.exp(-1j * p.full_phases[n]) / _SQRT2
-    chi[n] = 1.0 / _SQRT2
-    return chi
+@lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d
+def _helmert_rows(d: int) -> np.ndarray:
+    """Read-only (d, d) phase-free basis: the uniform row, then Helmert rows 1..d-1."""
+    n = np.arange(1, d, dtype=float)[:, None]
+    k = np.arange(d)
+    rows = np.where(k == n, np.sqrt(n / (n + 1.0)), 0.0)
+    rows = np.where(k < n, -1.0 / np.sqrt(n * (n + 1.0)), rows)
+    out = np.vstack((np.full(d, 1.0 / np.sqrt(d)), rows))
+    out.setflags(write=False)
+    return out
 
 
 def complement_basis(p: PhaseVector) -> np.ndarray:
@@ -118,16 +116,13 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
 
         sqrt(2n/(n+1)) * (chi_n - (1/n) sum_{j<n} e^{i(phi_j - phi_n)} chi_j),
 
-    built in one step as e^{-i phi_n} U(phi) applied to the real Helmert row
-    (-1/sqrt(n(n+1)) on slots 0..n-1, sqrt(n/(n+1)) on slot n).
+    with chi_n = (-e^{-i phi_n} |0> + |n>)/sqrt(2).  It is built in one step
+    as e^{-i phi_n} U(phi) applied to the real Helmert row (-1/sqrt(n(n+1))
+    on slots 0..n-1, sqrt(n/(n+1)) on slot n).  The phase-free rows are
+    cached per d; each call applies only the phases.
     """
-    d = p.dim
-    n = np.arange(1, d, dtype=float)[:, None]
-    k = np.arange(d)
-    rows = np.where(k == n, np.sqrt(n / (n + 1.0)), 0.0)
-    rows = np.where(k < n, -1.0 / np.sqrt(n * (n + 1.0)), rows)
     e = np.exp(1j * p.full_phases)
-    return np.vstack((np.full(d, 1.0 / np.sqrt(d)), rows)) * (e.conj()[:, None] * e)
+    return _helmert_rows(p.dim) * (e.conj()[:, None] * e)
 
 
 def _generator_weights(d: int, mu) -> np.ndarray:

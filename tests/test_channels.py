@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseclone.channels import (
@@ -12,9 +14,58 @@ from phaseclone.channels import (
     reduce_first_qudit,
     shrink_output,
     uqcm_full_output,
-    validate_density_matrix,
 )
 from phaseclone.states import PhaseVector, equatorial_state
+
+
+def validate_density_matrix(rho, tol=1e-12):
+    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tol."""
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > tol:
+        raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
+    tr = abs(np.trace(rho) - 1.0)
+    if tr > tol:
+        raise ValueError(f"trace deviates from 1 by {tr:.3e}")
+    lam_min = np.linalg.eigvalsh(rho)[0]
+    if lam_min < -tol:
+        raise ValueError(f"matrix has negative eigenvalue {lam_min:.3e}")
+
+
+def uqcm_full_output_loops(p):
+    """Reference UQCM builder, one basis input at a time:
+    |i> -> alpha |ii>|X_i> + beta sum_{j != i} (|ij> + |ji>)|X_j>."""
+    d = p.dim
+    a = equatorial_state(p)
+    alpha = 2.0 / np.sqrt(2.0 * (d + 1))
+    beta = 1.0 / np.sqrt(2.0 * (d + 1))
+    out = np.zeros((d, d, d), dtype=complex)
+    for i in range(d):
+        out[i, i, i] += alpha * a[i]
+        for j in range(d):
+            if j != i:
+                out[i, j, j] += beta * a[i]
+                out[j, i, j] += beta * a[i]
+    return out.reshape(d**3)
+
+
+def pqcm_full_output_loops(p):
+    """Reference PQCM builder, one basis input at a time:
+    |j> -> alpha |jj>|R_j> + (beta/sqrt(2(d-1))) sum_{l != j} (|jl> + |lj>)|R_l>."""
+    d = p.dim
+    a = equatorial_state(p)
+    alpha, beta = pqcm_coefficients(d)
+    scale = beta / np.sqrt(2.0 * (d - 1))
+    out = np.zeros((d, d, d), dtype=complex)
+    for j in range(d):
+        out[j, j, j] += alpha * a[j]
+        for l in range(d):
+            if l != j:
+                out[j, l, l] += scale * a[j]
+                out[l, j, l] += scale * a[j]
+    return out.reshape(d**3)
 
 
 def reduce_second_qudit(psi):
@@ -122,6 +173,26 @@ class TestFullCloners:
             uqcm_full_output(p)
         with pytest.raises(ValueError):
             pqcm_full_output(p)
+
+
+class TestBuildersMatchLoops:
+    """The index-array builders against the one-input-at-a-time loops, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(2, FULL_UNITARY_DMAX + 1))
+    def test_every_dimension(self, d):
+        p = PhaseVector.random(d, np.random.default_rng(100 + d))
+        assert np.array_equal(uqcm_full_output(p), uqcm_full_output_loops(p))
+        assert np.array_equal(pqcm_full_output(p), pqcm_full_output_loops(p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(2, 12))
+    def test_any_phases(self, data, d):
+        phases = data.draw(
+            st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=d - 1, max_size=d - 1)
+        )
+        p = PhaseVector(d, np.array(phases))
+        assert np.array_equal(uqcm_full_output(p), uqcm_full_output_loops(p))
+        assert np.array_equal(pqcm_full_output(p), pqcm_full_output_loops(p))
 
 
 class TestReduceFirstQudit:

@@ -104,6 +104,29 @@ class TestCompute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("phases", [",,0.1,0.2", "0.1,,0.2", "0.1,0.2,"])
+    def test_empty_phase_entry_rejected(self, capsys, phases):
+        code, out, err = run(
+            capsys, "compute", "--machine", "uqcm",
+            "--dmin", "3", "--dmax", "3", "--phases", phases,
+        )
+        assert (code, out) == (2, "")
+        assert "empty entry" in err
+
+    def test_empty_phases_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--machine", "uqcm", "--dmin", "2", "--dmax", "5", "--phases", "",
+        )
+        assert (code, out) == (2, "")
+        assert "--phases is empty" in err
+
+    def test_empty_phases_config_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machine = uqcm\ndmin = 2\ndmax = 5\nphases =\n")
+        code, out, err = run(capsys, "compute", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "--phases is empty" in err
+
     @pytest.mark.parametrize("phases", ["nan,1", "1,inf"])
     def test_non_finite_phases_rejected(self, capsys, phases):
         code, _, err = run(

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import phaseclone.oracle as oracle_module
 from phaseclone.channels import eta_pqcm, eta_uqcm
 from phaseclone.crb import attainability_closed
 from phaseclone.oracle import (
@@ -29,6 +33,17 @@ class _ConstantChannel:
 
     def density(self, p):
         return self.rho
+
+
+class _OffSupportChannel:
+    """rho = |0><0| at phases (0.5, 1.0); d_rho/d phi_1 couples |0> and |1>,
+    d_rho/d phi_2 = diag(0, 1, -1) lies entirely off the support."""
+
+    def density(self, p):
+        x, y = p.phases[0] - 0.5, p.phases[1] - 1.0
+        rho = np.diag([1.0, y, -y]).astype(complex)
+        rho[0, 1] = rho[1, 0] = x
+        return rho
 
 
 class TestRhoDerivative:
@@ -85,6 +100,27 @@ class TestSldSolve:
             sld = sld_solve(rho, d_rho)
             assert np.linalg.norm(d_rho - 0.5 * (rho @ sld + sld @ rho)) < 1e-8
 
+    def test_stack_matches_each_slice(self):
+        rng = np.random.default_rng(12)
+        for kind, d in (("uqcm", 5), ("pqcm", 8), ("shrink", 4)):
+            ch = ParamChannel(kind, 0.4) if kind == "shrink" else ParamChannel(kind)
+            p = PhaseVector.random(d, rng)
+            rho = ch.density(p)
+            stack = np.stack([rho_derivative(ch, p, mu) for mu in range(1, d)])
+            got = sld_solve(rho, stack)
+            assert got.shape == stack.shape
+            for mu in range(d - 1):
+                assert np.abs(got[mu] - sld_solve(rho, stack[mu])).max() <= 1e-15
+
+    def test_stack_raises_for_one_off_support_slice(self):
+        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        on = np.zeros((3, 3), dtype=complex)
+        on[0, 1] = on[1, 0] = 1.0
+        off = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        assert np.abs(sld_solve(rho, np.stack([on, on]))).max() > 0
+        with pytest.raises(ValueError, match="support"):
+            sld_solve(rho, np.stack([on, off]))
+
     def test_inconsistent_input_raises(self):
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         d_rho = np.diag([0.0, 1.0, -1.0]).astype(complex)  # lives entirely off support
@@ -128,6 +164,13 @@ class TestQfimNumeric:
 
     def test_step_robustness(self, check):
         check("oracle_step_robustness")
+
+
+@pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric])
+def test_off_support_derivative_raises(fn):
+    p = PhaseVector(3, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="support"):
+        fn(_OffSupportChannel(), p)
 
 
 class TestAttainabilityNumeric:
@@ -181,3 +224,17 @@ class TestParamChannel:
             ch = ParamChannel(kind)
             assert np.trace(ch.density(p)).real == pytest.approx(1.0, abs=1e-12)
             assert np.abs(qfim_numeric(ch, p) - closed(3)).max() < 1e-5
+
+
+def test_oracle_imports_no_fast_path():
+    """The oracle checks qfim, crb and the states generator helpers, so from
+    the package it takes ParamChannel and PhaseVector only."""
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("phaseclone")):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            package_imports |= {(module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("phaseclone") for a in node.names)
+    assert package_imports == {("channels", "ParamChannel"), ("states", "PhaseVector")}

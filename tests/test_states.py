@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from phaseclone.states import (
     TWO_PI,
     PhaseVector,
-    _chi_vector,
     basis_derivative,
     basis_derivatives,
     complement_basis,
@@ -136,6 +135,13 @@ class TestComplementBasis:
         for n in range(1, d):
             assert abs(np.vdot(psi, b[n])) < 1e-12
 
+    def test_calls_share_no_state(self):
+        p = PhaseVector.random(4, np.random.default_rng(42))
+        first = complement_basis(p)
+        expect = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(complement_basis(p), expect)
+
     def test_chi_inner_product_rule(self):
         # <chi_m|chi_n> = exp(i(phi_m - phi_n))/2 for m != n
         d = 6
@@ -146,6 +152,19 @@ class TestComplementBasis:
                 got = np.vdot(_chi_vector(p, m), _chi_vector(p, n))
                 want = 1.0 if m == n else np.exp(1j * (full[m] - full[n])) / 2
                 assert abs(got - want) < 1e-14
+
+
+def _chi_vector(p, n):
+    """Raw complement vector chi_n = (1/sqrt(2)) * (-e^{-i phi_n} |0> + |n>).
+
+    Each chi_n is orthogonal to equatorial_state(p), and
+    <chi_m|chi_n> = e^{i(phi_m - phi_n)}/2 for m != n.  The paper's
+    Gram-Schmidt construction starts from these.
+    """
+    chi = np.zeros(p.dim, dtype=complex)
+    chi[0] = -np.exp(-1j * p.full_phases[n]) / np.sqrt(2.0)
+    chi[n] = 1.0 / np.sqrt(2.0)
+    return chi
 
 
 def gram_schmidt_rows(p):
