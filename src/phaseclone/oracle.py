@@ -30,9 +30,11 @@ SLD_SUPPORT_TOL = 1e-12
 def rho_derivative(
     channel: ParamChannel, p: PhaseVector, mu: int, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Central-difference derivative of channel.density with respect to phi_mu."""
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    """Central-difference derivative of channel.density with respect to phi_mu, 1 <= mu <= d-1."""
+    if not 1 <= mu <= p.dim - 1:
+        raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h}")
     shift = np.zeros(p.dim - 1)
     shift[mu - 1] = h
     plus = channel.density(PhaseVector(p.dim, p.phases + shift))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import phaseclone
+from phaseclone import crb, qfim, states
 from phaseclone.cli import main
 
 
@@ -155,6 +157,25 @@ class TestCompute:
         assert len(rows) == 7
         assert all(np.isfinite(float(v)) for row in rows for v in row[1:7] if v != "nan")
         assert all(row[header.index("attainable")] == "true" for row in rows)
+
+    def test_flag_never_builds_the_spectral_tensor(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compute reached the spectral route")
+
+        # every name the package holds these functions by, not just their home module
+        for fn in (states.basis_derivatives, qfim.spectral_output, crb.attainability_closed):
+            for module in (phaseclone, states, qfim, crb):
+                for key, val in list(vars(module).items()):
+                    if val is fn:
+                        monkeypatch.setattr(module, key, forbidden)
+        for argv in (
+            ["--dmax", "64"],
+            ["--dmin", "5", "--dmax", "5", "--phases", "0.1,2,4,6.2"],
+        ):
+            code, out, err = run(capsys, "compute", "--machine", "uqcm", *argv)
+            assert code == 0, err
+            header, rows = parse_csv(out)
+            assert rows and all(row[header.index("attainable")] == "true" for row in rows)
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -72,6 +72,18 @@ class TestRhoDerivative:
         with pytest.raises(ValueError):
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(2), 1, h=0.0)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_step(self, h):
+        with pytest.raises(ValueError, match="step"):
+            rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
+
+    @pytest.mark.parametrize("mu", [0, -1, 4])
+    def test_rejects_parameter_index_outside_range(self, mu):
+        # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError
+        p = PhaseVector.random(4, np.random.default_rng(9))
+        with pytest.raises(IndexError, match=r"parameter index must be in 1\.\.d-1"):
+            rho_derivative(ParamChannel("uqcm"), p, mu)
+
 
 class TestSldSolve:
     def test_pure_state_doubles_the_derivative(self):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaseclone.channels import eta_pqcm, eta_uqcm
+from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.qfim import (
     CLOSED_FORM_DMAX,
     SpectralDecomposition,
+    closed_entries,
     equatorial_structure_residuals,
+    projector_qfim,
     qfim_from_spectral,
     qfim_pqcm_closed,
     qfim_pqcm_entries,
@@ -21,7 +25,7 @@ from phaseclone.qfim import (
     uqcm_diagonal_terms,
 )
 from phaseclone.channels import shrink_output
-from phaseclone.states import PhaseVector, basis_derivatives
+from phaseclone.states import TWO_PI, PhaseVector, basis_derivatives
 
 
 class TestPureQfim:
@@ -200,3 +204,40 @@ class TestDiagonalTermSums:
 
     def test_telescoping_identity(self, check):
         check("telescoping_sum_identity")
+
+
+class TestProjectorRoute:
+    def test_qubit_uqcm_anchor(self):
+        f, a = projector_qfim(PhaseVector.random(2, np.random.default_rng(7)), eta_uqcm(2))
+        assert f.shape == a.shape == (1, 1)
+        assert abs(f[0, 0] - 4 / 9) <= 1e-15
+        assert abs(a[0, 0]) <= 1e-16
+
+    def test_eta_domain(self):
+        with pytest.raises(ValueError):
+            projector_qfim(PhaseVector.zero(3), 0.0)
+
+
+_phase = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
+    st.floats(-1e-9, 1e-9),
+)
+_eta = st.one_of(st.just(1.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(2, 64), eta=_eta)
+def test_projector_route_property(data, d, eta):
+    p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
+    f, a = projector_qfim(p, eta)
+    fdiag, foff = closed_entries(ParamChannel("shrink", eta), d)
+    off = f[~np.eye(d - 1, dtype=bool)]
+    assert np.all(np.abs(np.diag(f) - fdiag) <= 1e-12 * fdiag)
+    assert np.all(np.abs(off - foff) <= 1e-12 * abs(foff))
+    # F_diag = -(d-1) F_off, entry by entry
+    assert np.abs(np.diag(f)[:, None] + (d - 1) * off[None, :]).max(initial=0.0) <= 1e-12 * fdiag
+    assert np.abs(a).max() <= 1e-10
+    if d <= 16:
+        # the spectral route drops eigenvalues below SUPPORT_TOL, an error of that order
+        assert_allclose(f, qfim_shrink_spectral(p, eta), rtol=1e-12, atol=1e-10)
