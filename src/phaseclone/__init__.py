@@ -5,10 +5,9 @@ The library builds d-dimensional equatorial states, passes them through
 universal or phase-covariant 1->2 cloning machines (or any channel with a
 shrinking-form single-copy output), and computes the quantum Fisher
 information matrix of the result in closed form, via a spectral
-decomposition, from the output's two eigenprojectors, and via a
-definition-level finite-difference oracle.  It also evaluates Cramer-Rao
-total-variance bounds and the attainability matrix that certifies
-simultaneous estimation of all phases.
+decomposition, and via a definition-level finite-difference oracle.  It also
+evaluates Cramer-Rao total-variance bounds and the attainability matrix that
+certifies simultaneous estimation of all phases.
 """
 
 from .channels import (
@@ -41,7 +40,6 @@ from .qfim import (
     SpectralDecomposition,
     closed_entries,
     equatorial_structure_residuals,
-    projector_qfim,
     qfim_from_spectral,
     qfim_pqcm_closed,
     qfim_pqcm_entries,
@@ -92,7 +90,6 @@ __all__ = [
     "phase_shift_unitary",
     "pqcm_coefficients",
     "pqcm_full_output",
-    "projector_qfim",
     "qfim_eigenvalues",
     "qfim_from_spectral",
     "qfim_numeric",

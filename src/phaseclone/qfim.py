@@ -4,17 +4,15 @@ For the equatorial family every information matrix produced here has constant
 diagonal entries, constant off-diagonal entries, and the two are locked
 together by F_diag = -(d-1) * F_offdiag.  The module provides the closed
 forms for the pure input, the generic shrinking channel, and both cloning
-machines, the spectral-decomposition route that rebuilds the same matrices
-from eigenvalue and eigenvector derivatives,
+machines, together with the spectral-decomposition route that rebuilds the
+same matrices from eigenvalue and eigenvector derivatives,
 
     F_mn = sum_i (d_m lam_i)(d_n lam_i)/lam_i
          + sum_i 4 lam_i Re<d_m psi_i|d_n psi_i>
          - sum_{i,j} (8 lam_i lam_j/(lam_i+lam_j))
                      Re <d_m psi_i|psi_j><psi_j|d_n psi_i>,
 
-with every sum restricted to the support of the density matrix, and the
-projector route, which needs neither a complement basis nor eigenvector
-derivatives (see projector_qfim).
+with every sum restricted to the support of the density matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_dim, _check_eta, eta_uqcm
-from .states import PhaseVector, basis_derivatives, complement_basis, equatorial_state
+from .states import PhaseVector, basis_derivatives, complement_basis
 
 # eigenvalues at or below this are treated as outside the support
 SUPPORT_TOL = 1e-12
@@ -219,43 +217,6 @@ def qfim_from_spectral(
 def qfim_shrink_spectral(p: PhaseVector, eta: float) -> np.ndarray:
     """Spectral-route QFIM of the shrinking-channel output at phases p."""
     return qfim_from_spectral(spectral_output(p, eta), basis_derivatives(p))
-
-
-def projector_qfim(p: PhaseVector, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """QFIM F and attainability matrix A = Im Tr(rho L_m L_n) of the
-    shrinking-channel output, from its two eigenprojectors, in O(d^2).
-
-    The output is rho = U rho0 U^dag with U = diag(e^{i phi_j}) and
-    generators P_m = |m><m|, and rho0 has the eigenprojectors Pi_0 = |psi><psi|
-    (lam_0 = eta + (1-eta)/d) and Pi_1 = I - Pi_0 (lam_1 = (1-eta)/d).  Since
-    Tr(Pi_a P_m Pi_b P_n) = Pi_a[n,m] Pi_b[m,n], the unitary-parametrisation
-    forms (Liu, Yuan, Lu, Wang, J. Phys. A 53, 023001 (2020)) read
-
-        F_mn = sum_ab 2(lam_a-lam_b)^2/(lam_a+lam_b) Re(Pi_a[n,m] Pi_b[m,n]),
-        A_mn = sum_ab 4 lam_a (lam_a-lam_b)^2/(lam_a+lam_b)^2 Im(Pi_a[n,m] Pi_b[m,n]).
-
-    Only the pairs a != b contribute, with lam_0 - lam_1 = eta taken exact;
-    the kernel pair lam_a + lam_b = 0 of the pure case eta = 1 has a = b and
-    drops out.  Both matrices are (d-1, d-1) and real.  For this family A
-    reduces to Im |Pi_0[m,n]|^2, so its zero is structural: the evidence for
-    attainability is the spectral route and the oracle, not this function.
-    """
-    _check_eta(eta)
-    d = p.dim
-    psi = equatorial_state(p)[1:]
-    pi0 = np.outer(psi, psi.conj())  # Pi_0 on the generator indices 1..d-1
-    t = np.eye(d - 1) - pi0  # Pi_1
-    t *= pi0.T  # t[m, n] = Pi_0[n, m] Pi_1[m, n]; the (a, b) = (1, 0) term is t.T
-    # in place, and Pi_0 freed before F and A exist: the peak working set at
-    # d = 256 is 2.6 MiB, against 6.5 MiB with a separate Pi_1 and (1, 0) term
-    del pi0
-    lam0, lam1 = eta + (1.0 - eta) / d, (1.0 - eta) / d
-    f = t.real + t.real.T
-    f *= 2.0 * eta**2 / (lam0 + lam1)
-    a = lam0 * t.imag
-    a += lam1 * t.imag.T
-    a *= 4.0 * eta**2 / (lam0 + lam1) ** 2
-    return f, a
 
 
 def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, float]:
