@@ -23,7 +23,6 @@ from .channels import (
     uqcm_full_output,
 )
 from .crb import (
-    VarianceBound,
     attainability_closed,
     qfim_eigenvalues,
     total_variance_bound,
@@ -36,19 +35,15 @@ from .oracle import (
     sld_solve,
 )
 from .qfim import (
-    SUPPORT_TOL,
     SpectralDecomposition,
     closed_entries,
+    closed_qfim,
     equatorial_structure_residuals,
     qfim_from_spectral,
-    qfim_pqcm_closed,
     qfim_pqcm_entries,
-    qfim_pure,
     qfim_pure_entries,
-    qfim_shrink_closed,
     qfim_shrink_entries,
     qfim_shrink_spectral,
-    qfim_uqcm_closed,
     qfim_uqcm_entries,
     reconstruct_density,
     spectral_output,
@@ -56,7 +51,6 @@ from .qfim import (
 )
 from .states import (
     PhaseVector,
-    basis_derivative,
     basis_derivatives,
     complement_basis,
     equatorial_state,
@@ -74,14 +68,12 @@ __all__ = [
     "MACHINES",
     "ParamChannel",
     "PhaseVector",
-    "SUPPORT_TOL",
     "SpectralDecomposition",
-    "VarianceBound",
     "attainability_closed",
     "attainability_numeric",
-    "basis_derivative",
     "basis_derivatives",
     "closed_entries",
+    "closed_qfim",
     "complement_basis",
     "equatorial_state",
     "equatorial_structure_residuals",
@@ -93,14 +85,10 @@ __all__ = [
     "qfim_eigenvalues",
     "qfim_from_spectral",
     "qfim_numeric",
-    "qfim_pqcm_closed",
     "qfim_pqcm_entries",
-    "qfim_pure",
     "qfim_pure_entries",
-    "qfim_shrink_closed",
     "qfim_shrink_entries",
     "qfim_shrink_spectral",
-    "qfim_uqcm_closed",
     "qfim_uqcm_entries",
     "reconstruct_density",
     "reduce_first_qudit",

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .channels import FULL_UNITARY_DMAX, MACHINES, ParamChannel, eta_pqcm, eta_uqcm
-from .crb import total_variance_bound
+from .crb import qfim_eigenvalues, total_variance_bound
+from .oracle import DEFAULT_FD_STEP
 from .qfim import (
     CLOSED_FORM_DMAX,
     closed_entries,
@@ -60,7 +61,7 @@ class SweepConfig:
     d_max: int = 20
     phases: list[float] | None = None
     seed: int = DEFAULT_SEED
-    fd_step: float = 1e-5
+    fd_step: float = DEFAULT_FD_STEP
     out: str | None = None
     fmt: str = "csv"
     tolerances: dict[str, float] = field(default_factory=dict)
@@ -129,9 +130,8 @@ def cmd_compute(cfg: SweepConfig) -> int:
     for d in range(cfg.d_min, cfg.d_max + 1):
         eta = channel.shrinking_factor(d)
         fdiag, foff = closed_entries(channel, d)
-        lam1 = fdiag + (d - 2) * foff
-        lam2 = fdiag - foff if d > 2 else float("nan")
-        var_min = total_variance_bound(d, eta).total_variance_min
+        lam1, lam2 = qfim_eigenvalues(d, fdiag, foff)
+        var_min = total_variance_bound(d, eta)
         # the attainability matrix vanishes identically for the equatorial
         # family; verify's spectral and oracle checks carry the numerical evidence
         rows.append([d, eta, fdiag, foff, lam1, lam2, var_min, True])
@@ -180,9 +180,9 @@ def cmd_figure(which: int, d_max: int, out: str | None) -> int:
         rows = [
             [
                 d,
-                total_variance_bound(d, 1.0).total_variance_min,
-                total_variance_bound(d, eta_uqcm(d)).total_variance_min,
-                total_variance_bound(d, eta_pqcm(d)).total_variance_min,
+                total_variance_bound(d, 1.0),
+                total_variance_bound(d, eta_uqcm(d)),
+                total_variance_bound(d, eta_pqcm(d)),
             ]
             for d in dims
         ]
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
             machine="pure",
             d_max=_or(args.dmax, 8),
             seed=_or(args.seed, DEFAULT_SEED),
-            fd_step=_or(args.fd_step, 1e-5),
+            fd_step=_or(args.fd_step, DEFAULT_FD_STEP),
             out=args.out,
             tolerances=_tolerance_overrides(file_values),
         )

@@ -10,29 +10,17 @@ commutator-trace matrix
                      Im <d_m psi_k|psi_l><psi_l|d_n psi_k>
 
 vanishes; for the equatorial family it does, entrywise, because every inner
-product entering it is real.
+product entering it is real.  As in qfim, the sums run over the support
+lam_k > 0.  The classical (eigenvalue-derivative) term of the QFIM is zero
+for this family, and being real it never enters this matrix anyway.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import _check_eta
-from .qfim import SUPPORT_TOL, SpectralDecomposition, _check_closed_form_dim
-
-
-def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
-    lam = sd.eigenvalues
-    dvecs = np.asarray(dvecs)
-    sup = np.flatnonzero(lam > SUPPORT_TOL)
-    if sup.size == 0:
-        raise ValueError("density matrix has empty support")
-    ls = lam[sup]
-    dsup = dvecs[:, sup, :]
-    g = np.einsum("mkc,lc->mkl", dsup.conj(), sd.eigenvectors[sup])
-    return ls, dsup, g
+from .qfim import SpectralDecomposition, _check_closed_form_dim, _support_blocks
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -68,52 +56,26 @@ def _attainability_raw_weight(sd: SpectralDecomposition, dvecs: np.ndarray) -> n
     return out
 
 
-def qfim_eigenvalues(f: np.ndarray, tol: float = 1e-10) -> tuple[float, float, int]:
-    """Eigenvalues of an equatorial-structure QFIM without diagonalizing.
+def qfim_eigenvalues(d: int, fdiag: float, foff: float) -> tuple[float, float]:
+    """Eigenvalues of the equatorial-structure QFIM with entries (fdiag, foff).
 
-    Returns (lam1, lam2, mult2): lam1 = F_diag + (d-2) F_off with
-    multiplicity 1, lam2 = F_diag - F_off with multiplicity d-2.  For d = 2
-    there is no second eigenvalue and lam2 is NaN.  Raises ValueError when
-    the entries are not constant within tol.
+    lam1 = F_diag + (d-2) F_off, once (on the all-ones vector), and
+    lam2 = F_diag - F_off, d-2 times.  For d = 2 there is no second
+    eigenvalue and lam2 is NaN.
     """
-    f = np.asarray(f)
-    n = f.shape[0]
-    diag = np.diag(f)
-    if diag.max() - diag.min() > tol:
-        raise ValueError("diagonal entries are not constant")
-    fdiag = float(diag.mean())
-    if n == 1:
-        return fdiag, float("nan"), 0
-    off = f[~np.eye(n, dtype=bool)]
-    if off.max() - off.min() > tol:
-        raise ValueError("off-diagonal entries are not constant")
-    foff = float(off.mean())
-    d = n + 1
-    return fdiag + (d - 2) * foff, fdiag - foff, d - 2
+    lam2 = fdiag - foff if d > 2 else float("nan")
+    return fdiag + (d - 2) * foff, lam2
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceBound:
-    """Lower bounds on estimator variances for all d-1 phases at once.
+def total_variance_bound(d: int, eta: float) -> float:
+    """Minimum total variance of all d-1 phases for the shrinking-channel output.
 
-    total_variance_min is the trace of the inverse QFIM;
-    per_parameter_bounds is its diagonal.
-    """
-
-    total_variance_min: float
-    per_parameter_bounds: np.ndarray
-
-
-def total_variance_bound(d: int, eta: float) -> VarianceBound:
-    """Minimum total variance for the shrinking-channel output.
-
-    Pure closed form (d-1)[2+(d-2)eta]/(2 eta^2).  The QFIM is symmetric
-    under permutations of the phases, so the diagonal of its inverse is
-    constant and each per-parameter bound is total/(d-1).  The dense-inverse
-    and -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
+    Pure closed form (d-1)[2+(d-2)eta]/(2 eta^2), the trace of the inverse
+    QFIM.  The QFIM is symmetric under permutations of the phases, so each
+    per-parameter bound is this total over d-1.  The dense-inverse and
+    -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
     and the tests, not here.
     """
     _check_closed_form_dim(d)
     _check_eta(eta)
-    total = (d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2)
-    return VarianceBound(total, np.full(d - 1, total / (d - 1)))
+    return float((d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2))

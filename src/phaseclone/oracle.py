@@ -27,6 +27,15 @@ DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
 
 
+def _central_difference(fn, p: PhaseVector, mu: int, h: float) -> np.ndarray:
+    """(fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h for any function of the phases."""
+    shift = np.zeros(p.dim - 1)
+    shift[mu - 1] = h
+    plus = fn(PhaseVector(p.dim, p.phases + shift))
+    minus = fn(PhaseVector(p.dim, p.phases - shift))
+    return (plus - minus) / (2.0 * h)
+
+
 def rho_derivative(
     channel: ParamChannel, p: PhaseVector, mu: int, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
@@ -35,18 +44,14 @@ def rho_derivative(
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step must be finite and positive, got {h}")
-    shift = np.zeros(p.dim - 1)
-    shift[mu - 1] = h
-    plus = channel.density(PhaseVector(p.dim, p.phases + shift))
-    minus = channel.density(PhaseVector(p.dim, p.phases - shift))
-    return (plus - minus) / (2.0 * h)
+    return _central_difference(channel.density, p, mu, h)
 
 
-def sld_solve(rho: np.ndarray, drho: np.ndarray, support_tol: float = SLD_SUPPORT_TOL) -> np.ndarray:
+def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative solved in the eigenbasis of rho.
 
     In the eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) wherever the
-    denominator exceeds support_tol; kernel-kernel entries are set to zero
+    denominator exceeds SLD_SUPPORT_TOL; kernel-kernel entries are set to zero
     (any completion solves the defining equation there, and the information
     traces are insensitive to that block).  drho may be a stack of shape
     (..., d, d); one eigendecomposition of rho then serves every slice, and
@@ -55,7 +60,7 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray, support_tol: float = SLD_SUPPOR
     lam, v = np.linalg.eigh(rho)
     dtil = v.conj().T @ drho @ v
     denom = lam[:, None] + lam[None, :]
-    solvable = denom > support_tol
+    solvable = denom > SLD_SUPPORT_TOL
     total = np.linalg.norm(dtil, axis=(-2, -1))
     on_support = np.linalg.norm(np.where(solvable, dtil, 0.0), axis=(-2, -1))
     if np.any((total > 1e-10) & (on_support < 1e-14 * total)):

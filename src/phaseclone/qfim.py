@@ -5,14 +5,17 @@ diagonal entries, constant off-diagonal entries, and the two are locked
 together by F_diag = -(d-1) * F_offdiag.  The module provides the closed
 forms for the pure input, the generic shrinking channel, and both cloning
 machines, together with the spectral-decomposition route that rebuilds the
-same matrices from eigenvalue and eigenvector derivatives,
+same matrices from eigenvector derivatives,
 
-    F_mn = sum_i (d_m lam_i)(d_n lam_i)/lam_i
-         + sum_i 4 lam_i Re<d_m psi_i|d_n psi_i>
+    F_mn = sum_i 4 lam_i Re<d_m psi_i|d_n psi_i>
          - sum_{i,j} (8 lam_i lam_j/(lam_i+lam_j))
                      Re <d_m psi_i|psi_j><psi_j|d_n psi_i>,
 
-with every sum restricted to the support of the density matrix.
+with every sum restricted to the support lam_i > 0 of the density matrix
+(the unitary-parametrisation form; Liu, Yuan, Lu, Wang, J. Phys. A 53,
+023001 (2020)).  The classical term sum_i (d_m lam_i)(d_n lam_i)/lam_i is
+zero for this family: the eigenvalues of a shrinking-channel output carry
+no phase dependence.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import numpy as np
 
 from .channels import _check_dim, _check_eta, eta_uqcm
 from .states import PhaseVector, basis_derivatives, complement_basis
-
-# eigenvalues at or below this are treated as outside the support
-SUPPORT_TOL = 1e-12
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -49,12 +49,6 @@ def qfim_pure_entries(d: int) -> tuple[float, float]:
     return 4.0 * (1.0 / d - 1.0 / d**2), -4.0 / d**2
 
 
-def qfim_pure(d: int) -> np.ndarray:
-    """QFIM of the pure equatorial state; independent of the phases."""
-    fdiag, foff = qfim_pure_entries(d)
-    return _structured_matrix(d, fdiag, foff)
-
-
 def qfim_shrink_entries(d: int, eta: float) -> tuple[float, float]:
     """Entries of the QFIM for the generic shrinking-channel output.
 
@@ -66,11 +60,6 @@ def qfim_shrink_entries(d: int, eta: float) -> tuple[float, float]:
     return 4.0 * (d - 1) * eta**2 / denom, -4.0 * eta**2 / denom
 
 
-def qfim_shrink_closed(d: int, eta: float) -> np.ndarray:
-    fdiag, foff = qfim_shrink_entries(d, eta)
-    return _structured_matrix(d, fdiag, foff)
-
-
 def qfim_uqcm_entries(d: int) -> tuple[float, float]:
     """Entries of the universal-cloner QFIM.
 
@@ -79,11 +68,6 @@ def qfim_uqcm_entries(d: int) -> tuple[float, float]:
     _check_closed_form_dim(d)
     denom = (d + 1) * (d + 4) * d**2
     return 2.0 * (d - 1) * (d + 2) ** 2 / denom, -2.0 * (d + 2) ** 2 / denom
-
-
-def qfim_uqcm_closed(d: int) -> np.ndarray:
-    fdiag, foff = qfim_uqcm_entries(d)
-    return _structured_matrix(d, fdiag, foff)
 
 
 def qfim_pqcm_entries(d: int) -> tuple[float, float]:
@@ -99,11 +83,6 @@ def qfim_pqcm_entries(d: int) -> tuple[float, float]:
     return fdiag, -fdiag / (d - 1)
 
 
-def qfim_pqcm_closed(d: int) -> np.ndarray:
-    fdiag, foff = qfim_pqcm_entries(d)
-    return _structured_matrix(d, fdiag, foff)
-
-
 def closed_entries(channel, d: int) -> tuple[float, float]:
     """Closed-form (diagonal, off-diagonal) QFIM entries for a ParamChannel at dimension d."""
     if channel.kind == "pure":
@@ -113,6 +92,11 @@ def closed_entries(channel, d: int) -> tuple[float, float]:
     if channel.kind == "pqcm":
         return qfim_pqcm_entries(d)
     return qfim_shrink_entries(d, channel.eta)
+
+
+def closed_qfim(channel, d: int) -> np.ndarray:
+    """Closed-form (d-1, d-1) QFIM of a ParamChannel at dimension d; independent of the phases."""
+    return _structured_matrix(d, *closed_entries(channel, d))
 
 
 def equatorial_structure_residuals(f: np.ndarray) -> tuple[float, float, float]:
@@ -140,31 +124,24 @@ class SpectralDecomposition:
     information formulas need.
 
     eigenvalues are stored in descending order; eigenvectors is a (d, d)
-    array whose row i is the eigenvector of eigenvalues[i]; support_rank
-    counts eigenvalues above SUPPORT_TOL.
+    array whose row i is the eigenvector of eigenvalues[i].
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    support_rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[1]
 
 
 def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     """Spectral decomposition of the shrinking-channel output.
 
     The equatorial state itself is an eigenvector with eigenvalue
-    eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d.
+    eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
+    exactly 0 at eta = 1.
     """
     _check_eta(eta)
     d = p.dim
     lam = np.concatenate(([eta + (1.0 - eta) / d], np.full(d - 1, (1.0 - eta) / d)))
-    vecs = complement_basis(p)
-    rank = int(np.sum(lam > SUPPORT_TOL))
-    return SpectralDecomposition(lam, vecs, rank)
+    return SpectralDecomposition(lam, complement_basis(p))
 
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
@@ -173,41 +150,34 @@ def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
     return (v.T * sd.eigenvalues) @ v.conj()
 
 
-def qfim_from_spectral(
-    sd: SpectralDecomposition,
-    dvecs: np.ndarray,
-    dlams: np.ndarray | None = None,
-) -> np.ndarray:
-    """QFIM from a spectral decomposition and its parameter derivatives.
-
-    dvecs has shape (nparams, d, d) with dvecs[m, i] the derivative of
-    eigenvector i with respect to parameter m (see basis_derivatives);
-    dlams, shape (nparams, d), holds the eigenvalue derivatives and defaults
-    to zero (the shrinking-channel eigenvalues carry no phase dependence, so
-    the classical contribution vanishes).  All sums run over the support
-    only.
-    """
+def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
+    """Support eigenvalues ls, their eigenvector derivatives dsup (nparams, r, d)
+    and the overlaps g[m, i, j] = <d_m psi_i|psi_j> over the support lam > 0."""
     lam = sd.eigenvalues
-    vecs = sd.eigenvectors
-    dvecs = np.asarray(dvecs)
-    nparams = dvecs.shape[0]
-    sup = np.flatnonzero(lam > SUPPORT_TOL)
+    sup = np.flatnonzero(lam > 0)
     if sup.size == 0:
         raise ValueError("density matrix has empty support")
-    ls = lam[sup]
-    dsup = dvecs[:, sup, :]
+    dsup = np.asarray(dvecs)[:, sup, :]
+    g = np.einsum("mic,jc->mij", dsup.conj(), sd.eigenvectors[sup])
+    return lam[sup], dsup, g
 
-    f = np.zeros((nparams, nparams))
-    if dlams is not None:
-        dl = np.asarray(dlams)[:, sup]
-        f += np.einsum("mi,ni,i->mn", dl, dl, 1.0 / ls)
+
+def qfim_from_spectral(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
+    """QFIM from a spectral decomposition and its eigenvector derivatives.
+
+    dvecs has shape (nparams, d, d) with dvecs[m, i] the derivative of
+    eigenvector i with respect to parameter m (see basis_derivatives).  The
+    eigenvalues carry no phase dependence, so there is no classical term.
+    All sums run over the support only.
+    """
+    ls, dsup, g = _support_blocks(sd, dvecs)
+    nparams = dsup.shape[0]
 
     # sum_i 4 lam_i Re <d_m psi_i | d_n psi_i>
     weighted = (dsup.conj() * ls[None, :, None]).reshape(nparams, -1)
-    f += 4.0 * (weighted @ dsup.reshape(nparams, -1).T).real
+    f = 4.0 * (weighted @ dsup.reshape(nparams, -1).T).real
 
     # sum_ij (8 lam_i lam_j/(lam_i+lam_j)) Re <d_m psi_i|psi_j><psi_j|d_n psi_i>
-    g = np.einsum("mic,jc->mij", dsup.conj(), vecs[sup])
     w = 8.0 * np.outer(ls, ls) / (ls[:, None] + ls[None, :])
     gw = (g * w[None, :, :]).reshape(nparams, -1)
     f -= (gw @ g.conj().reshape(nparams, -1).T).real

@@ -125,27 +125,16 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
     return _helmert_rows(p.dim) * (e.conj()[:, None] * e)
 
 
-def _generator_weights(d: int, mu) -> np.ndarray:
-    """Entries [..., n, k] = delta_{k mu} - delta_{n mu} of P_mu - delta_{mu n}; mu broadcasts."""
-    mu = np.asarray(mu)[..., None, None]
-    k = np.arange(d)
-    return (k == mu).astype(float) - (k[:, None] == mu)
-
-
 def basis_derivatives(p: PhaseVector) -> np.ndarray:
     """All basis-vector derivatives, shape (d-1, d, d).
 
     Entry [mu-1, n] is the derivative of complement_basis(p)[n] with respect
     to phi_mu, i (P_mu - delta_{mu n}) |psi_n> by the generator identity;
-    exact up to rounding, with no finite differences involved.
+    exact up to rounding, with no finite differences involved.  Row
+    [mu-1, 0] is state_derivative(p, mu).
     """
-    return 1j * _generator_weights(p.dim, np.arange(1, p.dim)) * complement_basis(p)
-
-
-def basis_derivative(p: PhaseVector, n: int, mu: int) -> np.ndarray:
-    """Derivative of the nth complement-basis vector w.r.t. phi_mu, as in
-    basis_derivatives; n = 0 reduces to state_derivative."""
-    if not 0 <= n <= p.dim - 1:
-        raise IndexError(f"basis index must be in 0..{p.dim - 1}, got {n}")
-    _check_param_index(p.dim, mu)
-    return (1j * _generator_weights(p.dim, mu) * complement_basis(p))[n]
+    mu = np.arange(1, p.dim)[:, None, None]
+    k = np.arange(p.dim)
+    # entries [mu-1, n, k] = delta_{k mu} - delta_{n mu}
+    weights = (k == mu).astype(float) - (k[:, None] == mu)
+    return 1j * weights * complement_basis(p)

@@ -9,19 +9,19 @@ data orderings are checked on the CLI output in test_cli.TestFigure.
 import numpy as np
 
 from phaseclone.oracle import ParamChannel, qfim_numeric
-from phaseclone.qfim import qfim_pqcm_closed, qfim_uqcm_closed
+from phaseclone.qfim import closed_qfim
 from phaseclone.states import PhaseVector
 
 
 def test_criterion_1_uqcm_qubit_anchor():
     p = PhaseVector.random(2, np.random.default_rng(1))
-    assert abs(qfim_uqcm_closed(2)[0, 0] - 4 / 9) <= 1e-14
+    assert abs(closed_qfim(ParamChannel("uqcm"), 2)[0, 0] - 4 / 9) <= 1e-14
     assert abs(qfim_numeric(ParamChannel("uqcm"), p)[0, 0] - 4 / 9) <= 1e-5
 
 
 def test_criterion_2_pqcm_qubit_anchor():
     p = PhaseVector.random(2, np.random.default_rng(2))
-    assert abs(qfim_pqcm_closed(2)[0, 0] - 0.5) <= 1e-14
+    assert abs(closed_qfim(ParamChannel("pqcm"), 2)[0, 0] - 0.5) <= 1e-14
     assert abs(qfim_numeric(ParamChannel("pqcm"), p)[0, 0] - 0.5) <= 1e-5
 
 

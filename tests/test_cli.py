@@ -5,6 +5,7 @@ import pytest
 
 import phaseclone
 from phaseclone import crb, qfim, states
+from phaseclone.channels import ParamChannel
 from phaseclone.cli import main
 
 
@@ -35,6 +36,27 @@ class TestCompute:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0][6]) == 6.0
+
+    @pytest.mark.parametrize(
+        "machine,eta", [("pure", None), ("uqcm", None), ("pqcm", None), ("shrink", 0.4)]
+    )
+    def test_eigenvalue_columns_match_dense_eigensolver(self, capsys, machine, eta):
+        eta_args = [] if eta is None else ["--eta", str(eta)]
+        argv = ["--machine", machine, *eta_args, "--dmin", "2", "--dmax", "32"]
+        code, out, _ = run(capsys, "compute", *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 31
+        for row in rows:
+            d = int(row[0])
+            dense = np.linalg.eigvalsh(qfim.closed_qfim(ParamChannel(machine, eta), d))
+            lam1, lam2 = (float(row[header.index(c)]) for c in ("lambda1", "lambda2"))
+            # lambda1 is the smaller, simple eigenvalue; 12 printed digits
+            assert lam1 == pytest.approx(dense[0], rel=1e-11)
+            if d == 2:
+                assert np.isnan(lam2)
+            else:
+                assert np.allclose(dense[1:], lam2, rtol=1e-11, atol=0)
 
     def test_shrink_requires_eta(self, capsys):
         code, _, err = run(capsys, "compute", "--machine", "shrink", "--dmin", "2", "--dmax", "4")

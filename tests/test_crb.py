@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaseclone.channels import eta_pqcm, eta_uqcm
+from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.crb import (
     _attainability_raw_weight,
     attainability_closed,
@@ -13,11 +13,9 @@ from phaseclone.crb import (
 )
 from phaseclone.qfim import (
     SpectralDecomposition,
-    qfim_pqcm_closed,
-    qfim_pure,
-    qfim_shrink_closed,
+    closed_entries,
+    closed_qfim,
     qfim_shrink_entries,
-    qfim_uqcm_closed,
     spectral_output,
 )
 from phaseclone.states import PhaseVector, basis_derivatives
@@ -55,7 +53,7 @@ class TestAttainability:
         assert np.abs(attainability_closed(sd, dv) - _attainability_raw_weight(sd, dv)).max() < 1e-12
 
     def test_empty_support_raises(self):
-        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), 0)
+        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex))
         with pytest.raises(ValueError):
             attainability_closed(sd, np.zeros((2, 3, 3), dtype=complex))
 
@@ -63,69 +61,57 @@ class TestAttainability:
 class TestStructuredEigenvalues:
     @pytest.mark.parametrize("d", [3, 5, 12])
     def test_pure_state_values(self, d):
-        lam1, lam2, mult2 = qfim_eigenvalues(qfim_pure(d))
+        lam1, lam2 = qfim_eigenvalues(d, *closed_entries(ParamChannel("pure"), d))
         assert lam1 == pytest.approx(4 / d**2, abs=1e-14)
         assert lam2 == pytest.approx(4 / d, abs=1e-14)
-        assert mult2 == d - 2
 
     def test_qubit_single_eigenvalue(self):
-        lam1, lam2, mult2 = qfim_eigenvalues(qfim_pure(2))
+        lam1, lam2 = qfim_eigenvalues(2, *closed_entries(ParamChannel("pure"), 2))
         assert lam1 == pytest.approx(1.0)
         assert np.isnan(lam2)
-        assert mult2 == 0
 
     @pytest.mark.parametrize("d", [3, 7, 20])
     def test_matches_dense_eigensolver(self, d):
-        for f in (qfim_uqcm_closed(d), qfim_pqcm_closed(d), qfim_shrink_closed(d, 0.55)):
-            lam1, lam2, mult2 = qfim_eigenvalues(f)
-            structured = np.sort(np.concatenate(([lam1], np.full(mult2, lam2))))
-            assert_allclose(structured, np.linalg.eigvalsh(f), atol=1e-10)
-
-    def test_rejects_unstructured_matrix(self):
-        f = qfim_pure(4).copy()
-        f[0, 1] += 1e-3
-        with pytest.raises(ValueError):
-            qfim_eigenvalues(f)
-        g = qfim_pure(4).copy()
-        g[1, 1] += 1e-3
-        with pytest.raises(ValueError):
-            qfim_eigenvalues(g)
+        for ch in (ParamChannel("uqcm"), ParamChannel("pqcm"), ParamChannel("shrink", 0.55)):
+            lam1, lam2 = qfim_eigenvalues(d, *closed_entries(ch, d))
+            structured = np.sort(np.concatenate(([lam1], np.full(d - 2, lam2))))
+            assert_allclose(structured, np.linalg.eigvalsh(closed_qfim(ch, d)), atol=1e-10)
 
 
 class TestTotalVarianceBound:
     @pytest.mark.parametrize("d", range(2, 65))
     def test_pure_input_closed_form(self, d):
-        assert total_variance_bound(d, 1.0).total_variance_min == d * (d - 1) / 2
+        assert total_variance_bound(d, 1.0) == d * (d - 1) / 2
 
     def test_qubit_uqcm_point(self):
         # 1/F with F = 4/9
-        assert total_variance_bound(2, 2 / 3).total_variance_min == pytest.approx(9 / 4, abs=1e-14)
+        assert total_variance_bound(2, 2 / 3) == pytest.approx(9 / 4, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 5, 17, 32])
     def test_trace_inverse_agreement(self, d):
         for eta in (0.3, 0.5, eta_uqcm(d), eta_pqcm(d), 1.0):
-            vb = total_variance_bound(d, eta)
-            dense = np.trace(np.linalg.inv(qfim_shrink_closed(d, eta))).real
-            assert abs(vb.total_variance_min - dense) < 1e-8
+            dense = np.trace(np.linalg.inv(closed_qfim(ParamChannel("shrink", eta), d))).real
+            assert abs(total_variance_bound(d, eta) - dense) < 1e-8
 
     def test_per_parameter_bounds_are_inverse_diagonal(self):
+        # each phase's own bound is total/(d-1): the inverse QFIM has a constant diagonal
         d, eta = 6, 0.7
-        vb = total_variance_bound(d, eta)
-        finv = np.linalg.inv(qfim_shrink_closed(d, eta))
-        assert_allclose(vb.per_parameter_bounds, np.diag(finv).real)
-        assert np.all(vb.per_parameter_bounds > 0)
+        total = total_variance_bound(d, eta)
+        finv = np.linalg.inv(closed_qfim(ParamChannel("shrink", eta), d))
+        assert_allclose(np.diag(finv).real, np.full(d - 1, total / (d - 1)))
+        assert total > 0
 
     @pytest.mark.parametrize("d", [2, 4, 9])
     def test_monotone_decreasing_in_eta(self, d):
         grid = np.linspace(0.1, 1.0, 10)
-        bounds = [total_variance_bound(d, e).total_variance_min for e in grid]
+        bounds = [total_variance_bound(d, e) for e in grid]
         assert np.all(np.diff(bounds) < 0)
 
     def test_machine_ordering(self):
         for d in range(2, 21):
-            e_in = total_variance_bound(d, 1.0).total_variance_min
-            e_u = total_variance_bound(d, eta_uqcm(d)).total_variance_min
-            e_p = total_variance_bound(d, eta_pqcm(d)).total_variance_min
+            e_in = total_variance_bound(d, 1.0)
+            e_u = total_variance_bound(d, eta_uqcm(d))
+            e_p = total_variance_bound(d, eta_pqcm(d))
             assert e_in < e_p < e_u
 
     def test_eta_domain(self):
@@ -144,9 +130,9 @@ class TestTotalVarianceBound:
 def test_variance_closed_form_matches_dense_inverse(d, eta):
     if callable(eta):
         eta = eta(d)
-    vb = total_variance_bound(d, eta)
-    finv = np.linalg.inv(qfim_shrink_closed(d, eta))
-    assert vb.total_variance_min == pytest.approx(np.trace(finv), rel=1e-8)
+    total = total_variance_bound(d, eta)
+    finv = np.linalg.inv(closed_qfim(ParamChannel("shrink", eta), d))
+    assert total == pytest.approx(np.trace(finv), rel=1e-8)
     relation = -2.0 * (d - 1) / (d * qfim_shrink_entries(d, eta)[1])
-    assert vb.total_variance_min == pytest.approx(relation, rel=1e-10)
-    assert_allclose(vb.per_parameter_bounds, np.diag(finv), rtol=1e-8)
+    assert total == pytest.approx(relation, rel=1e-10)
+    assert_allclose(np.diag(finv), total / (d - 1), rtol=1e-8)

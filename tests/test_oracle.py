@@ -15,13 +15,7 @@ from phaseclone.oracle import (
     rho_derivative,
     sld_solve,
 )
-from phaseclone.qfim import (
-    qfim_pqcm_closed,
-    qfim_pure,
-    qfim_shrink_closed,
-    qfim_uqcm_closed,
-    spectral_output,
-)
+from phaseclone.qfim import closed_qfim, spectral_output
 from phaseclone.states import PhaseVector, basis_derivatives, equatorial_state, state_derivative
 
 
@@ -154,20 +148,15 @@ class TestQfimNumeric:
     def test_pure_channel_d5(self):
         p = PhaseVector.random(5, np.random.default_rng(7))
         f = qfim_numeric(ParamChannel("pure"), p)
-        assert np.abs(f - qfim_pure(5)).max() < 1e-6
+        assert np.abs(f - closed_qfim(ParamChannel("pure"), 5)).max() < 1e-6
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_agreement_with_closed_forms(self, d):
         rng = np.random.default_rng(30 + d)
-        cases = [
-            (ParamChannel("pure"), qfim_pure(d)),
-            (ParamChannel("uqcm"), qfim_uqcm_closed(d)),
-            (ParamChannel("pqcm"), qfim_pqcm_closed(d)),
-            (ParamChannel("shrink", 0.4), qfim_shrink_closed(d, 0.4)),
-        ]
-        for ch, closed in cases:
+        for kind, eta in (("pure", None), ("uqcm", None), ("pqcm", None), ("shrink", 0.4)):
+            ch = ParamChannel(kind, eta)
             p = PhaseVector.random(d, rng)
-            assert np.abs(qfim_numeric(ch, p) - closed).max() < 1e-5
+            assert np.abs(qfim_numeric(ch, p) - closed_qfim(ch, d)).max() < 1e-5
 
     def test_symmetric_output(self):
         p = PhaseVector.random(4, np.random.default_rng(8))
@@ -232,10 +221,9 @@ class TestParamChannel:
 
         monkeypatch.setattr(channels, "shrink_output", scaling_form)
         p = PhaseVector.random(3, np.random.default_rng(5))
-        for kind, closed in (("uqcm", qfim_uqcm_closed), ("pqcm", qfim_pqcm_closed)):
-            ch = ParamChannel(kind)
+        for ch in (ParamChannel("uqcm"), ParamChannel("pqcm")):
             assert np.trace(ch.density(p)).real == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(qfim_numeric(ch, p) - closed(3)).max() < 1e-5
+            assert np.abs(qfim_numeric(ch, p) - closed_qfim(ch, 3)).max() < 1e-5
 
 
 def test_oracle_imports_no_fast_path():

@@ -4,22 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaseclone.oracle import _central_difference
 from phaseclone.states import (
     TWO_PI,
     PhaseVector,
-    basis_derivative,
     basis_derivatives,
     complement_basis,
     equatorial_state,
     phase_shift_unitary,
     state_derivative,
 )
-
-
-def central_difference(fn, p, mu, h=1e-5):
-    shift = np.zeros(p.dim - 1)
-    shift[mu - 1] = h
-    return (fn(PhaseVector(p.dim, p.phases + shift)) - fn(PhaseVector(p.dim, p.phases - shift))) / (2 * h)
 
 
 class TestPhaseVector:
@@ -107,7 +101,7 @@ class TestStateDerivative:
     def test_matches_finite_difference(self, d):
         p = PhaseVector.random(d, np.random.default_rng(33 + d))
         for mu in range(1, d):
-            fd = central_difference(equatorial_state, p, mu)
+            fd = _central_difference(equatorial_state, p, mu, 1e-5)
             assert np.abs(state_derivative(p, mu) - fd).max() < 1e-8
 
     def test_index_out_of_range(self):
@@ -202,47 +196,41 @@ def test_basis_derivatives_property(data, d):
     p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
     stack = basis_derivatives(p)
     for mu in range(1, d):
-        fd = central_difference(complement_basis, p, mu)
+        fd = _central_difference(complement_basis, p, mu, 1e-5)
         assert np.abs(stack[mu - 1] - fd).max() < 1e-6
-    mu = data.draw(st.integers(1, d - 1))
-    for n in range(d):
-        assert np.array_equal(stack[mu - 1, n], basis_derivative(p, n, mu))
 
 
 class TestBasisDerivative:
     def test_n0_reduces_to_state_derivative(self):
         p = PhaseVector.random(5, np.random.default_rng(5))
+        stack = basis_derivatives(p)
         for mu in range(1, 5):
-            assert_allclose(basis_derivative(p, 0, mu), state_derivative(p, mu))
+            assert_allclose(stack[mu - 1, 0], state_derivative(p, mu))
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_first_parameter_norms(self, d):
         # <d_1 psi_n|d_1 psi_n> = 1/(n(n+1)) for n >= 1
         p = PhaseVector.random(d, np.random.default_rng(d))
         for n in range(1, d):
-            dv = basis_derivative(p, n, 1)
+            dv = basis_derivatives(p)[0, n]
             assert abs(np.vdot(dv, dv).real - 1.0 / (n * (n + 1))) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_finite_difference(self, d):
         p = PhaseVector.random(d, np.random.default_rng(77 + d))
+        stack = basis_derivatives(p)
         for mu in range(1, d):
-            fd = central_difference(complement_basis, p, mu, h=1e-5)
-            for n in range(d):
-                assert np.abs(basis_derivative(p, n, mu) - fd[n]).max() < 1e-6
+            fd = _central_difference(complement_basis, p, mu, 1e-5)
+            assert np.abs(stack[mu - 1] - fd).max() < 1e-6
 
     def test_stacked_layout(self):
         p = PhaseVector.random(4, np.random.default_rng(9))
         stack = basis_derivatives(p)
         assert stack.shape == (3, 4, 4)
-        assert_allclose(stack[1, 2], basis_derivative(p, 2, 2))
-
-    def test_index_errors(self):
-        p = PhaseVector.zero(3)
-        with pytest.raises(IndexError):
-            basis_derivative(p, 3, 1)
-        with pytest.raises(IndexError):
-            basis_derivative(p, 1, 0)
+        # [mu-1, n] = i (P_mu - delta_{mu n}) |psi_n>, here mu = n = 2 and mu = 1, n = 2
+        psi2 = complement_basis(p)[2]
+        assert_allclose(stack[1, 2], 1j * (np.eye(4)[2] - 1.0) * psi2)
+        assert_allclose(stack[0, 2], 1j * np.eye(4)[1] * psi2)
 
 
 @pytest.mark.parametrize("d", [2, 5, 9])
