@@ -10,7 +10,8 @@ with a machine-specific shrinking factor eta(d).  The full tripartite
 unitaries (original x copy x ancilla, ancilla dimension d) are implemented as
 well, so the scaling form can be validated independently via partial trace.
 ParamChannel is the one model of a machine that the CLI, the verification
-suite and the finite-difference oracle share.
+suite and the finite-difference oracle share.  The outputs map a stack of
+phase points to a stack of results, with the same arithmetic as one point.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def eta_pqcm(d: int) -> float:
 
 
 def shrink_output(p: PhaseVector, eta: float) -> np.ndarray:
-    """Single-copy output eta*|psi><psi| + ((1-eta)/d)*I as a (d, d) matrix."""
+    """Single-copy output eta*|psi><psi| + ((1-eta)/d)*I as a (d, d) matrix per point."""
     _check_eta(eta)
     psi = equatorial_state(p)
-    return eta * np.outer(psi, psi.conj()) + (1.0 - eta) / p.dim * np.eye(p.dim)
+    return eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / p.dim * np.eye(p.dim)
 
 
 def pqcm_coefficients(d: int) -> tuple[float, float]:
@@ -83,13 +84,13 @@ def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     The three index sets (i,i,i), (i,j,j) and (j,i,j) with i != j are
     disjoint, so each entry is written once.
     """
-    d = a.shape[0]
-    out = np.zeros((d, d, d), dtype=complex)
+    d = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (d, d, d), dtype=complex)
     k = np.arange(d)
-    out[k, k, k] = diag * a
+    out[..., k, k, k] = diag * a
     i, j = np.nonzero(k[:, None] != k)
-    out[i, j, j] = out[j, i, j] = off * a[i]
-    return out.reshape(d**3)
+    out[..., i, j, j] = out[..., j, i, j] = off * a[..., i]
+    return out.reshape(a.shape[:-1] + (d**3,))
 
 
 def uqcm_full_output(p: PhaseVector) -> np.ndarray:
@@ -129,16 +130,17 @@ def pqcm_full_output(p: PhaseVector) -> np.ndarray:
 def reduce_first_qudit(psi: np.ndarray) -> np.ndarray:
     """Reduced density matrix of the first qudit of a tripartite pure state.
 
-    The input is a flat vector of length d^3; rho[i, i'] sums
-    psi[i, j, k] * conj(psi[i', j, k]) over the other two slots.
+    The input is a flat vector of length d^3, or a stack of them along the
+    leading axis; rho[i, i'] sums psi[i, j, k] * conj(psi[i', j, k]) over
+    the other two slots.
     """
     psi = np.asarray(psi)
-    n = psi.shape[0]
+    n = psi.shape[-1]
     d = round(n ** (1.0 / 3.0))
     if d < 2 or d**3 != n:
         raise ValueError(f"state length {n} is not a qudit-cube d**3 with d >= 2")
-    m = psi.reshape(d, d * d)
-    return m @ m.conj().T
+    m = psi.reshape(psi.shape[:-1] + (d, d * d))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class ParamChannel:
     def density(self, p: PhaseVector) -> np.ndarray:
         if self.kind == "pure":
             psi = equatorial_state(p)
-            return np.outer(psi, psi.conj())
+            return psi[..., :, None] * psi.conj()[..., None, :]
         if self.kind == "shrink":
             return shrink_output(p, self.eta)
         if self.kind == "uqcm":

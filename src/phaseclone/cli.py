@@ -313,8 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--eta", type=float)
     pc.add_argument("--dmin", type=int)
     pc.add_argument("--dmax", type=int)
-    pc.add_argument("--phases", type=str, help="comma-separated phases (requires dmin==dmax)")
-    pc.add_argument("--seed", type=int)
+    pc.add_argument(
+        "--phases", type=str,
+        help="comma-separated phases (requires dmin==dmax); label only: the CSV '# phases=' line",
+    )
+    pc.add_argument("--seed", type=int, help="label only: the CSV '# seed=' line and JSON 'seed'")
     pc.add_argument("--out", type=str)
     pc.add_argument("--format", dest="fmt", choices=("csv", "json"))
     pc.add_argument("--config", type=str)

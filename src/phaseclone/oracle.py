@@ -4,7 +4,8 @@ The channels are channels.ParamChannel instances, and the oracle calls
 nothing on them but .density; for the two cloners that builds the full
 tripartite state and traces, never the scaling form.  Everything here is
 computed from central finite differences of the density matrix, one per
-phase, and the symmetric-logarithmic-derivative equation
+phase, with all 2(d-1) shifted points of a phase point built by one density
+call on a stack, and the symmetric-logarithmic-derivative equation
 
     d_rho_m = (rho L_m + L_m rho) / 2,
 
@@ -27,13 +28,17 @@ DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
 
 
-def _central_difference(fn, p: PhaseVector, mu: int, h: float) -> np.ndarray:
-    """(fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h for any function of the phases."""
-    shift = np.zeros(p.dim - 1)
-    shift[mu - 1] = h
-    plus = fn(PhaseVector(p.dim, p.phases + shift))
-    minus = fn(PhaseVector(p.dim, p.phases - shift))
-    return (plus - minus) / (2.0 * h)
+def _central_differences(fn, p: PhaseVector, h: float) -> np.ndarray:
+    """(fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h for every mu, stacked as [mu-1].
+
+    fn is any function of the phases that maps a stack of points to a stack
+    of results; it is called once, on all 2(d-1) shifted points.
+    """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h}")
+    shifts = h * np.eye(p.dim - 1)
+    out = fn(PhaseVector(p.dim, np.concatenate((p.phases + shifts, p.phases - shifts))))
+    return (out[: p.dim - 1] - out[p.dim - 1 :]) / (2.0 * h)
 
 
 def rho_derivative(
@@ -42,9 +47,7 @@ def rho_derivative(
     """Central-difference derivative of channel.density with respect to phi_mu, 1 <= mu <= d-1."""
     if not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step must be finite and positive, got {h}")
-    return _central_difference(channel.density, p, mu, h)
+    return _central_differences(channel.density, p, h)[mu - 1]
 
 
 def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
@@ -72,8 +75,7 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
 def _slds(channel: ParamChannel, p: PhaseVector, h: float) -> tuple[np.ndarray, np.ndarray]:
     """rho and its (d-1, d, d) stack of SLDs, one per phase."""
     rho = channel.density(p)
-    drho = np.stack([rho_derivative(channel, p, mu, h) for mu in range(1, p.dim)])
-    return rho, sld_solve(rho, drho)
+    return rho, sld_solve(rho, _central_differences(channel.density, p, h))
 
 
 def _sld_gram(channel: ParamChannel, p: PhaseVector, h: float) -> np.ndarray:

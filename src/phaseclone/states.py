@@ -27,8 +27,10 @@ TWO_PI = 2.0 * np.pi
 class PhaseVector:
     """The d-1 free phases of an equatorial qudit; the reference phase is 0.
 
-    Phases are wrapped into [0, 2*pi) on construction, so adding 2*pi to any
-    component yields the same stored vector (up to rounding of the wrap).
+    phases has shape (d-1,), or (k, d-1) for a stack of k points that the
+    state, basis and density builders map to a stack of results.  Phases are
+    wrapped into [0, 2*pi) on construction, so adding 2*pi to any component
+    yields the same stored vector (up to rounding of the wrap).
     """
 
     dim: int
@@ -37,20 +39,20 @@ class PhaseVector:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
-        if phases.shape != (self.dim - 1,):
+        phases = np.array(self.phases, dtype=float, ndmin=1)
+        if phases.ndim > 2 or phases.shape[-1] != self.dim - 1:
             raise ValueError(
                 f"expected {self.dim - 1} phases for dim={self.dim}, "
                 f"got shape {phases.shape}"
             )
-        if not np.all(np.isfinite(phases)):
+        if not np.isfinite(phases).all():
             raise ValueError("phases must be finite")
-        wrapped = np.mod(phases, TWO_PI)
+        np.mod(phases, TWO_PI, out=phases)
         # np.mod can round tiny negatives up to exactly 2*pi
-        wrapped[wrapped >= TWO_PI] = 0.0
-        wrapped.setflags(write=False)
+        phases[phases >= TWO_PI] = 0.0
+        phases.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "phases", wrapped)
+        object.__setattr__(self, "phases", phases)
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseVector":
@@ -62,8 +64,13 @@ class PhaseVector:
 
     @property
     def full_phases(self) -> np.ndarray:
-        """All d phases including the fixed reference phase phi_0 = 0."""
-        return np.concatenate(([0.0], self.phases))
+        """All d phases including the fixed reference phase phi_0 = 0, per point."""
+        return np.concatenate((np.zeros(self.phases.shape[:-1] + (1,)), self.phases), axis=-1)
+
+
+def _check_point(p: PhaseVector) -> None:
+    if p.phases.ndim != 1:
+        raise ValueError(f"expected one phase point, got a stack of shape {p.phases.shape}")
 
 
 def _check_param_index(dim: int, mu: int) -> None:
@@ -72,7 +79,7 @@ def _check_param_index(dim: int, mu: int) -> None:
 
 
 def equatorial_state(p: PhaseVector) -> np.ndarray:
-    """Amplitude vector (1/sqrt(d)) * exp(i*phi_j), j = 0..d-1."""
+    """Amplitude vector (1/sqrt(d)) * exp(i*phi_j), j = 0..d-1, one row per point of a stack."""
     return np.exp(1j * p.full_phases) / np.sqrt(p.dim)
 
 
@@ -81,6 +88,7 @@ def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
 
     Applied to the zero-phase reference state it generates equatorial_state(p).
     """
+    _check_point(p)
     return np.diag(np.exp(1j * p.full_phases))
 
 
@@ -89,6 +97,7 @@ def state_derivative(p: PhaseVector, mu: int) -> np.ndarray:
 
     A single nonzero entry (i/sqrt(d)) e^{i phi_mu} at position mu.
     """
+    _check_point(p)
     _check_param_index(p.dim, mu)
     out = np.zeros(p.dim, dtype=complex)
     out[mu] = 1j * np.exp(1j * p.phases[mu - 1]) / np.sqrt(p.dim)
@@ -122,7 +131,7 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
     cached per d; each call applies only the phases.
     """
     e = np.exp(1j * p.full_phases)
-    return _helmert_rows(p.dim) * (e.conj()[:, None] * e)
+    return _helmert_rows(p.dim) * (e.conj()[..., :, None] * e[..., None, :])
 
 
 def basis_derivatives(p: PhaseVector) -> np.ndarray:
@@ -133,6 +142,7 @@ def basis_derivatives(p: PhaseVector) -> np.ndarray:
     exact up to rounding, with no finite differences involved.  Row
     [mu-1, 0] is state_derivative(p, mu).
     """
+    _check_point(p)
     mu = np.arange(1, p.dim)[:, None, None]
     k = np.arange(p.dim)
     # entries [mu-1, n, k] = delta_{k mu} - delta_{n mu}

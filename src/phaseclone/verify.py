@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, crb, oracle, qfim, states
-from .states import PhaseVector
+from .states import TWO_PI, PhaseVector
 
 DEFAULT_SEED = 12345
 
@@ -131,9 +131,9 @@ def run_verification(
     # --- state and basis construction ---------------------------------
     err = 0.0
     for d in range(2, 17):
-        for _ in range(100):
-            b = states.complement_basis(PhaseVector.random(d, rng))
-            err = max(err, np.abs(b.conj() @ b.T - np.eye(d)).max())
+        for _ in range(5):  # 100 draws as stacks of 20, the stream of 100 single draws
+            b = states.complement_basis(PhaseVector(d, rng.uniform(0.0, TWO_PI, size=(20, d - 1))))
+            err = max(err, np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
     add("complement_basis_orthonormality", err)
 
     err = 0.0
@@ -147,18 +147,16 @@ def run_verification(
     err = 0.0
     for d in (2, 3, 5, 8):
         p = PhaseVector.random(d, rng)
+        fd = oracle._central_differences(states.equatorial_state, p, 1e-5)
         for mu in range(1, d):
-            fd = oracle._central_difference(states.equatorial_state, p, mu, 1e-5)
-            err = max(err, np.abs(states.state_derivative(p, mu) - fd).max())
+            err = max(err, np.abs(states.state_derivative(p, mu) - fd[mu - 1]).max())
     add("state_derivative_finite_difference", err)
 
     err = 0.0
     for d in (2, 3, 4, 6):
         p = PhaseVector.random(d, rng)
-        stack = states.basis_derivatives(p)
-        for mu in range(1, d):
-            fd = oracle._central_difference(states.complement_basis, p, mu, 1e-5)
-            err = max(err, np.abs(stack[mu - 1] - fd).max())
+        fd = oracle._central_differences(states.complement_basis, p, 1e-5)
+        err = max(err, np.abs(states.basis_derivatives(p) - fd).max())
     add("basis_derivative_finite_difference", err)
 
     err = 0.0
@@ -389,10 +387,10 @@ def run_verification(
             for _ in range(3):
                 p = PhaseVector.random(d, rng)
                 rho = ch.density(p)
-                for mu in range(1, d):
-                    drho = oracle.rho_derivative(ch, p, mu, fd_step)
-                    sld = oracle.sld_solve(rho, drho)
-                    err = max(err, np.linalg.norm(drho - 0.5 * (rho @ sld + sld @ rho)))
+                drho = oracle._central_differences(ch.density, p, fd_step)
+                sld = oracle.sld_solve(rho, drho)
+                residual = drho - 0.5 * (rho @ sld + sld @ rho)
+                err = max(err, np.linalg.norm(residual, axis=(-2, -1)).max())
     add("sld_residual", err)
 
     return results

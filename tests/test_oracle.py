@@ -10,13 +10,20 @@ from phaseclone.channels import eta_pqcm, eta_uqcm
 from phaseclone.crb import attainability_closed
 from phaseclone.oracle import (
     ParamChannel,
+    _central_differences,
     attainability_numeric,
     qfim_numeric,
     rho_derivative,
     sld_solve,
 )
 from phaseclone.qfim import closed_qfim, spectral_output
-from phaseclone.states import PhaseVector, basis_derivatives, equatorial_state, state_derivative
+from phaseclone.states import (
+    PhaseVector,
+    basis_derivatives,
+    complement_basis,
+    equatorial_state,
+    state_derivative,
+)
 
 
 class _ConstantChannel:
@@ -26,7 +33,7 @@ class _ConstantChannel:
         self.rho = np.eye(d) / d
 
     def density(self, p):
-        return self.rho
+        return np.broadcast_to(self.rho, p.phases.shape[:-1] + self.rho.shape)
 
 
 class _OffSupportChannel:
@@ -34,10 +41,55 @@ class _OffSupportChannel:
     d_rho/d phi_2 = diag(0, 1, -1) lies entirely off the support."""
 
     def density(self, p):
-        x, y = p.phases[0] - 0.5, p.phases[1] - 1.0
-        rho = np.diag([1.0, y, -y]).astype(complex)
-        rho[0, 1] = rho[1, 0] = x
+        x, y = p.phases[..., 0] - 0.5, p.phases[..., 1] - 1.0
+        rho = np.zeros(p.phases.shape[:-1] + (3, 3), dtype=complex)
+        rho[..., 0, 0] = 1.0
+        rho[..., 1, 1], rho[..., 2, 2] = y, -y
+        rho[..., 0, 1] = rho[..., 1, 0] = x
         return rho
+
+
+def central_difference_reference(fn, p, mu, h):
+    """One central difference per call, two single-point evaluations of fn:
+    the reference that the stacked oracle must reproduce bit for bit."""
+    shift = np.zeros(p.dim - 1)
+    shift[mu - 1] = h
+    plus = fn(PhaseVector(p.dim, p.phases + shift))
+    minus = fn(PhaseVector(p.dim, p.phases - shift))
+    return (plus - minus) / (2.0 * h)
+
+
+class TestCentralDifferences:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_per_parameter_reference(self, d):
+        rng = np.random.default_rng(60 + d)
+        fns = [equatorial_state, complement_basis] + [
+            ParamChannel(kind, 0.4 if kind == "shrink" else None).density
+            for kind in ("pure", "uqcm", "pqcm", "shrink")
+        ]
+        for p in (PhaseVector.random(d, rng), PhaseVector(d, np.full(d - 1, 1e-6))):
+            for fn in fns:
+                for h in (1e-5, 3e-4):
+                    got = _central_differences(fn, p, h)
+                    assert got.shape[0] == d - 1
+                    for mu in range(1, d):
+                        assert np.array_equal(got[mu - 1], central_difference_reference(fn, p, mu, h))
+
+    @pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric])
+    def test_two_density_calls_per_phase_point(self, fn, monkeypatch):
+        # the base point, then every shifted point of it as one stack
+        calls = []
+        density = ParamChannel.density
+
+        def counting(self, p):
+            calls.append(p.phases.shape)
+            return density(self, p)
+
+        monkeypatch.setattr(ParamChannel, "density", counting)
+        rng = np.random.default_rng(13)
+        for kind in ("pure", "uqcm", "pqcm"):
+            fn(ParamChannel(kind), PhaseVector.random(5, rng))
+        assert calls == [(4,), (8, 4)] * 3
 
 
 class TestRhoDerivative:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaseclone.oracle import _central_difference
+from phaseclone.oracle import _central_differences
 from phaseclone.states import (
     TWO_PI,
     PhaseVector,
@@ -38,6 +38,44 @@ class TestPhaseVector:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             PhaseVector(1, [])
+
+    def test_stack_wraps_each_row_as_one_point(self):
+        rows = np.random.default_rng(2).uniform(-20.0, 20.0, size=(6, 4))
+        rows[0] = [-1e-17, TWO_PI, 7.0, -1.0]  # tiny negative, exact period
+        stack = PhaseVector(5, rows)
+        assert stack.phases.shape == (6, 4)
+        for row, stored in zip(rows, stack.phases):
+            assert np.array_equal(stored, PhaseVector(5, row).phases)
+        assert np.array_equal(stack.full_phases[:, 1:], stack.phases)
+        assert not stack.full_phases[:, 0].any()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3), (3, 2)])
+    def test_rejects_stack_of_wrong_shape(self, shape):
+        # (k, d) rows and 3-D stacks at d = 4, and rows one phase short
+        with pytest.raises(ValueError, match="expected 3 phases for dim=4"):
+            PhaseVector(4, np.zeros(shape))
+
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_in_any_row(self, row, bad):
+        phases = np.zeros((3, 2))
+        phases[row, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PhaseVector(3, phases)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            phase_shift_unitary,
+            basis_derivatives,
+            lambda p: state_derivative(p, 1),
+        ],
+        ids=["phase_shift_unitary", "basis_derivatives", "state_derivative"],
+    )
+    def test_single_point_helpers_reject_a_stack(self, fn):
+        # at k = d-1 a stack would otherwise broadcast into a wrong result
+        with pytest.raises(ValueError, match="one phase point"):
+            fn(PhaseVector(4, np.zeros((3, 3))))
 
 
 class TestEquatorialState:
@@ -100,9 +138,9 @@ class TestStateDerivative:
     @pytest.mark.parametrize("d", [2, 4, 9])
     def test_matches_finite_difference(self, d):
         p = PhaseVector.random(d, np.random.default_rng(33 + d))
+        fd = _central_differences(equatorial_state, p, 1e-5)
         for mu in range(1, d):
-            fd = _central_difference(equatorial_state, p, mu, 1e-5)
-            assert np.abs(state_derivative(p, mu) - fd).max() < 1e-8
+            assert np.abs(state_derivative(p, mu) - fd[mu - 1]).max() < 1e-8
 
     def test_index_out_of_range(self):
         p = PhaseVector.zero(3)
@@ -195,9 +233,9 @@ _phase = st.one_of(
 def test_basis_derivatives_property(data, d):
     p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
     stack = basis_derivatives(p)
+    fd = _central_differences(complement_basis, p, 1e-5)
     for mu in range(1, d):
-        fd = _central_difference(complement_basis, p, mu, 1e-5)
-        assert np.abs(stack[mu - 1] - fd).max() < 1e-6
+        assert np.abs(stack[mu - 1] - fd[mu - 1]).max() < 1e-6
 
 
 class TestBasisDerivative:
@@ -219,9 +257,9 @@ class TestBasisDerivative:
     def test_matches_finite_difference(self, d):
         p = PhaseVector.random(d, np.random.default_rng(77 + d))
         stack = basis_derivatives(p)
+        fd = _central_differences(complement_basis, p, 1e-5)
         for mu in range(1, d):
-            fd = _central_difference(complement_basis, p, mu, 1e-5)
-            assert np.abs(stack[mu - 1] - fd).max() < 1e-6
+            assert np.abs(stack[mu - 1] - fd[mu - 1]).max() < 1e-6
 
     def test_stacked_layout(self):
         p = PhaseVector.random(4, np.random.default_rng(9))
