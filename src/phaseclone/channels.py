@@ -12,6 +12,12 @@ well, so the scaling form can be validated independently via partial trace.
 ParamChannel is the one model of a machine that the CLI, the verification
 suite and the finite-difference oracle share.  The outputs map a stack of
 phase points to a stack of results, with the same arithmetic as one point.
+
+A stack of k tripartite vectors holds k d^3 complex amplitudes, and the
+partial trace holds a conjugate copy of them, so ParamChannel.density
+builds and traces a cloner stack in slices of max(1, 2**14 // d**3)
+points: at most 256 KiB of amplitudes at a time, whatever k is.  Peak
+memory then stays flat in k, and at large d every point is its own slice.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .states import PhaseVector, equatorial_state
 FULL_UNITARY_DMAX = 32
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
+
+# complex amplitudes per tripartite slice in ParamChannel.density (256 KiB)
+_SLICE_AMPLITUDES = 2**14
 
 
 def _check_dim(d: int) -> None:
@@ -182,6 +191,11 @@ class ParamChannel:
             return psi[..., :, None] * psi.conj()[..., None, :]
         if self.kind == "shrink":
             return shrink_output(p, self.eta)
-        if self.kind == "uqcm":
-            return reduce_first_qudit(uqcm_full_output(p))
-        return reduce_first_qudit(pqcm_full_output(p))
+        full = uqcm_full_output if self.kind == "uqcm" else pqcm_full_output
+        rows = p.phases.reshape(-1, p.dim - 1)
+        step = max(1, _SLICE_AMPLITUDES // p.dim**3)
+        out = [
+            reduce_first_qudit(full(PhaseVector(p.dim, rows[i : i + step])))
+            for i in range(0, len(rows), step)
+        ]
+        return np.concatenate(out).reshape(p.phases.shape[:-1] + (p.dim, p.dim))

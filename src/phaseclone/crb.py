@@ -24,17 +24,19 @@ from .qfim import SpectralDecomposition, _check_closed_form_dim, _support_blocks
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Im sum_j conj(x[m, j]) w[j] x[n, j] over the trailing axes of x, as
-    M - M.T with M = (Re x * w) @ (Im x).T: exactly antisymmetric, zero diagonal."""
-    m = (x.real * w).reshape(x.shape[0], -1) @ x.imag.reshape(x.shape[0], -1).T
-    return m - m.T
+    """Im sum_j conj(x[..., m, j]) w[j] x[..., n, j] over the two trailing axes of x, as
+    M - M^T with M = (Re x * w) @ (Im x)^T: exactly antisymmetric, zero diagonal."""
+    flat = x.shape[:-2] + (-1,)
+    m = (x.real * w).reshape(flat) @ x.imag.reshape(flat).swapaxes(-1, -2)
+    return m - m.swapaxes(-1, -2)
 
 
 def attainability_closed(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
     """Imaginary parts of the commutator traces, as a real antisymmetric matrix.
 
     The bound for simultaneous estimation is attainable iff every entry
-    vanishes.  dvecs is laid out as in qfim_from_spectral.
+    vanishes.  dvecs is laid out as in qfim_from_spectral, and a stack of
+    them gives a stack of matrices.
     """
     ls, dsup, g = _support_blocks(sd, dvecs)
     out = 4.0 * _imag_form(dsup, ls[:, None])
@@ -47,12 +49,12 @@ def _attainability_raw_weight(sd: SpectralDecomposition, dvecs: np.ndarray) -> n
     # unsymmetrized weight 16 lam_k^2 lam_l/(lam_k+lam_l)^2; equal to
     # attainability_closed after the antisymmetric-sum identity
     ls, dsup, g = _support_blocks(sd, dvecs)
-    nparams = dsup.shape[0]
-    weighted = (dsup.conj() * ls[None, :, None]).reshape(nparams, -1)
-    out = 4.0 * (weighted @ dsup.reshape(nparams, -1).T).imag
+    flat = dsup.shape[:-2] + (-1,)
+    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
+    out = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2)).imag
     w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2
-    gw = (g * w[None, :, :]).reshape(nparams, -1)
-    out -= (gw @ g.conj().reshape(nparams, -1).T).imag
+    gw = (g * w).reshape(flat)
+    out -= (gw @ g.conj().reshape(flat).swapaxes(-1, -2)).imag
     return out
 
 

@@ -124,7 +124,8 @@ class SpectralDecomposition:
     information formulas need.
 
     eigenvalues are stored in descending order; eigenvectors is a (d, d)
-    array whose row i is the eigenvector of eigenvalues[i].
+    array whose row i is the eigenvector of eigenvalues[i], or a (k, d, d)
+    stack of them for a stack of phase points with the same eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -136,7 +137,8 @@ def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
 
     The equatorial state itself is an eigenvector with eigenvalue
     eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
-    exactly 0 at eta = 1.
+    exactly 0 at eta = 1.  A stack of phase points gives a stack of
+    eigenvector sets.
     """
     _check_eta(eta)
     d = p.dim
@@ -145,20 +147,20 @@ def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
 
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
-    """Rebuild sum_i lam_i |psi_i><psi_i| from a spectral decomposition."""
+    """Rebuild sum_i lam_i |psi_i><psi_i| from a spectral decomposition, per point of a stack."""
     v = sd.eigenvectors
-    return (v.T * sd.eigenvalues) @ v.conj()
+    return (v.swapaxes(-1, -2) * sd.eigenvalues) @ v.conj()
 
 
 def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
-    """Support eigenvalues ls, their eigenvector derivatives dsup (nparams, r, d)
-    and the overlaps g[m, i, j] = <d_m psi_i|psi_j> over the support lam > 0."""
+    """Support eigenvalues ls, their eigenvector derivatives dsup (..., nparams, r, d)
+    and the overlaps g[..., m, i, j] = <d_m psi_i|psi_j> over the support lam > 0."""
     lam = sd.eigenvalues
     sup = np.flatnonzero(lam > 0)
     if sup.size == 0:
         raise ValueError("density matrix has empty support")
-    dsup = np.asarray(dvecs)[:, sup, :]
-    g = np.einsum("mic,jc->mij", dsup.conj(), sd.eigenvectors[sup])
+    dsup = np.asarray(dvecs)[..., sup, :]
+    g = np.einsum("...mic,...jc->...mij", dsup.conj(), sd.eigenvectors[..., sup, :])
     return lam[sup], dsup, g
 
 
@@ -166,21 +168,22 @@ def qfim_from_spectral(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarr
     """QFIM from a spectral decomposition and its eigenvector derivatives.
 
     dvecs has shape (nparams, d, d) with dvecs[m, i] the derivative of
-    eigenvector i with respect to parameter m (see basis_derivatives).  The
-    eigenvalues carry no phase dependence, so there is no classical term.
-    All sums run over the support only.
+    eigenvector i with respect to parameter m (see basis_derivatives), or
+    (k, nparams, d, d) for a stack, which gives a (k, nparams, nparams)
+    stack.  The eigenvalues carry no phase dependence, so there is no
+    classical term.  All sums run over the support only.
     """
     ls, dsup, g = _support_blocks(sd, dvecs)
-    nparams = dsup.shape[0]
+    flat = dsup.shape[:-2] + (-1,)
 
     # sum_i 4 lam_i Re <d_m psi_i | d_n psi_i>
-    weighted = (dsup.conj() * ls[None, :, None]).reshape(nparams, -1)
-    f = 4.0 * (weighted @ dsup.reshape(nparams, -1).T).real
+    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
+    f = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2)).real
 
     # sum_ij (8 lam_i lam_j/(lam_i+lam_j)) Re <d_m psi_i|psi_j><psi_j|d_n psi_i>
     w = 8.0 * np.outer(ls, ls) / (ls[:, None] + ls[None, :])
-    gw = (g * w[None, :, :]).reshape(nparams, -1)
-    f -= (gw @ g.conj().reshape(nparams, -1).T).real
+    gw = (g * w).reshape(flat)
+    f -= (gw @ g.conj().reshape(flat).swapaxes(-1, -2)).real
     return f
 
 

@@ -59,8 +59,9 @@ class PhaseVector:
         return cls(dim, np.zeros(dim - 1))
 
     @classmethod
-    def random(cls, dim: int, rng: np.random.Generator) -> "PhaseVector":
-        return cls(dim, rng.uniform(0.0, TWO_PI, size=dim - 1))
+    def random(cls, dim: int, rng: np.random.Generator, k: int | None = None) -> "PhaseVector":
+        """Uniform phases; with k, a (k, dim-1) stack from the stream of k single draws."""
+        return cls(dim, rng.uniform(0.0, TWO_PI, size=(dim - 1,) if k is None else (k, dim - 1)))
 
     @property
     def full_phases(self) -> np.ndarray:
@@ -135,16 +136,15 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
 
 
 def basis_derivatives(p: PhaseVector) -> np.ndarray:
-    """All basis-vector derivatives, shape (d-1, d, d).
+    """All basis-vector derivatives, shape (d-1, d, d), or (k, d-1, d, d) for a stack.
 
     Entry [mu-1, n] is the derivative of complement_basis(p)[n] with respect
     to phi_mu, i (P_mu - delta_{mu n}) |psi_n> by the generator identity;
     exact up to rounding, with no finite differences involved.  Row
     [mu-1, 0] is state_derivative(p, mu).
     """
-    _check_point(p)
     mu = np.arange(1, p.dim)[:, None, None]
     k = np.arange(p.dim)
     # entries [mu-1, n, k] = delta_{k mu} - delta_{n mu}
     weights = (k == mu).astype(float) - (k[:, None] == mu)
-    return 1j * weights * complement_basis(p)
+    return 1j * weights * complement_basis(p)[..., None, :, :]

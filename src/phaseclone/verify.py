@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, crb, oracle, qfim, states
-from .states import TWO_PI, PhaseVector
+from .states import PhaseVector
 
 DEFAULT_SEED = 12345
 
@@ -131,9 +131,8 @@ def run_verification(
     # --- state and basis construction ---------------------------------
     err = 0.0
     for d in range(2, 17):
-        for _ in range(5):  # 100 draws as stacks of 20, the stream of 100 single draws
-            b = states.complement_basis(PhaseVector(d, rng.uniform(0.0, TWO_PI, size=(20, d - 1))))
-            err = max(err, np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
+        b = states.complement_basis(PhaseVector.random(d, rng, 100))
+        err = max(err, np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
     add("complement_basis_orthonormality", err)
 
     err = 0.0
@@ -179,21 +178,17 @@ def run_verification(
             eta = ch.shrinking_factor(d)
             if mutate and ch is UQCM:
                 eta += 1e-3  # deliberate fault: the check below must catch it
-            for _ in range(20):
-                p = PhaseVector.random(d, rng)
-                err = max(err, np.linalg.norm(ch.density(p) - channels.shrink_output(p, eta)))
+            p = PhaseVector.random(d, rng, 20)
+            err = max(err, *map(np.linalg.norm, ch.density(p) - channels.shrink_output(p, eta)))
         add(f"scaling_form_{ch.kind}", err)
 
     for ch in (UQCM, PQCM):
         err = 0.0
         for d in full_dims:
             eta = ch.shrinking_factor(d)
-            fids = []
-            for _ in range(10):
-                p = PhaseVector.random(d, rng)
-                psi = states.equatorial_state(p)
-                fids.append((psi.conj() @ ch.density(p) @ psi).real)
-            fids = np.asarray(fids)
+            p = PhaseVector.random(d, rng, 10)
+            psi = states.equatorial_state(p)
+            fids = (psi.conj()[:, None, :] @ ch.density(p) @ psi[:, :, None])[:, 0, 0].real
             err = max(err, fids.max() - fids.min())
             err = max(err, np.abs(fids - (eta + (1 - eta) / d)).max())
         add(f"fidelity_phase_independence_{ch.kind}", err)
@@ -235,9 +230,8 @@ def run_verification(
     for d in (3, 5):
         eta = channels.eta_uqcm(d)
         ref = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
-        for _ in range(9):
-            f = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
-            err = max(err, np.abs(f - ref).max())
+        f = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng, 9), eta)
+        err = max(err, np.abs(f - ref).max())
     add("qfim_phase_independence", err)
 
     # --- orderings and inequalities --------------------------------------
@@ -338,13 +332,12 @@ def run_verification(
     err_forms = 0.0
     for d in full_dims:
         for ch in (PURE, UQCM, PQCM):
-            for _ in range(10):
-                p = PhaseVector.random(d, rng)
-                sd = qfim.spectral_output(p, ch.shrinking_factor(d))
-                dv = states.basis_derivatives(p)
-                a = crb.attainability_closed(sd, dv)
-                err_closed = max(err_closed, np.abs(a).max())
-                err_forms = max(err_forms, np.abs(a - crb._attainability_raw_weight(sd, dv)).max())
+            p = PhaseVector.random(d, rng, 10)
+            sd = qfim.spectral_output(p, ch.shrinking_factor(d))
+            dv = states.basis_derivatives(p)
+            a = crb.attainability_closed(sd, dv)
+            err_closed = max(err_closed, np.abs(a).max())
+            err_forms = max(err_forms, np.abs(a - crb._attainability_raw_weight(sd, dv)).max())
     add("attainability_closed_zero", err_closed)
     add("attainability_weight_forms_agree", err_forms)
 
@@ -352,14 +345,13 @@ def run_verification(
     err_agree = 0.0
     for d in full_dims:
         for ch in (PURE, UQCM, PQCM):
-            for _ in range(10):
-                p = PhaseVector.random(d, rng)
-                num = oracle.attainability_numeric(ch, p, fd_step)
-                err_num = max(err_num, np.abs(num).max())
-                closed = crb.attainability_closed(
-                    qfim.spectral_output(p, ch.shrinking_factor(d)), states.basis_derivatives(p)
-                )
-                err_agree = max(err_agree, np.abs(num - closed).max())
+            p = PhaseVector.random(d, rng, 10)
+            num = oracle.attainability_numeric(ch, p, fd_step)
+            err_num = max(err_num, np.abs(num).max())
+            closed = crb.attainability_closed(
+                qfim.spectral_output(p, ch.shrinking_factor(d)), states.basis_derivatives(p)
+            )
+            err_agree = max(err_agree, np.abs(num - closed).max())
     add("attainability_numeric_zero", err_num)
     add("attainability_paths_agree", err_agree)
 
@@ -368,9 +360,8 @@ def run_verification(
         err = 0.0
         for d in full_dims:
             closed = qfim.closed_qfim(ch, d)
-            for _ in range(5):
-                p = PhaseVector.random(d, rng)
-                err = max(err, np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
+            p = PhaseVector.random(d, rng, 5)
+            err = max(err, np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
         add(f"oracle_agreement_{ch.kind}", err)
 
     err = 0.0
@@ -384,13 +375,12 @@ def run_verification(
     err = 0.0
     for d in full_dims:
         for ch in CHANNELS:
-            for _ in range(3):
-                p = PhaseVector.random(d, rng)
-                rho = ch.density(p)
-                drho = oracle._central_differences(ch.density, p, fd_step)
-                sld = oracle.sld_solve(rho, drho)
-                residual = drho - 0.5 * (rho @ sld + sld @ rho)
-                err = max(err, np.linalg.norm(residual, axis=(-2, -1)).max())
+            p = PhaseVector.random(d, rng, 3)
+            rho = ch.density(p)[:, None]
+            drho = oracle._central_differences(ch.density, p, fd_step)
+            sld = oracle.sld_solve(rho, drho)
+            residual = drho - 0.5 * (rho @ sld + sld @ rho)
+            err = max(err, np.linalg.norm(residual, axis=(-2, -1)).max())
     add("sld_residual", err)
 
     return results

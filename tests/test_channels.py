@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaseclone import channels
 from phaseclone.channels import (
     FULL_UNITARY_DMAX,
     ParamChannel,
@@ -211,6 +215,41 @@ def test_stack_matches_each_point(d):
         assert got.shape[0] == len(points)
         for row, p in zip(got, points):
             assert np.array_equal(row, fn(p))
+
+
+class TestDensitySlices:
+    """ParamChannel.density builds a cloner stack in slices of max(1, 2**14 // d**3) points."""
+
+    @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
+    @pytest.mark.parametrize("d,k", [(8, 40), (32, 3), (3, 5)])
+    def test_stack_over_slices_matches_each_point(self, kind, d, k, monkeypatch):
+        stack = PhaseVector.random(d, np.random.default_rng(d + k), k)
+        expect = [ParamChannel(kind).density(PhaseVector(d, row)) for row in stack.phases]
+        builder = f"{kind}_full_output"
+        full = getattr(channels, builder)
+        calls = []
+
+        def counting(p):
+            calls.append(len(p.phases))
+            return full(p)
+
+        monkeypatch.setattr(channels, builder, counting)
+        got = ParamChannel(kind).density(stack)
+        assert len(calls) == math.ceil(k / max(1, 2**14 // d**3)) and sum(calls) == k
+        for row, e in zip(got, expect):
+            assert np.array_equal(row, e)
+
+    def test_peak_memory_is_flat_in_the_stack_size(self):
+        # the whole (1000, 512) tripartite stack alone would take 8 MB
+        stack = PhaseVector.random(8, np.random.default_rng(4), 1000)
+        tracemalloc.start()
+        try:
+            out = ParamChannel("uqcm").density(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slice results and their concatenation, plus a few 256 KiB slices
+        assert peak <= 2 * out.nbytes + 4 * 2**14 * 16
 
 
 class TestReduceFirstQudit:

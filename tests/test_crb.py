@@ -15,10 +15,25 @@ from phaseclone.qfim import (
     SpectralDecomposition,
     closed_entries,
     closed_qfim,
+    qfim_from_spectral,
     qfim_shrink_entries,
     spectral_output,
 )
 from phaseclone.states import PhaseVector, basis_derivatives
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_spectral_route_maps_a_stack(d):
+    """A (k, d-1) stack of phase points gives the per-point matrices bit for bit."""
+    stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)
+    for eta in (1.0, eta_uqcm(d), 0.3):
+        sd, dvecs = spectral_output(stack, eta), basis_derivatives(stack)
+        for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
+            got = fn(sd, dvecs)
+            assert got.shape == (4, d - 1, d - 1)
+            for row, phases in zip(got, stack.phases):
+                p = PhaseVector(d, phases)
+                assert np.array_equal(row, fn(spectral_output(p, eta), basis_derivatives(p)))
 
 
 class TestAttainability:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import phaseclone.oracle as oracle_module
@@ -18,12 +20,33 @@ from phaseclone.oracle import (
 )
 from phaseclone.qfim import closed_qfim, spectral_output
 from phaseclone.states import (
+    TWO_PI,
     PhaseVector,
     basis_derivatives,
     complement_basis,
     equatorial_state,
     state_derivative,
 )
+
+
+KINDS = ("pure", "uqcm", "pqcm", "shrink")
+
+
+def channel(kind):
+    return ParamChannel(kind, 0.4 if kind == "shrink" else None)
+
+
+def counting_density(monkeypatch):
+    """Record the phase shape of every ParamChannel.density call."""
+    calls = []
+    density = ParamChannel.density
+
+    def counting(self, p):
+        calls.append(p.phases.shape)
+        return density(self, p)
+
+    monkeypatch.setattr(ParamChannel, "density", counting)
+    return calls
 
 
 class _ConstantChannel:
@@ -63,10 +86,7 @@ class TestCentralDifferences:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_per_parameter_reference(self, d):
         rng = np.random.default_rng(60 + d)
-        fns = [equatorial_state, complement_basis] + [
-            ParamChannel(kind, 0.4 if kind == "shrink" else None).density
-            for kind in ("pure", "uqcm", "pqcm", "shrink")
-        ]
+        fns = [equatorial_state, complement_basis] + [channel(kind).density for kind in KINDS]
         for p in (PhaseVector.random(d, rng), PhaseVector(d, np.full(d - 1, 1e-6))):
             for fn in fns:
                 for h in (1e-5, 3e-4):
@@ -78,14 +98,7 @@ class TestCentralDifferences:
     @pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric])
     def test_two_density_calls_per_phase_point(self, fn, monkeypatch):
         # the base point, then every shifted point of it as one stack
-        calls = []
-        density = ParamChannel.density
-
-        def counting(self, p):
-            calls.append(p.phases.shape)
-            return density(self, p)
-
-        monkeypatch.setattr(ParamChannel, "density", counting)
+        calls = counting_density(monkeypatch)
         rng = np.random.default_rng(13)
         for kind in ("pure", "uqcm", "pqcm"):
             fn(ParamChannel(kind), PhaseVector.random(5, rng))
@@ -93,6 +106,20 @@ class TestCentralDifferences:
 
 
 class TestRhoDerivative:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_its_row_of_the_central_differences(self, kind):
+        rng = np.random.default_rng(21)
+        for d in (2, 3, 6):
+            p = PhaseVector.random(d, rng)
+            full = _central_differences(channel(kind).density, p, 1e-5)
+            for mu in range(1, d):
+                assert np.array_equal(rho_derivative(channel(kind), p, mu), full[mu - 1])
+
+    def test_builds_only_its_own_pair(self, monkeypatch):
+        calls = counting_density(monkeypatch)
+        rho_derivative(ParamChannel("uqcm"), PhaseVector.random(6, np.random.default_rng(22)), 3)
+        assert calls == [(2, 5)]
+
     def test_constant_channel_gives_zero(self):
         p = PhaseVector.random(3, np.random.default_rng(0))
         d_rho = rho_derivative(_ConstantChannel(3), p, 1)
@@ -184,6 +211,57 @@ class TestSldSolve:
         d_rho = np.diag([0.0, 1.0, -1.0]).astype(complex)  # lives entirely off support
         with pytest.raises(ValueError):
             sld_solve(rho, d_rho)
+
+
+class TestStacks:
+    """A (k, d-1) stack of phase points gives the per-point results bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_qfim_and_attainability_numeric(self, d):
+        stack = PhaseVector.random(d, np.random.default_rng(80 + d), 3)
+        for kind in KINDS:
+            for fn in (qfim_numeric, attainability_numeric):
+                got = fn(channel(kind), stack)
+                assert got.shape == (3, d - 1, d - 1)
+                for row, phases in zip(got, stack.phases):
+                    assert np.array_equal(row, fn(channel(kind), PhaseVector(d, phases)))
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_central_differences(self, d):
+        stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)
+        for fn in [equatorial_state, complement_basis] + [channel(k).density for k in KINDS]:
+            got = _central_differences(fn, stack, 1e-5)
+            assert got.shape[:2] == (4, d - 1)
+            for row, phases in zip(got, stack.phases):
+                assert np.array_equal(row, _central_differences(fn, PhaseVector(d, phases), 1e-5))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sld_solve_with_a_stacked_rho(self, kind):
+        stack = PhaseVector.random(5, np.random.default_rng(24), 3)
+        rho = channel(kind).density(stack)
+        drho = _central_differences(channel(kind).density, stack, 1e-5)
+        got = sld_solve(rho[:, None], drho)
+        assert got.shape == drho.shape
+        for row, r, dr in zip(got, rho, drho):
+            assert np.array_equal(row, sld_solve(r, dr))
+
+
+_phase = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
+    st.floats(-1e-9, 1e-9),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), d=st.integers(2, 6), k=st.integers(1, 4), kind=st.sampled_from(KINDS))
+def test_stacked_oracle_property(data, d, k, kind):
+    rows = data.draw(st.lists(st.lists(_phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
+    stack = PhaseVector(d, rows)
+    for fn in (qfim_numeric, attainability_numeric):
+        got = fn(channel(kind), stack)
+        for row, phases in zip(got, rows):
+            assert np.array_equal(row, fn(channel(kind), PhaseVector(d, phases)))
 
 
 class TestQfimNumeric:

@@ -136,6 +136,15 @@ class TestStructureResiduals:
 
 
 class TestSpectralRoute:
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_reconstruction_of_a_stack(self, k):
+        # at k = d = 4 a transposed (d, d, k) stack would broadcast into a wrong result
+        stack = PhaseVector.random(4, np.random.default_rng(k), k)
+        got = reconstruct_density(spectral_output(stack, 0.6))
+        assert got.shape == (k, 4, 4)
+        for row, phases in zip(got, stack.phases):
+            assert np.array_equal(row, reconstruct_density(spectral_output(PhaseVector(4, phases), 0.6)))
+
     @pytest.mark.parametrize("d,eta", [(2, 0.5), (4, 0.8), (7, 1.0)])
     def test_reconstruction(self, d, eta):
         p = PhaseVector.random(d, np.random.default_rng(d))
@@ -226,3 +235,11 @@ def test_spectral_route_property(data, d, eta):
     # F_diag = -(d-1) F_off, entry by entry
     assert np.abs(np.diag(f)[:, None] + (d - 1) * off[None, :]).max(initial=0.0) <= tol
     assert np.abs(attainability_closed(sd, dvecs)).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 64))
+def test_pqcm_dominates_uqcm_property(d):
+    """PQCM >= UQCM in the Loewner order: the gap matrix has no negative eigenvalue."""
+    gap = closed_qfim(PQCM, d) - closed_qfim(UQCM, d)
+    assert np.linalg.eigvalsh(gap)[0] >= -1e-12

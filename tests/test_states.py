@@ -55,6 +55,13 @@ class TestPhaseVector:
         with pytest.raises(ValueError, match="expected 3 phases for dim=4"):
             PhaseVector(4, np.zeros(shape))
 
+    def test_random_stack_is_the_stream_of_single_draws(self):
+        rng = np.random.default_rng(15)
+        singles = [PhaseVector.random(5, rng).phases for _ in range(6)]
+        stack = PhaseVector.random(5, np.random.default_rng(15), 6)
+        assert stack.phases.shape == (6, 4)
+        assert np.array_equal(stack.phases, np.stack(singles))
+
     @pytest.mark.parametrize("row", [0, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry_in_any_row(self, row, bad):
@@ -67,15 +74,23 @@ class TestPhaseVector:
         "fn",
         [
             phase_shift_unitary,
-            basis_derivatives,
             lambda p: state_derivative(p, 1),
         ],
-        ids=["phase_shift_unitary", "basis_derivatives", "state_derivative"],
+        ids=["phase_shift_unitary", "state_derivative"],
     )
     def test_single_point_helpers_reject_a_stack(self, fn):
         # at k = d-1 a stack would otherwise broadcast into a wrong result
         with pytest.raises(ValueError, match="one phase point"):
             fn(PhaseVector(4, np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_basis_derivatives_of_a_stack_of_d_minus_1_points(self, d):
+        # k = d-1 is the stack that would broadcast against the (d-1, d, d) weights
+        stack = PhaseVector.random(d, np.random.default_rng(d), d - 1)
+        got = basis_derivatives(stack)
+        assert got.shape == (d - 1, d - 1, d, d)
+        for row, phases in zip(got, stack.phases):
+            assert np.array_equal(row, basis_derivatives(PhaseVector(d, phases)))
 
 
 class TestEquatorialState:
