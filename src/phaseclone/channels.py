@@ -37,9 +37,11 @@ MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 _SLICE_AMPLITUDES = 2**14
 
 
-def _check_dim(d: int) -> None:
+def _check_dim(d: int) -> int:
+    """Return d as a Python int: numpy integers overflow in the closed forms' products."""
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    return int(d)
 
 
 def _check_eta(eta: float) -> None:
@@ -49,13 +51,13 @@ def _check_eta(eta: float) -> None:
 
 def eta_uqcm(d: int) -> float:
     """Shrinking factor (d+2)/(2(d+1)) of the universal cloner."""
-    _check_dim(d)
+    d = _check_dim(d)
     return (d + 2) / (2.0 * (d + 1))
 
 
 def eta_pqcm(d: int) -> float:
     """Shrinking factor (d-2+sqrt(d^2+4d-4))/(4(d-1)) of the phase-covariant cloner."""
-    _check_dim(d)
+    d = _check_dim(d)
     return (d - 2 + np.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * (d - 1))
 
 
@@ -72,7 +74,7 @@ def pqcm_coefficients(d: int) -> tuple[float, float]:
     alpha^2 = 1/2 - (d-2)/(2*sqrt(d^2+4d-4)) and beta^2 is its complement,
     so alpha^2 + beta^2 = 1.
     """
-    _check_dim(d)
+    d = _check_dim(d)
     gamma = np.sqrt(d * d + 4.0 * d - 4.0)
     alpha = np.sqrt(0.5 - (d - 2) / (2.0 * gamma))
     beta = np.sqrt(0.5 + (d - 2) / (2.0 * gamma))

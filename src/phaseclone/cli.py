@@ -12,11 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error,
 3 verification failure.
 
-Options may also be supplied through a key=value config file (--config);
-explicit flags win over file values, and a key that names no option of the
-subcommand is a usage error.  CSV output uses a header row, 12
-significant digits, and LF line endings, so fixed inputs give byte-identical
-files.
+Each option and its default is declared once, in build_parser.  A key=value
+config file (--config) supplies new defaults for the subcommand: main parses
+argv, installs the file's values with set_defaults and parses argv again, so
+argparse casts each value with its flag's type and explicit flags win.  A key
+that names no option of the subcommand is a usage error.  CSV output uses a
+header row, 12 significant digits, and LF line endings, so fixed inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,48 +54,9 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class SweepConfig:
-    machine: str
-    eta: float | None = None
-    d_min: int = 2
-    d_max: int = 20
-    phases: list[float] | None = None
-    seed: int = DEFAULT_SEED
-    fd_step: float = DEFAULT_FD_STEP
-    out: str | None = None
-    fmt: str = "csv"
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-    def validate(self) -> ParamChannel:
-        """Check the sweep settings and return the machine they name."""
-        try:
-            channel = ParamChannel(self.machine, self.eta)
-        except ValueError as exc:
-            raise UsageError(f"machine={self.machine}: {exc}") from exc
-        if self.seed < 0:
-            raise UsageError("--seed must be a non-negative integer")
-        if not 2 <= self.d_min <= self.d_max:
-            raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
-        if self.d_max > CLOSED_FORM_DMAX:
-            raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
-        # |F_off| is the smallest entry and shrinks with d: normal at dmax keeps every row finite
-        if channel.kind == "shrink" and abs(closed_entries(channel, self.d_max)[1]) < _TINY:
-            raise UsageError(
-                f"--eta {self.eta} is too small: QFIM entries underflow at d={self.d_max}"
-            )
-        if self.fmt not in ("csv", "json"):
-            raise UsageError("--format must be csv or json")
-        if self.phases is not None:
-            if self.d_min != self.d_max:
-                raise UsageError("--phases requires dmin == dmax")
-            if len(self.phases) != self.d_min - 1:
-                raise UsageError(
-                    f"--phases needs exactly {self.d_min - 1} values for d={self.d_min}"
-                )
-            if not np.all(np.isfinite(self.phases)):
-                raise UsageError("--phases must be finite numbers")
-        return channel
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
 
 
 def _fmt(x) -> str:
@@ -120,14 +82,38 @@ def _csv_text(header: list[str], rows: list[list], comments: list[str] | None = 
     return "\n".join(lines) + "\n"
 
 
-def cmd_compute(cfg: SweepConfig) -> int:
-    channel = cfg.validate()
+def cmd_compute(args: argparse.Namespace) -> int:
+    if not args.machine:
+        raise UsageError("--machine is required (pure, uqcm, pqcm, or shrink)")
+    try:
+        channel = ParamChannel(args.machine, args.eta)
+    except ValueError as exc:
+        raise UsageError(f"machine={args.machine}: {exc}") from exc
+    _check_seed(args.seed)
+    if not 2 <= args.dmin <= args.dmax:
+        raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
+    if args.dmax > CLOSED_FORM_DMAX:
+        raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
+    # |F_off| is the smallest entry and shrinks with d: normal at dmax keeps every row finite
+    if channel.kind == "shrink" and abs(closed_entries(channel, args.dmax)[1]) < _TINY:
+        raise UsageError(f"--eta {args.eta} is too small: QFIM entries underflow at d={args.dmax}")
+    if args.fmt not in ("csv", "json"):
+        raise UsageError("--format must be csv or json")
+    phases = None if args.phases is None else _parse_phases(args.phases)
+    if phases is not None:
+        if args.dmin != args.dmax:
+            raise UsageError("--phases requires dmin == dmax")
+        if len(phases) != args.dmin - 1:
+            raise UsageError(f"--phases needs exactly {args.dmin - 1} values for d={args.dmin}")
+        if not np.all(np.isfinite(phases)):
+            raise UsageError("--phases must be finite numbers")
+
     header = [
         "d", "eta", "f_diag", "f_offdiag",
         "lambda1", "lambda2", "total_variance_min", "attainable",
     ]
     rows = []
-    for d in range(cfg.d_min, cfg.d_max + 1):
+    for d in range(args.dmin, args.dmax + 1):
         eta = channel.shrinking_factor(d)
         fdiag, foff = closed_entries(channel, d)
         lam1, lam2 = qfim_eigenvalues(d, fdiag, foff)
@@ -136,43 +122,41 @@ def cmd_compute(cfg: SweepConfig) -> int:
         # family; verify's spectral and oracle checks carry the numerical evidence
         rows.append([d, eta, fdiag, foff, lam1, lam2, var_min, True])
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         def jsonable(v):
             if isinstance(v, float) and np.isnan(v):
                 return None  # keep the output strict JSON
             return v
 
         payload = {
-            "seed": None if cfg.phases is not None else cfg.seed,
+            "seed": None if phases is not None else args.seed,
             "rows": [{k: jsonable(v) for k, v in zip(header, row)} for row in rows],
         }
         text = json.dumps(payload, indent=2, default=float) + "\n"
     else:
         comments = (
-            [f"# phases={','.join(_fmt(v) for v in cfg.phases)}"]
-            if cfg.phases is not None
-            else [f"# seed={cfg.seed}"]
+            [f"# phases={','.join(_fmt(v) for v in phases)}"]
+            if phases is not None
+            else [f"# seed={args.seed}"]
         )
         text = _csv_text(header, rows, comments)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
-def cmd_figure(which: int, d_max: int, out: str | None) -> int:
-    if which not in (1, 2, 3):
-        raise UsageError("figure selector must be 1, 2, or 3")
-    if d_max < 3:
+def cmd_figure(args: argparse.Namespace) -> int:
+    if args.dmax < 3:
         raise UsageError("--dmax must be at least 3 for figure data")
-    if d_max > CLOSED_FORM_DMAX:
+    if args.dmax > CLOSED_FORM_DMAX:
         raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
-    dims = range(2, d_max + 1)
-    if which == 1:
+    dims = range(2, args.dmax + 1)
+    if args.which == 1:
         header = ["d", "f_in_diag", "scaled_bound", "f_out_diag"]
         rows = [
             [d, qfim_pure_entries(d)[0], eta_uqcm(d) * qfim_pure_entries(d)[0], qfim_uqcm_entries(d)[0]]
             for d in dims
         ]
-    elif which == 2:
+    elif args.which == 2:
         header = ["d", "f_uqcm_diag", "f_pqcm_diag"]
         rows = [[d, qfim_uqcm_entries(d)[0], qfim_pqcm_entries(d)[0]] for d in dims]
     else:
@@ -186,19 +170,19 @@ def cmd_figure(which: int, d_max: int, out: str | None) -> int:
             ]
             for d in dims
         ]
-    _emit(_csv_text(header, rows), out)
+    _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
-    if not 2 <= cfg.d_max <= FULL_UNITARY_DMAX:
+def cmd_verify(args: argparse.Namespace, tolerances: dict[str, float]) -> int:
+    if not 2 <= args.dmax <= FULL_UNITARY_DMAX:
         raise UsageError(f"--dmax must satisfy 2 <= dmax <= {FULL_UNITARY_DMAX}")
-    if not (np.isfinite(cfg.fd_step) and cfg.fd_step > 0):
+    if not (np.isfinite(args.fd_step) and args.fd_step > 0):
         raise UsageError("--fd-step must be a finite positive number")
-    unknown = sorted(set(cfg.tolerances) - set(TOLERANCES))
+    unknown = sorted(set(tolerances) - set(TOLERANCES))
     if unknown:
         raise UsageError("config keys name no check: " + ", ".join(f"tol_{n}" for n in unknown))
-    cfg.validate()  # the checks shared with compute, such as the seed
+    _check_seed(args.seed)
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
@@ -208,11 +192,11 @@ def cmd_verify(cfg: SweepConfig, mutate: bool = False) -> int:
         )
 
     results = run_verification(
-        dmax_full=cfg.d_max, seed=cfg.seed, fd_step=cfg.fd_step, mutate=mutate,
-        progress=progress, tolerances=cfg.tolerances,
+        dmax_full=args.dmax, seed=args.seed, fd_step=args.fd_step, mutate=args.mutate,
+        progress=progress, tolerances=tolerances,
     )
     report = [r.as_dict() for r in results]
-    _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed", file=sys.stderr)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
@@ -236,13 +220,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _cast(key: str, raw: str, cast):
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
-
-
 def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """A subcommand's value options by config key (--fd-step -> fd_step)."""
     return {
@@ -252,29 +229,23 @@ def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     }
 
 
-def _apply_config_file(args: argparse.Namespace) -> dict[str, str]:
-    """Fill options not given as flags from --config; return the file's values.
+def _install_config(args: argparse.Namespace) -> dict[str, str]:
+    """Make the --config file's values the subcommand's defaults; return them.
 
     Every key must name a value option of the subcommand; verify also takes
     tol_<check> keys, which cmd_verify checks against the declared checks.
+    The values stay strings: the next parse casts them with each option's type.
     """
-    if args.config is None:
-        return {}
     file_values = _parse_config_file(args.config)
+    options = _file_options(args.subparser)
     unknown = [
         k for k in file_values
-        if k not in args.file_options and not (args.command == "verify" and k.startswith("tol_"))
+        if k not in options and not (args.command == "verify" and k.startswith("tol_"))
     ]
     if unknown:
         raise UsageError(f"config keys name no option of {args.command}: " + ", ".join(unknown))
-    for key, action in args.file_options.items():
-        if key in file_values and getattr(args, action.dest) is None:
-            setattr(args, action.dest, _cast(key, file_values[key], action.type or str))
+    args.subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items() if k in options})
     return file_values
-
-
-def _or(value, default):
-    return default if value is None else value
 
 
 def _parse_phases(text: str) -> list[float]:
@@ -293,7 +264,10 @@ def _tolerance_overrides(file_values: dict[str, str]) -> dict[str, float]:
     out = {}
     for key, raw in file_values.items():
         if key.startswith("tol_"):
-            tol = _cast(key, raw, float)
+            try:
+                tol = float(raw)
+            except ValueError as exc:
+                raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
             if not (np.isfinite(tol) and tol >= 0):
                 raise UsageError(f"config value {key}={raw!r}: tolerance must be finite and >= 0")
             out[key[4:]] = tol
@@ -311,27 +285,32 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="closed-form QFIM sweep over dimensions")
     pc.add_argument("--machine", choices=MACHINES)
     pc.add_argument("--eta", type=float)
-    pc.add_argument("--dmin", type=int)
-    pc.add_argument("--dmax", type=int)
+    pc.add_argument("--dmin", type=int, default=2)
+    pc.add_argument("--dmax", type=int, default=20)
     pc.add_argument(
         "--phases", type=str,
         help="comma-separated phases (requires dmin==dmax); label only: the CSV '# phases=' line",
     )
-    pc.add_argument("--seed", type=int, help="label only: the CSV '# seed=' line and JSON 'seed'")
+    pc.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="label only: the CSV '# seed=' line and JSON 'seed'",
+    )
     pc.add_argument("--out", type=str)
-    pc.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    pc.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     pc.add_argument("--config", type=str)
 
     pf = sub.add_parser("figure", help="CSV data for one of the three summary figures")
     pf.add_argument("which", type=int, choices=(1, 2, 3))
-    pf.add_argument("--dmax", type=int)
+    pf.add_argument("--dmax", type=int, default=20)
     pf.add_argument("--out", type=str)
     pf.add_argument("--config", type=str)
 
     pv = sub.add_parser("verify", help="run the verification suite, emit a JSON report")
-    pv.add_argument("--dmax", type=int, help="cap for full-unitary checks (default 8)")
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--fd-step", dest="fd_step", type=float)
+    pv.add_argument(
+        "--dmax", type=int, default=8, help="cap for full-unitary checks (default %(default)s)"
+    )
+    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pv.add_argument("--fd-step", dest="fd_step", type=float, default=DEFAULT_FD_STEP)
     pv.add_argument("--out", type=str)
     pv.add_argument("--config", type=str)
     pv.add_argument(
@@ -340,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a deliberate shrinking-factor error (self-test; must fail)",
     )
     for p in (pc, pf, pv):
-        p.set_defaults(file_options=_file_options(p))
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -348,39 +327,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        file_values = _apply_config_file(args)
-
+        file_values = {}
+        if args.config is not None:
+            file_values = _install_config(args)
+            args = parser.parse_args(argv)  # flags still win over the new defaults
         if args.command == "compute":
-            if not args.machine:
-                raise UsageError("--machine is required (pure, uqcm, pqcm, or shrink)")
-            cfg = SweepConfig(
-                machine=args.machine,
-                eta=args.eta,
-                d_min=_or(args.dmin, 2),
-                d_max=_or(args.dmax, 20),
-                phases=_parse_phases(args.phases) if args.phases is not None else None,
-                seed=_or(args.seed, DEFAULT_SEED),
-                out=args.out,
-                fmt=_or(args.fmt, "csv"),
-            )
-            return cmd_compute(cfg)
-
+            return cmd_compute(args)
         if args.command == "figure":
-            return cmd_figure(args.which, _or(args.dmax, 20), args.out)
-
-        cfg = SweepConfig(
-            machine="pure",
-            d_max=_or(args.dmax, 8),
-            seed=_or(args.seed, DEFAULT_SEED),
-            fd_step=_or(args.fd_step, DEFAULT_FD_STEP),
-            out=args.out,
-            tolerances=_tolerance_overrides(file_values),
-        )
-        return cmd_verify(cfg, mutate=args.mutate)
+            return cmd_figure(args)
+        return cmd_verify(args, _tolerance_overrides(file_values))
+    except SystemExit as exc:  # argparse: --help, --version and usage errors
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _check_eta
-from .qfim import SpectralDecomposition, _check_closed_form_dim, _support_blocks
+from .qfim import SpectralDecomposition, _check_closed_form_dim, _spectral_terms, _support_blocks
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -46,16 +46,10 @@ def attainability_closed(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.nda
 
 
 def _attainability_raw_weight(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
-    # unsymmetrized weight 16 lam_k^2 lam_l/(lam_k+lam_l)^2; equal to
+    # Im G with the unsymmetrized weight 16 lam_k^2 lam_l/(lam_k+lam_l)^2; equal to
     # attainability_closed after the antisymmetric-sum identity
-    ls, dsup, g = _support_blocks(sd, dvecs)
-    flat = dsup.shape[:-2] + (-1,)
-    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
-    out = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2)).imag
-    w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2
-    gw = (g * w).reshape(flat)
-    out -= (gw @ g.conj().reshape(flat).swapaxes(-1, -2)).imag
-    return out
+    first, second = _spectral_terms(sd, dvecs)
+    return (first - second).imag
 
 
 def qfim_eigenvalues(d: int, fdiag: float, foff: float) -> tuple[float, float]:
@@ -78,6 +72,6 @@ def total_variance_bound(d: int, eta: float) -> float:
     -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
     and the tests, not here.
     """
-    _check_closed_form_dim(d)
+    d = _check_closed_form_dim(d)
     _check_eta(eta)
     return float((d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2))

@@ -31,10 +31,11 @@ from .states import PhaseVector, basis_derivatives, complement_basis
 CLOSED_FORM_DMAX = 10**6
 
 
-def _check_closed_form_dim(d: int) -> None:
-    _check_dim(d)
+def _check_closed_form_dim(d: int) -> int:
+    d = _check_dim(d)
     if d > CLOSED_FORM_DMAX:
         raise ValueError(f"closed forms are limited to d <= {CLOSED_FORM_DMAX}, got {d}")
+    return d
 
 
 def _structured_matrix(d: int, fdiag: float, foff: float) -> np.ndarray:
@@ -45,7 +46,7 @@ def _structured_matrix(d: int, fdiag: float, foff: float) -> np.ndarray:
 
 def qfim_pure_entries(d: int) -> tuple[float, float]:
     """(diagonal, off-diagonal) entries 4(delta/d - 1/d^2) for the pure input."""
-    _check_closed_form_dim(d)
+    d = _check_closed_form_dim(d)
     return 4.0 * (1.0 / d - 1.0 / d**2), -4.0 / d**2
 
 
@@ -54,7 +55,7 @@ def qfim_shrink_entries(d: int, eta: float) -> tuple[float, float]:
 
     F_diag = 4(d-1)eta^2 / (d[2+(d-2)eta]) and F_off = -F_diag/(d-1).
     """
-    _check_closed_form_dim(d)
+    d = _check_closed_form_dim(d)
     _check_eta(eta)
     denom = d * (2.0 + (d - 2) * eta)
     return 4.0 * (d - 1) * eta**2 / denom, -4.0 * eta**2 / denom
@@ -65,7 +66,7 @@ def qfim_uqcm_entries(d: int) -> tuple[float, float]:
 
     F_diag = 2(d-1)(d+2)^2 / ((d+1)(d+4)d^2); F_off = -F_diag/(d-1).
     """
-    _check_closed_form_dim(d)
+    d = _check_closed_form_dim(d)
     denom = (d + 1) * (d + 4) * d**2
     return 2.0 * (d - 1) * (d + 2) ** 2 / denom, -2.0 * (d + 2) ** 2 / denom
 
@@ -77,7 +78,7 @@ def qfim_pqcm_entries(d: int) -> tuple[float, float]:
     F_diag = 2(d^2 + d*g - 2g) / (d[d^2 + d(g+4) - 2(g+2)]); the off-diagonal
     entry follows from the structural relation F_off = -F_diag/(d-1).
     """
-    _check_closed_form_dim(d)
+    d = _check_closed_form_dim(d)
     g = np.sqrt(d * d + 4.0 * d - 4.0)
     fdiag = 2.0 * (d * d + d * g - 2.0 * g) / (d * (d * d + d * (g + 4.0) - 2.0 * (g + 2.0)))
     return fdiag, -fdiag / (d - 1)
@@ -164,6 +165,25 @@ def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
     return lam[sup], dsup, g
 
 
+def _spectral_terms(sd: SpectralDecomposition, dvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two complex sums of the spectral route, G = first - second, over the support:
+
+        first[..., m, n]  = sum_i 4 lam_i <d_m psi_i|d_n psi_i>
+        second[..., m, n] = sum_{i,j} (16 lam_i^2 lam_j/(lam_i+lam_j)^2)
+                            <d_m psi_i|psi_j><psi_j|d_n psi_i>
+
+    G = Tr(rho L_m L_n) as in the oracle: the QFIM is Re(G + G^T)/2 and the
+    attainability matrix Im G.
+    """
+    ls, dsup, g = _support_blocks(sd, dvecs)
+    flat = dsup.shape[:-2] + (-1,)
+    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
+    first = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2))
+    w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2
+    second = (g * w).reshape(flat) @ g.conj().reshape(flat).swapaxes(-1, -2)
+    return first, second
+
+
 def qfim_from_spectral(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
     """QFIM from a spectral decomposition and its eigenvector derivatives.
 
@@ -173,18 +193,9 @@ def qfim_from_spectral(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarr
     stack.  The eigenvalues carry no phase dependence, so there is no
     classical term.  All sums run over the support only.
     """
-    ls, dsup, g = _support_blocks(sd, dvecs)
-    flat = dsup.shape[:-2] + (-1,)
-
-    # sum_i 4 lam_i Re <d_m psi_i | d_n psi_i>
-    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
-    f = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2)).real
-
-    # sum_ij (8 lam_i lam_j/(lam_i+lam_j)) Re <d_m psi_i|psi_j><psi_j|d_n psi_i>
-    w = 8.0 * np.outer(ls, ls) / (ls[:, None] + ls[None, :])
-    gw = (g * w).reshape(flat)
-    f -= (gw @ g.conj().reshape(flat).swapaxes(-1, -2)).real
-    return f
+    first, second = _spectral_terms(sd, dvecs)
+    g = first - second
+    return (g + g.swapaxes(-1, -2)).real / 2.0
 
 
 def qfim_shrink_spectral(p: PhaseVector, eta: float) -> np.ndarray:
@@ -201,18 +212,12 @@ def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, fl
         first  = sum_n 4 lam_n <d_1 psi_n | d_1 psi_n>
         second = sum_{n,m} (8 lam_n lam_m/(lam_n+lam_m)) |<psi_m|d_1 psi_n>|^2
 
-    so that first - second equals the closed-form diagonal entry.  In closed
+    so that first - second equals the closed-form diagonal entry.  They are
+    the [0, 0] entries of _spectral_terms, whose raw weight gives the same
+    second sum because |<psi_m|d_1 psi_n>| is symmetric in n, m.  In closed
     form first = 4/d and second = 2(d^3+7d^2+8d+4)/((d+1)(d+4)d^2).
     """
     if p is None:
         p = PhaseVector.zero(d)
-    sd = spectral_output(p, eta_uqcm(d))
-    lam = sd.eigenvalues
-    d1 = basis_derivatives(p)[0]
-    delta = np.einsum("nc,nc->n", d1.conj(), d1).real
-    first = float(np.sum(4.0 * lam * delta))
-    g = d1.conj() @ sd.eigenvectors.T
-    theta = (g * g.conj()).real
-    w = 8.0 * np.outer(lam, lam) / (lam[:, None] + lam[None, :])
-    second = float(np.sum(w * theta))
-    return first, second
+    first, second = _spectral_terms(spectral_output(p, eta_uqcm(d)), basis_derivatives(p))
+    return float(first[0, 0].real), float(second[0, 0].real)

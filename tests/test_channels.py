@@ -217,6 +217,30 @@ def test_stack_matches_each_point(d):
             assert np.array_equal(row, fn(p))
 
 
+_phase = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
+    st.floats(-1e-9, 1e-9),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(2, 8),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(["pure", "uqcm", "pqcm", "shrink"]),
+)
+def test_every_density_is_a_state(data, d, k, kind):
+    """Every ParamChannel output is Hermitian, unit-trace and PSD, whatever the phases."""
+    eta = data.draw(st.floats(0.0, 1.0, exclude_min=True)) if kind == "shrink" else None
+    rows = data.draw(st.lists(st.lists(_phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
+    rho = ParamChannel(kind, eta).density(PhaseVector(d, rows))
+    assert rho.shape == (k, d, d)
+    for r in rho:
+        validate_density_matrix(r)
+
+
 class TestDensitySlices:
     """ParamChannel.density builds a cloner stack in slices of max(1, 2**14 // d**3) points."""
 

@@ -7,6 +7,8 @@ import phaseclone
 from phaseclone import crb, qfim, states
 from phaseclone.channels import ParamChannel
 from phaseclone.cli import main
+from phaseclone.oracle import DEFAULT_FD_STEP
+from phaseclone.verify import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -393,3 +395,57 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv, from_file):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,text,option",
+    [
+        (("compute", "--machine", "uqcm"), "dmax = abc\n", "--dmax"),
+        (("compute",), "machine = shrink\neta = x\n", "--eta"),
+        (("figure", "2"), "dmax = 1e3\n", "--dmax"),
+        (("verify",), "fd-step = small\n", "--fd-step"),
+    ],
+    ids=["compute-dmax", "compute-eta", "figure-dmax", "verify-fd-step"],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, text, option):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("compute", "--machine", "uqcm"), "dmin = 3\ndmax = 4\nseed = 9\nformat = json\n"),
+        (("figure", "2"), "dmax = 3\n"),
+    ],
+    ids=["compute", "figure"],
+)
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys, argv, text):
+    """main runs many commands in one process; a file's values are defaults of
+    that call only, so the next plain call gets the declared defaults back."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    before = run(capsys, *argv)
+    configured = run(capsys, *argv, "--config", str(cfg))
+    assert configured[0] == 0 and configured[1] != before[1]
+    after = run(capsys, *argv)
+    assert after == before
+    header, rows = parse_csv(after[1])
+    assert [row[0] for row in rows] == [str(d) for d in range(2, 21)]
+
+
+def test_verify_defaults_after_a_config_call(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("dmax = 2\nseed = 3\nfd_step = 1e-4\n")
+    calls = []
+    monkeypatch.setattr("phaseclone.cli.run_verification", lambda **kw: calls.append(kw) or [])
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert main(["verify"]) == 0
+    assert [(c["dmax_full"], c["seed"], c["fd_step"]) for c in calls] == [
+        (2, 3, 1e-4),
+        (8, DEFAULT_SEED, DEFAULT_FD_STEP),
+    ]

@@ -13,6 +13,7 @@ from phaseclone.qfim import (
     equatorial_structure_residuals,
     qfim_from_spectral,
     qfim_pqcm_entries,
+    qfim_pure_entries,
     qfim_shrink_entries,
     qfim_shrink_spectral,
     qfim_uqcm_entries,
@@ -21,7 +22,7 @@ from phaseclone.qfim import (
     uqcm_diagonal_terms,
 )
 from phaseclone.channels import shrink_output
-from phaseclone.crb import attainability_closed
+from phaseclone.crb import attainability_closed, total_variance_bound
 from phaseclone.states import TWO_PI, PhaseVector, basis_derivatives
 
 PURE, UQCM, PQCM = ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm")
@@ -243,3 +244,20 @@ def test_pqcm_dominates_uqcm_property(d):
     """PQCM >= UQCM in the Loewner order: the gap matrix has no negative eigenvalue."""
     gap = closed_qfim(PQCM, d) - closed_qfim(UQCM, d)
     assert np.linalg.eigvalsh(gap)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("int_type", [int, np.int32, np.int64])
+@pytest.mark.parametrize("d", [46341, 60000, 10**6])
+def test_numpy_integer_dimensions(d, int_type):
+    """A numpy integer d gives the Python-int results: fixed-width products such
+    as d**2 or (d+1)(d+4)d^2 would overflow inside CLOSED_FORM_DMAX."""
+    n = int_type(d)
+    for entries in (
+        qfim_pure_entries, qfim_uqcm_entries, qfim_pqcm_entries, lambda d: qfim_shrink_entries(d, 0.3)
+    ):
+        fdiag, foff = entries(n)
+        assert (fdiag, foff) == entries(d)
+        assert fdiag > 0 > foff and fdiag == pytest.approx(-(d - 1) * foff, rel=1e-12)
+    assert (eta_uqcm(n), eta_pqcm(n)) == (eta_uqcm(d), eta_pqcm(d))
+    assert 0.5 < eta_uqcm(n) <= eta_pqcm(n) < 0.51  # the gap is below rounding at d = 10**6
+    assert total_variance_bound(n, 0.3) == total_variance_bound(d, 0.3) > 0
