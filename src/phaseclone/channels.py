@@ -196,8 +196,7 @@ class ParamChannel:
         full = uqcm_full_output if self.kind == "uqcm" else pqcm_full_output
         rows = p.phases.reshape(-1, p.dim - 1)
         step = max(1, _SLICE_AMPLITUDES // p.dim**3)
-        out = [
-            reduce_first_qudit(full(PhaseVector(p.dim, rows[i : i + step])))
-            for i in range(0, len(rows), step)
-        ]
-        return np.concatenate(out).reshape(p.phases.shape[:-1] + (p.dim, p.dim))
+        out = np.empty((len(rows), p.dim, p.dim), dtype=complex)
+        for i in range(0, len(rows), step):
+            out[i : i + step] = reduce_first_qudit(full(PhaseVector(p.dim, rows[i : i + step])))
+        return out.reshape(p.phases.shape[:-1] + (p.dim, p.dim))

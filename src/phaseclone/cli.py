@@ -128,10 +128,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 return None  # keep the output strict JSON
             return v
 
-        payload = {
-            "seed": None if phases is not None else args.seed,
-            "rows": [{k: jsonable(v) for k, v in zip(header, row)} for row in rows],
-        }
+        payload = {"seed": args.seed} if phases is None else {"phases": phases}
+        payload["rows"] = [{k: jsonable(v) for k, v in zip(header, row)} for row in rows]
         text = json.dumps(payload, indent=2, default=float) + "\n"
     else:
         comments = (
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dmax", type=int, default=20)
     pc.add_argument(
         "--phases", type=str,
-        help="comma-separated phases (requires dmin==dmax); label only: the CSV '# phases=' line",
+        help="comma-separated phases (requires dmin==dmax); label only: CSV '# phases=', JSON 'phases'",
     )
     pc.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_dim, _check_eta, eta_uqcm
-from .states import PhaseVector, basis_derivatives, complement_basis
+from .states import PhaseVector, _check_point, basis_derivatives, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -205,7 +205,7 @@ def qfim_shrink_spectral(p: PhaseVector, eta: float) -> np.ndarray:
 
 def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, float]:
     """The two quantum sums making up the first diagonal QFIM entry of the
-    universal-cloner output, evaluated numerically at phases p.
+    universal-cloner output, evaluated numerically at one phase point p of dim d.
 
     Returns (first, second) with
 
@@ -219,5 +219,8 @@ def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, fl
     """
     if p is None:
         p = PhaseVector.zero(d)
+    _check_point(p)
+    if p.dim != d:
+        raise ValueError(f"phase point has dim={p.dim}, expected d={d}")
     first, second = _spectral_terms(spectral_output(p, eta_uqcm(d)), basis_derivatives(p))
     return float(first[0, 0].real), float(second[0, 0].real)

@@ -217,6 +217,12 @@ def test_stack_matches_each_point(d):
             assert np.array_equal(row, fn(p))
 
 
+@pytest.mark.parametrize("kind", ["pure", "uqcm", "pqcm", "shrink"])
+def test_empty_stack_gives_an_empty_stack(kind):
+    rho = ParamChannel(kind, 0.3 if kind == "shrink" else None).density(PhaseVector(4, np.zeros((0, 3))))
+    assert rho.shape == (0, 4, 4) and rho.dtype == complex
+
+
 _phase = st.one_of(
     st.floats(0.0, TWO_PI, exclude_max=True),
     st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),

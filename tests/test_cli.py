@@ -118,6 +118,13 @@ class TestCompute:
         assert code == 0
         assert out.startswith("# phases=")
 
+    def test_json_records_the_phases(self, capsys):
+        argv = ["--machine", "pqcm", "--dmin", "5", "--dmax", "5", "--phases", "0.1,2,4,6.2"]
+        code, out, _ = run(capsys, "compute", *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["phases"] == [0.1, 2.0, 4.0, 6.2] and "seed" not in payload
+
     def test_phases_need_matching_dimension(self, capsys):
         code, _, _ = run(
             capsys, "compute", "--machine", "uqcm",

@@ -205,8 +205,13 @@ class TestDiagonalTermSums:
         assert abs(second - second_closed) < 1e-10
         assert abs((first - second) - qfim_uqcm_entries(d)[0]) < 1e-10
 
-    def test_telescoping_identity(self, check):
-        check("telescoping_sum_identity")
+    @pytest.mark.parametrize(
+        "p", [PhaseVector.zero(3), PhaseVector.zero(5), PhaseVector(4, np.zeros((2, 3)))],
+        ids=["d3", "d5", "stack"],
+    )
+    def test_rejects_a_point_of_another_dimension_or_a_stack(self, p):
+        with pytest.raises(ValueError, match="dim=3|dim=5|one phase point"):
+            uqcm_diagonal_terms(4, p)
 
 
 _phase = st.one_of(

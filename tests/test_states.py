@@ -171,9 +171,6 @@ class TestComplementBasis:
         b = complement_basis(PhaseVector.zero(2))
         assert_allclose(b[1], np.array([-1.0, 1.0]) / np.sqrt(2))
 
-    def test_orthonormality_across_dims(self, check):
-        check("complement_basis_orthonormality")
-
     @pytest.mark.parametrize("d", [2, 5, 9])
     def test_rows_orthogonal_to_state(self, d):
         p = PhaseVector.random(d, np.random.default_rng(d))
