@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import _check_eta
-from .qfim import SpectralDecomposition, _check_closed_form_dim, _spectral_terms, _support_blocks
+from .qfim import SpectralDecomposition, _check_shrink_args, _spectral_terms, _support_blocks
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,8 +69,8 @@ def total_variance_bound(d: int, eta: float) -> float:
     QFIM.  The QFIM is symmetric under permutations of the phases, so each
     per-parameter bound is this total over d-1.  The dense-inverse and
     -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
-    and the tests, not here.
+    and the tests, not here.  An eta whose QFIM entries underflow raises
+    ValueError, as in qfim_shrink_entries.
     """
-    d = _check_closed_form_dim(d)
-    _check_eta(eta)
+    d = _check_shrink_args(d, eta)
     return float((d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2))

@@ -30,11 +30,25 @@ from .states import PhaseVector, _check_point, basis_derivatives, complement_bas
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
 
+_TINY = np.finfo(float).tiny
+
 
 def _check_closed_form_dim(d: int) -> int:
     d = _check_dim(d)
     if d > CLOSED_FORM_DMAX:
         raise ValueError(f"closed forms are limited to d <= {CLOSED_FORM_DMAX}, got {d}")
+    return d
+
+
+def _check_shrink_args(d: int, eta: float) -> int:
+    """d as a Python int, after rejecting d as the closed forms do, eta outside
+    (0, 1], and an eta so small that |F_off| = 4 eta^2/(d[2+(d-2)eta]) is
+    below the smallest normal float: F_off would have lost digits or be zero.
+    A normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite."""
+    d = _check_closed_form_dim(d)
+    _check_eta(eta)
+    if 4.0 * eta**2 / (d * (2.0 + (d - 2) * eta)) < _TINY:
+        raise ValueError(f"eta={eta} is too small: the QFIM entries underflow at d={d}")
     return d
 
 
@@ -55,8 +69,7 @@ def qfim_shrink_entries(d: int, eta: float) -> tuple[float, float]:
 
     F_diag = 4(d-1)eta^2 / (d[2+(d-2)eta]) and F_off = -F_diag/(d-1).
     """
-    d = _check_closed_form_dim(d)
-    _check_eta(eta)
+    d = _check_shrink_args(d, eta)
     denom = d * (2.0 + (d - 2) * eta)
     return 4.0 * (d - 1) * eta**2 / denom, -4.0 * eta**2 / denom
 

@@ -99,6 +99,19 @@ class CheckResult:
         }
 
 
+def check_arguments(dmax_full: int, fd_step: float, tolerances: dict[str, float]) -> None:
+    """Raise ValueError for arguments run_verification cannot honour as given."""
+    if not 2 <= dmax_full <= channels.FULL_UNITARY_DMAX:
+        raise ValueError(f"dmax must satisfy 2 <= dmax <= {channels.FULL_UNITARY_DMAX}, got {dmax_full}")
+    if not (np.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd-step must be a finite positive number, got {fd_step}")
+    for name, tol in tolerances.items():
+        if name not in TOLERANCES:
+            raise ValueError(f"no check is named {name!r}")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"the tolerance of {name} must be finite and >= 0, got {tol}")
+
+
 def run_verification(
     dmax_full: int = 8,
     seed: int = DEFAULT_SEED,
@@ -115,10 +128,12 @@ def run_verification(
     this validates that the harness can actually detect a wrong channel.
     tolerances maps check names to tolerances that replace the ones in
     TOLERANCES; progress sees each result with its final tolerance.
+    Arguments that check_arguments rejects raise ValueError before any check.
     """
+    tolerances = tolerances or {}
+    check_arguments(dmax_full, fd_step, tolerances)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    tolerances = tolerances or {}
 
     def add(name: str, err: float) -> None:
         res = CheckResult(name, float(err), float(tolerances.get(name, TOLERANCES[name])))
@@ -126,7 +141,7 @@ def run_verification(
         if progress is not None:
             progress(res)
 
-    full_dims = list(range(2, max(2, dmax_full) + 1))
+    full_dims = list(range(2, dmax_full + 1))
 
     # --- state and basis construction ---------------------------------
     err = 0.0
@@ -171,27 +186,24 @@ def run_verification(
     add("gauge_period_invariance", err)
 
     # --- cloning channels ----------------------------------------------
-    # density traces the full tripartite state for both cloners
+    # density traces the full tripartite state for both cloners; each draw
+    # is traced once and feeds both checks
+    fidelity = {}
     for ch in (UQCM, PQCM):
-        err = 0.0
+        err = fid = 0.0
         for d in full_dims:
             eta = ch.shrinking_factor(d)
-            if mutate and ch is UQCM:
-                eta += 1e-3  # deliberate fault: the check below must catch it
+            fault = 1e-3 if mutate and ch is UQCM else 0.0  # only the scaling form must catch it
             p = PhaseVector.random(d, rng, 20)
-            err = max(err, *map(np.linalg.norm, ch.density(p) - channels.shrink_output(p, eta)))
-        add(f"scaling_form_{ch.kind}", err)
-
-    for ch in (UQCM, PQCM):
-        err = 0.0
-        for d in full_dims:
-            eta = ch.shrinking_factor(d)
-            p = PhaseVector.random(d, rng, 10)
+            rho = ch.density(p)
+            err = max(err, *map(np.linalg.norm, rho - channels.shrink_output(p, eta + fault)))
             psi = states.equatorial_state(p)
-            fids = (psi.conj()[:, None, :] @ ch.density(p) @ psi[:, :, None])[:, 0, 0].real
-            err = max(err, fids.max() - fids.min())
-            err = max(err, np.abs(fids - (eta + (1 - eta) / d)).max())
-        add(f"fidelity_phase_independence_{ch.kind}", err)
+            fids = (psi.conj()[:, None, :] @ rho @ psi[:, :, None])[:, 0, 0].real
+            fid = max(fid, fids.max() - fids.min(), np.abs(fids - (eta + (1 - eta) / d)).max())
+        add(f"scaling_form_{ch.kind}", err)
+        fidelity[ch.kind] = fid
+    for kind, fid in fidelity.items():
+        add(f"fidelity_phase_independence_{kind}", fid)
 
     add("eta_uqcm_large_d_limit", abs(channels.eta_uqcm(100) - 0.5))
     add("eta_pqcm_large_d_limit", abs(channels.eta_pqcm(100) - 0.5))
@@ -253,19 +265,12 @@ def run_verification(
         err = max(err, qfim.qfim_uqcm_entries(d)[0] - bound)
     add("information_shrinks_under_cloning", max(0.0, err))
 
-    err = 0.0
-    for d in range(2, 65):
-        fu = qfim.qfim_uqcm_entries(d)
-        fs = qfim.qfim_shrink_entries(d, channels.eta_uqcm(d))
-        err = max(err, abs(fu[0] - fs[0]), abs(fu[1] - fs[1]))
-    add("uqcm_matches_generic_shrink", err)
-
-    err = 0.0
-    for d in range(2, 65):
-        fp = qfim.qfim_pqcm_entries(d)
-        fs = qfim.qfim_shrink_entries(d, channels.eta_pqcm(d))
-        err = max(err, abs(fp[0] - fs[0]), abs(fp[1] - fs[1]))
-    add("pqcm_matches_generic_shrink", err)
+    for ch in (UQCM, PQCM):
+        err = 0.0
+        for d in range(2, 65):
+            fs = qfim.qfim_shrink_entries(d, ch.shrinking_factor(d))
+            err = max(err, *np.abs(np.subtract(qfim.closed_entries(ch, d), fs)))
+        add(f"{ch.kind}_matches_generic_shrink", err)
 
     err = 0.0
     for d in (2, 4, 8):
@@ -328,30 +333,21 @@ def run_verification(
     add("spectral_reconstruction", err)
 
     # --- attainability ----------------------------------------------------
-    err_closed = 0.0
-    err_forms = 0.0
+    # one closed matrix per draw, against zero, its raw-weight form and the oracle
+    err_closed = err_forms = err_num = err_agree = 0.0
     for d in full_dims:
         for ch in (PURE, UQCM, PQCM):
             p = PhaseVector.random(d, rng, 10)
             sd = qfim.spectral_output(p, ch.shrinking_factor(d))
             dv = states.basis_derivatives(p)
             a = crb.attainability_closed(sd, dv)
+            num = oracle.attainability_numeric(ch, p, fd_step)
             err_closed = max(err_closed, np.abs(a).max())
             err_forms = max(err_forms, np.abs(a - crb._attainability_raw_weight(sd, dv)).max())
+            err_num = max(err_num, np.abs(num).max())
+            err_agree = max(err_agree, np.abs(num - a).max())
     add("attainability_closed_zero", err_closed)
     add("attainability_weight_forms_agree", err_forms)
-
-    err_num = 0.0
-    err_agree = 0.0
-    for d in full_dims:
-        for ch in (PURE, UQCM, PQCM):
-            p = PhaseVector.random(d, rng, 10)
-            num = oracle.attainability_numeric(ch, p, fd_step)
-            err_num = max(err_num, np.abs(num).max())
-            closed = crb.attainability_closed(
-                qfim.spectral_output(p, ch.shrinking_factor(d)), states.basis_derivatives(p)
-            )
-            err_agree = max(err_agree, np.abs(num - closed).max())
     add("attainability_numeric_zero", err_num)
     add("attainability_paths_agree", err_agree)
 

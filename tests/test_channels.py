@@ -90,9 +90,6 @@ class TestShrinkingFactors:
         for d in range(2, 1001):
             assert eta_pqcm(d) > eta_uqcm(d)
 
-    def test_common_large_d_limit(self, check):
-        check("eta_uqcm_large_d_limit", "eta_pqcm_large_d_limit", "eta_gap_large_d")
-
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             eta_uqcm(1)
@@ -165,11 +162,6 @@ class TestFullCloners:
         alpha, beta = pqcm_coefficients(2)
         assert alpha == pytest.approx(1 / np.sqrt(2), abs=1e-15)
         assert beta == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    @pytest.mark.parametrize("full", [uqcm_full_output, pqcm_full_output])
-    def test_fidelity_is_phase_independent(self, full, check):
-        # output fidelity with the input equals eta + (1-eta)/d for every phi
-        check(f"fidelity_phase_independence_{full.__name__.split('_')[0]}")
 
     def test_dimension_cap(self):
         p = PhaseVector.zero(FULL_UNITARY_DMAX + 1)
@@ -278,8 +270,8 @@ class TestDensitySlices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the slice results and their concatenation, plus a few 256 KiB slices
-        assert peak <= 2 * out.nbytes + 4 * 2**14 * 16
+        # the output it fills, plus a few 256 KiB slices; no full second copy
+        assert peak <= out.nbytes + 4 * 2**14 * 16
 
 
 class TestReduceFirstQudit:
@@ -317,9 +309,6 @@ class TestCloningModel:
         assert ParamChannel("uqcm").shrinking_factor(3) == eta_uqcm(3)
         assert ParamChannel("pqcm").shrinking_factor(3) == eta_pqcm(3)
         assert ParamChannel("shrink", 0.5).shrinking_factor(3) == 0.5
-
-    def test_output_matches_shrink_form(self, check):
-        check("scaling_form_uqcm", "scaling_form_pqcm")
 
 
 class TestValidateDensityMatrix:

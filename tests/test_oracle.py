@@ -356,9 +356,10 @@ class TestParamChannel:
         import phaseclone.channels as channels
 
         def scaling_form(*args, **kwargs):
-            raise AssertionError("the oracle route reached channels.shrink_output")
+            raise AssertionError("the oracle route reached the scaling form or a shrinking factor")
 
-        monkeypatch.setattr(channels, "shrink_output", scaling_form)
+        for name in ("shrink_output", "eta_uqcm", "eta_pqcm"):
+            monkeypatch.setattr(channels, name, scaling_form)
         p = PhaseVector.random(3, np.random.default_rng(5))
         for ch in (ParamChannel("uqcm"), ParamChannel("pqcm")):
             assert np.trace(ch.density(p)).real == pytest.approx(1.0, abs=1e-12)

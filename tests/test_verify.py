@@ -1,5 +1,8 @@
 """Every check of the built-in suite, run by name at its declared tolerance."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from phaseclone.verify import TOLERANCES, run_verification
@@ -18,3 +21,38 @@ def test_undeclared_check_is_an_error(monkeypatch):
     monkeypatch.delitem(TOLERANCES, "complement_basis_orthonormality")
     with pytest.raises(KeyError, match="complement_basis_orthonormality"):
         run_verification(dmax_full=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dmax_full": 1},
+        {"dmax_full": 33},
+        {"fd_step": 0.0},
+        {"fd_step": float("nan")},
+        {"tolerances": {"scaling_form_uqc": 1.0}},
+        {"tolerances": {"sld_residual": float("nan")}},
+        {"tolerances": {"sld_residual": -1.0}},
+    ],
+    ids=["dmax1", "dmax33", "step0", "step-nan", "unknown-name", "tol-nan", "tol-negative"],
+)
+def test_bad_arguments_rejected_before_any_check(kwargs):
+    seen = []
+    with pytest.raises(ValueError):
+        run_verification(progress=seen.append, **kwargs)
+    assert seen == []
+
+
+def test_no_unit_test_repeats_a_check():
+    """A test that takes the `check` fixture only repeats a check that
+    test_check_passes already asserts; test_acceptance maps the paper's
+    criteria to checks and is the one other place that may take it."""
+    takers = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        if path.name in ("test_acceptance.py", "test_verify.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                if "check" in [a.arg for a in node.args.args + node.args.kwonlyargs]:
+                    takers.append(f"{path.name}::{node.name}")
+    assert takers == []
