@@ -8,16 +8,12 @@ maximally mixed state,
 
 with a machine-specific shrinking factor eta(d).  The full tripartite
 unitaries (original x copy x ancilla, ancilla dimension d) are implemented as
-well, so the scaling form can be validated independently via partial trace.
+well.  ParamChannel.density takes the partial trace of the same isometry in
+Kraus form, straight from its two amplitudes, so the scaling form is
+validated without being assumed and no length-d^3 state is built.
 ParamChannel is the one model of a machine that the CLI, the verification
 suite and the finite-difference oracle share.  The outputs map a stack of
 phase points to a stack of results, with the same arithmetic as one point.
-
-A stack of k tripartite vectors holds k d^3 complex amplitudes, and the
-partial trace holds a conjugate copy of them, so ParamChannel.density
-builds and traces a cloner stack in slices of max(1, 2**14 // d**3)
-points: at most 256 KiB of amplitudes at a time, whatever k is.  Peak
-memory then stays flat in k, and at large d every point is its own slice.
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from .states import PhaseVector, equatorial_state
 FULL_UNITARY_DMAX = 32
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
-
-# complex amplitudes per tripartite slice in ParamChannel.density (256 KiB)
-_SLICE_AMPLITUDES = 2**14
 
 
 def _check_dim(d: int) -> int:
@@ -89,6 +82,16 @@ def _check_full_unitary_dim(d: int) -> None:
         )
 
 
+def _isometry_amplitudes(kind: str, d: int) -> tuple[float, float]:
+    """Amplitudes (diag, off) of the "uqcm" or "pqcm" cloner isometry at dimension d,
+    as _tripartite takes them; d is capped as for the full tripartite outputs."""
+    _check_full_unitary_dim(d)
+    if kind == "uqcm":
+        return 2.0 / np.sqrt(2.0 * (d + 1)), 1.0 / np.sqrt(2.0 * (d + 1))
+    alpha, beta = pqcm_coefficients(d)
+    return alpha, beta / np.sqrt(2.0 * (d - 1))
+
+
 def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     """Flat d^3 vector sum_i a_i (diag |iii> + off sum_{j != i} (|ijj> + |jij>)).
 
@@ -104,6 +107,24 @@ def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (d**3,))
 
 
+def _first_clone(a: np.ndarray, diag: float, off: float) -> np.ndarray:
+    """Tr_{B,C} of _tripartite(a, diag, off), as a (d, d) matrix per point.
+
+    For ancilla k the B = k terms give clone A the vector a_i W[i, k], W
+    holding diag on its diagonal and off elsewhere; the terms off a_j |iji>,
+    j != i, are orthogonal to those and to each other.  So, elementwise,
+
+        rho_A = (a a^dagger) * (W W^T) + off^2 diag_i(sum_{j != i} |a_j|^2).
+    """
+    d = a.shape[-1]
+    w = np.where(np.eye(d, dtype=bool), diag, off)
+    rho = a[..., :, None] * a.conj()[..., None, :]
+    rho *= w @ w.T
+    weight = a.real**2 + a.imag**2
+    rho[..., range(d), range(d)] += off**2 * (weight.sum(axis=-1, keepdims=True) - weight)
+    return rho
+
+
 def uqcm_full_output(p: PhaseVector) -> np.ndarray:
     """Tripartite output of the universal cloner on an equatorial input.
 
@@ -115,11 +136,7 @@ def uqcm_full_output(p: PhaseVector) -> np.ndarray:
     extended linearly to equatorial_state(p).  Returned as a flat length-d^3
     unit vector over clone A x clone B x ancilla.
     """
-    d = p.dim
-    _check_full_unitary_dim(d)
-    alpha = 2.0 / np.sqrt(2.0 * (d + 1))
-    beta = 1.0 / np.sqrt(2.0 * (d + 1))
-    return _tripartite(equatorial_state(p), alpha, beta)
+    return _tripartite(equatorial_state(p), *_isometry_amplitudes("uqcm", p.dim))
 
 
 def pqcm_full_output(p: PhaseVector) -> np.ndarray:
@@ -132,10 +149,7 @@ def pqcm_full_output(p: PhaseVector) -> np.ndarray:
 
     with (alpha, beta) from pqcm_coefficients(d).
     """
-    d = p.dim
-    _check_full_unitary_dim(d)
-    alpha, beta = pqcm_coefficients(d)
-    return _tripartite(equatorial_state(p), alpha, beta / np.sqrt(2.0 * (d - 1)))
+    return _tripartite(equatorial_state(p), *_isometry_amplitudes("pqcm", p.dim))
 
 
 def reduce_first_qudit(psi: np.ndarray) -> np.ndarray:
@@ -161,8 +175,9 @@ class ParamChannel:
     kind is one of MACHINES: "pure" (the input projector), "uqcm"/"pqcm"
     (the two cloners), or "shrink" (the scaling form with a fixed eta, the
     only kind that stores eta).  density is definition-level: for the two
-    cloners it builds the full tripartite state and traces, so it never
-    touches the scaling form.  shrinking_factor gives eta(d) for any kind.
+    cloners it is the partial trace of the cloner isometry onto one clone,
+    taken in Kraus form from the isometry's amplitudes, so it never touches
+    the scaling form.  shrinking_factor gives eta(d) for any kind.
     """
 
     kind: str
@@ -179,6 +194,7 @@ class ParamChannel:
             raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
 
     def shrinking_factor(self, d: int) -> float:
+        d = _check_dim(d)
         if self.kind == "pure":
             return 1.0
         if self.kind == "uqcm":
@@ -193,10 +209,4 @@ class ParamChannel:
             return psi[..., :, None] * psi.conj()[..., None, :]
         if self.kind == "shrink":
             return shrink_output(p, self.eta)
-        full = uqcm_full_output if self.kind == "uqcm" else pqcm_full_output
-        rows = p.phases.reshape(-1, p.dim - 1)
-        step = max(1, _SLICE_AMPLITUDES // p.dim**3)
-        out = np.empty((len(rows), p.dim, p.dim), dtype=complex)
-        for i in range(0, len(rows), step):
-            out[i : i + step] = reduce_first_qudit(full(PhaseVector(p.dim, rows[i : i + step])))
-        return out.reshape(p.phases.shape[:-1] + (p.dim, p.dim))
+        return _first_clone(equatorial_state(p), *_isometry_amplitudes(self.kind, p.dim))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channels import _check_dim
 from .qfim import SpectralDecomposition, _check_shrink_args, _spectral_terms, _support_blocks
 
 
@@ -58,6 +59,7 @@ def qfim_eigenvalues(d: int, fdiag: float, foff: float) -> tuple[float, float]:
     lam2 = F_diag - F_off, d-2 times.  For d = 2 there is no second
     eigenvalue and lam2 is NaN.
     """
+    d = _check_dim(d)
     lam2 = fdiag - foff if d > 2 else float("nan")
     return fdiag + (d - 2) * foff, lam2
 

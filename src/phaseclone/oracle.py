@@ -1,8 +1,8 @@
 """Definition-level numeric cross-check path.
 
 The channels are channels.ParamChannel instances, and the oracle calls
-nothing on them but .density; for the two cloners that builds the full
-tripartite state and traces, never the scaling form.  Everything here is
+nothing on them but .density; for the two cloners that is the partial
+trace of the cloner isometry, never the scaling form.  Everything here is
 computed from central finite differences of the density matrix, one per
 phase, with every shifted point built by one density call on a stack, and
 the symmetric-logarithmic-derivative equation

@@ -230,6 +230,7 @@ def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, fl
     second sum because |<psi_m|d_1 psi_n>| is symmetric in n, m.  In closed
     form first = 4/d and second = 2(d^3+7d^2+8d+4)/((d+1)(d+4)d^2).
     """
+    d = _check_dim(d)
     if p is None:
         p = PhaseVector.zero(d)
     _check_point(p)

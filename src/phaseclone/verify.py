@@ -1,7 +1,7 @@
 """Built-in verification suite.
 
 Every structural property the library promises is re-checked here at runtime:
-basis orthonormality, scaling-form reduction of the full cloning unitaries,
+basis orthonormality, scaling-form reduction of the traced cloner isometries,
 closed-form versus spectral-route agreement, ordering and positivity of the
 information matrices, variance-bound identities, attainability, and the
 finite-difference oracle comparisons.  Each check reports its worst observed
@@ -122,8 +122,8 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the whole suite and return one CheckResult per check.
 
-    dmax_full caps the dimensions exercised through the explicit tripartite
-    unitaries.  With mutate=True a deliberate error is injected into the
+    dmax_full caps the dimensions exercised through the traced cloner
+    isometries.  With mutate=True a deliberate error is injected into the
     shrinking factor used by the scaling-form check, which must then fail;
     this validates that the harness can actually detect a wrong channel.
     tolerances maps check names to tolerances that replace the ones in
@@ -186,8 +186,8 @@ def run_verification(
     add("gauge_period_invariance", err)
 
     # --- cloning channels ----------------------------------------------
-    # density traces the full tripartite state for both cloners; each draw
-    # is traced once and feeds both checks
+    # density is the partial trace of each cloner isometry; each draw is
+    # traced once and feeds both checks
     fidelity = {}
     for ch in (UQCM, PQCM):
         err = fid = 0.0

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,7 @@ from numpy.testing import assert_allclose
 from phaseclone import channels
 from phaseclone.channels import (
     FULL_UNITARY_DMAX,
+    MACHINES,
     ParamChannel,
     eta_pqcm,
     eta_uqcm,
@@ -240,26 +240,31 @@ def test_every_density_is_a_state(data, d, k, kind):
 
 
 class TestDensitySlices:
-    """ParamChannel.density builds a cloner stack in slices of max(1, 2**14 // d**3) points."""
+    """ParamChannel.density traces a cloner stack in Kraus form: the dense trace's
+    values, with no tripartite state and peak memory flat in the stack size."""
 
     @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
-    @pytest.mark.parametrize("d,k", [(8, 40), (32, 3), (3, 5)])
-    def test_stack_over_slices_matches_each_point(self, kind, d, k, monkeypatch):
-        stack = PhaseVector.random(d, np.random.default_rng(d + k), k)
-        expect = [ParamChannel(kind).density(PhaseVector(d, row)) for row in stack.phases]
-        builder = f"{kind}_full_output"
-        full = getattr(channels, builder)
-        calls = []
-
-        def counting(p):
-            calls.append(len(p.phases))
-            return full(p)
-
-        monkeypatch.setattr(channels, builder, counting)
+    @pytest.mark.parametrize("d", range(2, FULL_UNITARY_DMAX + 1))
+    def test_stack_matches_the_dense_trace(self, kind, d):
+        stack = PhaseVector.random(d, np.random.default_rng(d), 3)
+        full = getattr(channels, f"{kind}_full_output")
         got = ParamChannel(kind).density(stack)
-        assert len(calls) == math.ceil(k / max(1, 2**14 // d**3)) and sum(calls) == k
-        for row, e in zip(got, expect):
-            assert np.array_equal(row, e)
+        assert_allclose(got, reduce_first_qudit(full(stack)), rtol=0, atol=1e-15)
+        for row, phases in zip(got, stack.phases):
+            assert np.array_equal(row, ParamChannel(kind).density(PhaseVector(d, phases)))
+
+    @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
+    def test_one_point_builds_no_tripartite_state(self, kind):
+        d = FULL_UNITARY_DMAX
+        p = PhaseVector.random(d, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            ParamChannel(kind).density(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one length-d^3 complex vector
+        assert peak < 16 * d**3
 
     def test_peak_memory_is_flat_in_the_stack_size(self):
         # the whole (1000, 512) tripartite stack alone would take 8 MB
@@ -270,7 +275,7 @@ class TestDensitySlices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output it fills, plus a few 256 KiB slices; no full second copy
+        # the output, plus a few (k, d) temporaries; no second (k, d, d) copy
         assert peak <= out.nbytes + 4 * 2**14 * 16
 
 
@@ -309,6 +314,12 @@ class TestCloningModel:
         assert ParamChannel("uqcm").shrinking_factor(3) == eta_uqcm(3)
         assert ParamChannel("pqcm").shrinking_factor(3) == eta_pqcm(3)
         assert ParamChannel("shrink", 0.5).shrinking_factor(3) == 0.5
+
+    @pytest.mark.parametrize("kind", MACHINES)
+    @pytest.mark.parametrize("d", [1, 0, 2.0, "x"])
+    def test_shrinking_factor_rejects_a_bad_dimension(self, kind, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            ParamChannel(kind, 0.4 if kind == "shrink" else None).shrinking_factor(d)
 
 
 class TestValidateDensityMatrix:

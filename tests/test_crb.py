@@ -85,6 +85,11 @@ class TestStructuredEigenvalues:
         assert lam1 == pytest.approx(1.0)
         assert np.isnan(lam2)
 
+    @pytest.mark.parametrize("d", [1, 0, 3.0])
+    def test_rejects_a_bad_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            qfim_eigenvalues(d, 1.0, 0.0)
+
     @pytest.mark.parametrize("d", [3, 7, 20])
     def test_matches_dense_eigensolver(self, d):
         for ch in (ParamChannel("uqcm"), ParamChannel("pqcm"), ParamChannel("shrink", 0.55)):

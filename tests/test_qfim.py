@@ -212,6 +212,11 @@ class TestDiagonalTermSums:
         with pytest.raises(ValueError, match="dim=3|dim=5|one phase point"):
             uqcm_diagonal_terms(4, p)
 
+    @pytest.mark.parametrize("d", [1, 2.0, "3"])
+    def test_rejects_a_bad_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            uqcm_diagonal_terms(d)
+
 
 _phase = st.one_of(
     st.floats(0.0, TWO_PI, exclude_max=True),
