@@ -43,7 +43,6 @@ from .qfim import (
     qfim_pqcm_entries,
     qfim_pure_entries,
     qfim_shrink_entries,
-    qfim_shrink_spectral,
     qfim_uqcm_entries,
     reconstruct_density,
     spectral_output,
@@ -88,7 +87,6 @@ __all__ = [
     "qfim_pqcm_entries",
     "qfim_pure_entries",
     "qfim_shrink_entries",
-    "qfim_shrink_spectral",
     "qfim_uqcm_entries",
     "reconstruct_density",
     "reduce_first_qudit",

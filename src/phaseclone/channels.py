@@ -22,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, equatorial_state
+from .states import PhaseVector, _check_dim, equatorial_state
 
-# vector length d**3 caps the explicit tripartite path; closed forms cover larger d
+# largest d of the traced cloners: the length-d**3 full outputs, the Kraus-form
+# ParamChannel.density, and so verify's traced-cloner and oracle checks; the
+# closed forms cover larger d
 FULL_UNITARY_DMAX = 32
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
-
-
-def _check_dim(d: int) -> int:
-    """Return d as a Python int: numpy integers overflow in the closed forms' products."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
 
 
 def _check_eta(eta: float) -> None:
@@ -77,14 +72,12 @@ def pqcm_coefficients(d: int) -> tuple[float, float]:
 def _check_full_unitary_dim(d: int) -> None:
     _check_dim(d)
     if d > FULL_UNITARY_DMAX:
-        raise ValueError(
-            f"full tripartite outputs are capped at d={FULL_UNITARY_DMAX}, got {d}"
-        )
+        raise ValueError(f"traced cloner outputs are capped at d={FULL_UNITARY_DMAX}, got {d}")
 
 
 def _isometry_amplitudes(kind: str, d: int) -> tuple[float, float]:
     """Amplitudes (diag, off) of the "uqcm" or "pqcm" cloner isometry at dimension d,
-    as _tripartite takes them; d is capped as for the full tripartite outputs."""
+    as _tripartite takes them; d is capped at FULL_UNITARY_DMAX."""
     _check_full_unitary_dim(d)
     if kind == "uqcm":
         return 2.0 / np.sqrt(2.0 * (d + 1)), 1.0 / np.sqrt(2.0 * (d + 1))

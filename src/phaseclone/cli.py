@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the verification suite, emit a JSON report")
     pv.add_argument(
-        "--dmax", type=int, default=8, help="cap for full-unitary checks (default %(default)s)"
+        "--dmax", type=int, default=8,
+        help="largest d of the traced-cloner and oracle checks (default %(default)s)",
     )
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--fd-step", dest="fd_step", type=float, default=DEFAULT_FD_STEP)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import _check_dim
 from .qfim import SpectralDecomposition, _check_shrink_args, _spectral_terms, _support_blocks
+from .states import _check_dim
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -31,24 +31,24 @@ def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return m - m.swapaxes(-1, -2)
 
 
-def attainability_closed(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
+def attainability_closed(sd: SpectralDecomposition) -> np.ndarray:
     """Imaginary parts of the commutator traces, as a real antisymmetric matrix.
 
     The bound for simultaneous estimation is attainable iff every entry
-    vanishes.  dvecs is laid out as in qfim_from_spectral, and a stack of
-    them gives a stack of matrices.
+    vanishes.  The sums use the eigenvector derivatives sd carries, and a
+    stack of decompositions gives a stack of matrices.
     """
-    ls, dsup, g = _support_blocks(sd, dvecs)
+    ls, dsup, g = _support_blocks(sd)
     out = 4.0 * _imag_form(dsup, ls[:, None])
     w = 8.0 * np.outer(ls, ls) * (ls[:, None] - ls[None, :]) / (ls[:, None] + ls[None, :]) ** 2
     out -= _imag_form(g.conj(), w)
     return out
 
 
-def _attainability_raw_weight(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
+def _attainability_raw_weight(sd: SpectralDecomposition) -> np.ndarray:
     # Im G with the unsymmetrized weight 16 lam_k^2 lam_l/(lam_k+lam_l)^2; equal to
     # attainability_closed after the antisymmetric-sum identity
-    first, second = _spectral_terms(sd, dvecs)
+    first, second = _spectral_terms(sd)
     return (first - second).imag
 
 

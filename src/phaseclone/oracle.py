@@ -31,6 +31,11 @@ DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
 
 
+def _check_step(h: float) -> None:
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h}")
+
+
 def _central_differences(fn, p: PhaseVector, h: float, rows=slice(None)) -> np.ndarray:
     """(fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h for every mu (or the mu - 1
     picked by rows), stacked as [..., mu-1] after the stack axes of p.
@@ -38,8 +43,7 @@ def _central_differences(fn, p: PhaseVector, h: float, rows=slice(None)) -> np.n
     fn is any function of the phases that maps a stack of points to a stack
     of results; it is called once, on every shifted point of every point of p.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step must be finite and positive, got {h}")
+    _check_step(h)
     shifts = h * np.eye(p.dim - 1)[rows]
     x = p.phases[..., None, :]
     pts = np.stack((x + shifts, x - shifts))
@@ -55,7 +59,7 @@ def rho_derivative(
 
     Builds only the two points phi +- h e_mu, as one stack.
     """
-    if not 1 <= mu <= p.dim - 1:
+    if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
     return _central_differences(channel.density, p, h, [mu - 1])[..., 0, :, :]
 

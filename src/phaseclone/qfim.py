@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_dim, _check_eta, eta_uqcm
-from .states import PhaseVector, _check_point, basis_derivatives, complement_basis
+from .channels import _check_eta, eta_uqcm
+from .states import PhaseVector, _check_dim, _check_point, basis_derivatives, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -140,14 +140,19 @@ class SpectralDecomposition:
     eigenvalues are stored in descending order; eigenvectors is a (d, d)
     array whose row i is the eigenvector of eigenvalues[i], or a (k, d, d)
     stack of them for a stack of phase points with the same eigenvalues.
+    derivatives has shape (nparams, d, d), derivatives[m, i] being the
+    derivative of eigenvector i with respect to parameter m, or
+    (k, nparams, d, d) for a stack.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    derivatives: np.ndarray
 
 
 def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
-    """Spectral decomposition of the shrinking-channel output.
+    """Spectral decomposition of the shrinking-channel output, with the
+    eigenvector derivatives from basis_derivatives(p).
 
     The equatorial state itself is an eigenvector with eigenvalue
     eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
@@ -157,7 +162,7 @@ def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     _check_eta(eta)
     d = p.dim
     lam = np.concatenate(([eta + (1.0 - eta) / d], np.full(d - 1, (1.0 - eta) / d)))
-    return SpectralDecomposition(lam, complement_basis(p))
+    return SpectralDecomposition(lam, complement_basis(p), basis_derivatives(p))
 
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
@@ -166,19 +171,19 @@ def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
     return (v.swapaxes(-1, -2) * sd.eigenvalues) @ v.conj()
 
 
-def _support_blocks(sd: SpectralDecomposition, dvecs: np.ndarray):
+def _support_blocks(sd: SpectralDecomposition):
     """Support eigenvalues ls, their eigenvector derivatives dsup (..., nparams, r, d)
     and the overlaps g[..., m, i, j] = <d_m psi_i|psi_j> over the support lam > 0."""
     lam = sd.eigenvalues
     sup = np.flatnonzero(lam > 0)
     if sup.size == 0:
         raise ValueError("density matrix has empty support")
-    dsup = np.asarray(dvecs)[..., sup, :]
+    dsup = np.asarray(sd.derivatives)[..., sup, :]
     g = np.einsum("...mic,...jc->...mij", dsup.conj(), sd.eigenvectors[..., sup, :])
     return lam[sup], dsup, g
 
 
-def _spectral_terms(sd: SpectralDecomposition, dvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_terms(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """The two complex sums of the spectral route, G = first - second, over the support:
 
         first[..., m, n]  = sum_i 4 lam_i <d_m psi_i|d_n psi_i>
@@ -188,7 +193,7 @@ def _spectral_terms(sd: SpectralDecomposition, dvecs: np.ndarray) -> tuple[np.nd
     G = Tr(rho L_m L_n) as in the oracle: the QFIM is Re(G + G^T)/2 and the
     attainability matrix Im G.
     """
-    ls, dsup, g = _support_blocks(sd, dvecs)
+    ls, dsup, g = _support_blocks(sd)
     flat = dsup.shape[:-2] + (-1,)
     weighted = (dsup.conj() * ls[:, None]).reshape(flat)
     first = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2))
@@ -197,28 +202,21 @@ def _spectral_terms(sd: SpectralDecomposition, dvecs: np.ndarray) -> tuple[np.nd
     return first, second
 
 
-def qfim_from_spectral(sd: SpectralDecomposition, dvecs: np.ndarray) -> np.ndarray:
-    """QFIM from a spectral decomposition and its eigenvector derivatives.
+def qfim_from_spectral(sd: SpectralDecomposition) -> np.ndarray:
+    """QFIM from a spectral decomposition and the eigenvector derivatives it carries.
 
-    dvecs has shape (nparams, d, d) with dvecs[m, i] the derivative of
-    eigenvector i with respect to parameter m (see basis_derivatives), or
-    (k, nparams, d, d) for a stack, which gives a (k, nparams, nparams)
-    stack.  The eigenvalues carry no phase dependence, so there is no
-    classical term.  All sums run over the support only.
+    A stack of decompositions gives a (k, nparams, nparams) stack.  The
+    eigenvalues carry no phase dependence, so there is no classical term.
+    All sums run over the support only.
     """
-    first, second = _spectral_terms(sd, dvecs)
+    first, second = _spectral_terms(sd)
     g = first - second
     return (g + g.swapaxes(-1, -2)).real / 2.0
 
 
-def qfim_shrink_spectral(p: PhaseVector, eta: float) -> np.ndarray:
-    """Spectral-route QFIM of the shrinking-channel output at phases p."""
-    return qfim_from_spectral(spectral_output(p, eta), basis_derivatives(p))
-
-
-def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, float]:
+def uqcm_diagonal_terms(p: PhaseVector) -> tuple[float, float]:
     """The two quantum sums making up the first diagonal QFIM entry of the
-    universal-cloner output, evaluated numerically at one phase point p of dim d.
+    universal-cloner output, evaluated numerically at one phase point p.
 
     Returns (first, second) with
 
@@ -230,11 +228,6 @@ def uqcm_diagonal_terms(d: int, p: PhaseVector | None = None) -> tuple[float, fl
     second sum because |<psi_m|d_1 psi_n>| is symmetric in n, m.  In closed
     form first = 4/d and second = 2(d^3+7d^2+8d+4)/((d+1)(d+4)d^2).
     """
-    d = _check_dim(d)
-    if p is None:
-        p = PhaseVector.zero(d)
     _check_point(p)
-    if p.dim != d:
-        raise ValueError(f"phase point has dim={p.dim}, expected d={d}")
-    first, second = _spectral_terms(spectral_output(p, eta_uqcm(d)), basis_derivatives(p))
+    first, second = _spectral_terms(spectral_output(p, eta_uqcm(p.dim)))
     return float(first[0, 0].real), float(second[0, 0].real)

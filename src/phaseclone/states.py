@@ -23,6 +23,13 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def _check_dim(d: int) -> int:
+    """Return d as a Python int: numpy integers overflow in the closed forms' products."""
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    return int(d)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseVector:
     """The d-1 free phases of an equatorial qudit; the reference phase is 0.
@@ -37,8 +44,7 @@ class PhaseVector:
     phases: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         phases = np.array(self.phases, dtype=float, ndmin=1)
         if phases.ndim > 2 or phases.shape[-1] != self.dim - 1:
             raise ValueError(
@@ -51,7 +57,6 @@ class PhaseVector:
         # np.mod can round tiny negatives up to exactly 2*pi
         phases[phases >= TWO_PI] = 0.0
         phases.setflags(write=False)
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "phases", phases)
 
     @classmethod
@@ -75,8 +80,8 @@ def _check_point(p: PhaseVector) -> None:
 
 
 def _check_param_index(dim: int, mu: int) -> None:
-    if not 1 <= mu <= dim - 1:
-        raise IndexError(f"parameter index must be in 1..{dim - 1}, got {mu}")
+    if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= dim - 1:
+        raise IndexError(f"parameter index must be an integer in 1..{dim - 1}, got {mu}")
 
 
 def equatorial_state(p: PhaseVector) -> np.ndarray:

@@ -101,10 +101,8 @@ class CheckResult:
 
 def check_arguments(dmax_full: int, fd_step: float, tolerances: dict[str, float]) -> None:
     """Raise ValueError for arguments run_verification cannot honour as given."""
-    if not 2 <= dmax_full <= channels.FULL_UNITARY_DMAX:
-        raise ValueError(f"dmax must satisfy 2 <= dmax <= {channels.FULL_UNITARY_DMAX}, got {dmax_full}")
-    if not (np.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd-step must be a finite positive number, got {fd_step}")
+    channels._check_full_unitary_dim(dmax_full)
+    oracle._check_step(fd_step)
     for name, tol in tolerances.items():
         if name not in TOLERANCES:
             raise ValueError(f"no check is named {name!r}")
@@ -135,7 +133,10 @@ def run_verification(
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    def add(name: str, err: float) -> None:
+    def add(name: str, *errs: float) -> None:
+        # one scalar error per draw; the worst of them, at least 0, and NaN if
+        # any is NaN (max() keeps whichever of a NaN and a number comes first)
+        err = float("nan") if np.isnan(errs).any() else max(0.0, *errs)
         res = CheckResult(name, float(err), float(tolerances.get(name, TOLERANCES[name])))
         results.append(res)
         if progress is not None:
@@ -144,66 +145,66 @@ def run_verification(
     full_dims = list(range(2, dmax_full + 1))
 
     # --- state and basis construction ---------------------------------
-    err = 0.0
+    errs = []
     for d in range(2, 17):
         b = states.complement_basis(PhaseVector.random(d, rng, 100))
-        err = max(err, np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
-    add("complement_basis_orthonormality", err)
+        errs.append(np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
+    add("complement_basis_orthonormality", *errs)
 
-    err = 0.0
+    errs = []
     for d in range(2, 17):
         for _ in range(10):
             p = PhaseVector.random(d, rng)
             gen = states.phase_shift_unitary(p) @ states.equatorial_state(PhaseVector.zero(d))
-            err = max(err, np.abs(states.equatorial_state(p) - gen).max())
-    add("phase_shift_generates_state", err)
+            errs.append(np.abs(states.equatorial_state(p) - gen).max())
+    add("phase_shift_generates_state", *errs)
 
-    err = 0.0
+    errs = []
     for d in (2, 3, 5, 8):
         p = PhaseVector.random(d, rng)
         fd = oracle._central_differences(states.equatorial_state, p, 1e-5)
         for mu in range(1, d):
-            err = max(err, np.abs(states.state_derivative(p, mu) - fd[mu - 1]).max())
-    add("state_derivative_finite_difference", err)
+            errs.append(np.abs(states.state_derivative(p, mu) - fd[mu - 1]).max())
+    add("state_derivative_finite_difference", *errs)
 
-    err = 0.0
+    errs = []
     for d in (2, 3, 4, 6):
         p = PhaseVector.random(d, rng)
         fd = oracle._central_differences(states.complement_basis, p, 1e-5)
-        err = max(err, np.abs(states.basis_derivatives(p) - fd).max())
-    add("basis_derivative_finite_difference", err)
+        errs.append(np.abs(states.basis_derivatives(p) - fd).max())
+    add("basis_derivative_finite_difference", *errs)
 
-    err = 0.0
+    errs = []
     for d in (2, 5, 9):
         p = PhaseVector.random(d, rng)
         for mu in range(1, d):
             shift = np.zeros(d - 1)
             shift[mu - 1] = 2 * np.pi
             q = PhaseVector(d, p.phases + shift)
-            err = max(err, np.abs(states.equatorial_state(p) - states.equatorial_state(q)).max())
-            err = max(err, np.abs(states.complement_basis(p) - states.complement_basis(q)).max())
-            err = max(err, np.abs(channels.shrink_output(p, 0.7) - channels.shrink_output(q, 0.7)).max())
-    add("gauge_period_invariance", err)
+            errs.append(np.abs(states.equatorial_state(p) - states.equatorial_state(q)).max())
+            errs.append(np.abs(states.complement_basis(p) - states.complement_basis(q)).max())
+            errs.append(np.abs(channels.shrink_output(p, 0.7) - channels.shrink_output(q, 0.7)).max())
+    add("gauge_period_invariance", *errs)
 
     # --- cloning channels ----------------------------------------------
     # density is the partial trace of each cloner isometry; each draw is
     # traced once and feeds both checks
     fidelity = {}
     for ch in (UQCM, PQCM):
-        err = fid = 0.0
+        errs, fid = [], []
         for d in full_dims:
             eta = ch.shrinking_factor(d)
             fault = 1e-3 if mutate and ch is UQCM else 0.0  # only the scaling form must catch it
             p = PhaseVector.random(d, rng, 20)
             rho = ch.density(p)
-            err = max(err, *map(np.linalg.norm, rho - channels.shrink_output(p, eta + fault)))
+            errs.extend(map(np.linalg.norm, rho - channels.shrink_output(p, eta + fault)))
             psi = states.equatorial_state(p)
             fids = (psi.conj()[:, None, :] @ rho @ psi[:, :, None])[:, 0, 0].real
-            fid = max(fid, fids.max() - fids.min(), np.abs(fids - (eta + (1 - eta) / d)).max())
-        add(f"scaling_form_{ch.kind}", err)
+            fid += [fids.max() - fids.min(), np.abs(fids - (eta + (1 - eta) / d)).max()]
+        add(f"scaling_form_{ch.kind}", *errs)
         fidelity[ch.kind] = fid
     for kind, fid in fidelity.items():
-        add(f"fidelity_phase_independence_{kind}", fid)
+        add(f"fidelity_phase_independence_{kind}", *fid)
 
     add("eta_uqcm_large_d_limit", abs(channels.eta_uqcm(100) - 0.5))
     add("eta_pqcm_large_d_limit", abs(channels.eta_pqcm(100) - 0.5))
@@ -211,164 +212,162 @@ def run_verification(
 
     # --- closed forms vs the spectral route ------------------------------
     for ch in (UQCM, PQCM, SHRINK):
-        err = 0.0
+        errs = []
         for d in range(2, 11):
-            p = PhaseVector.random(d, rng)
-            spectral = qfim.qfim_shrink_spectral(p, ch.shrinking_factor(d))
-            err = max(err, np.abs(spectral - qfim.closed_qfim(ch, d)).max())
-        add(f"spectral_vs_closed_{ch.kind}", err)
+            sd = qfim.spectral_output(PhaseVector.random(d, rng), ch.shrinking_factor(d))
+            errs.append(np.abs(qfim.qfim_from_spectral(sd) - qfim.closed_qfim(ch, d)).max())
+        add(f"spectral_vs_closed_{ch.kind}", *errs)
 
-    err = 0.0
+    errs = []
     for d in range(2, 13):
-        first, second = qfim.uqcm_diagonal_terms(d, PhaseVector.random(d, rng))
+        first, second = qfim.uqcm_diagonal_terms(PhaseVector.random(d, rng))
         second_closed = 2.0 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
-        err = max(err, abs(first - 4.0 / d), abs(second - second_closed))
-        err = max(err, abs((first - second) - qfim.qfim_uqcm_entries(d)[0]))
-    add("uqcm_diagonal_term_sums", err)
+        errs += [
+            abs(first - 4.0 / d),
+            abs(second - second_closed),
+            abs((first - second) - qfim.qfim_uqcm_entries(d)[0]),
+        ]
+    add("uqcm_diagonal_term_sums", *errs)
 
-    err = max(
-        abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d))
-        for d in range(2, 65)
+    add(
+        "telescoping_sum_identity",
+        *(abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d)) for d in range(2, 65)),
     )
-    add("telescoping_sum_identity", err)
 
-    err = 0.0
+    errs = []
     for d in range(2, 33):
         for ch in CHANNELS:
-            err = max(err, max(qfim.equatorial_structure_residuals(qfim.closed_qfim(ch, d))))
-    add("diag_offdiag_relation", err)
+            errs.append(max(qfim.equatorial_structure_residuals(qfim.closed_qfim(ch, d))))
+    add("diag_offdiag_relation", *errs)
 
-    err = 0.0
+    errs = []
     for d in (3, 5):
         eta = channels.eta_uqcm(d)
-        ref = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng), eta)
-        f = qfim.qfim_shrink_spectral(PhaseVector.random(d, rng, 9), eta)
-        err = max(err, np.abs(f - ref).max())
-    add("qfim_phase_independence", err)
+        ref = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng), eta))
+        f = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng, 9), eta))
+        errs.append(np.abs(f - ref).max())
+    add("qfim_phase_independence", *errs)
 
     # --- orderings and inequalities --------------------------------------
-    err = 0.0
+    errs = []
     for d in range(2, 65):
         gap = qfim.closed_qfim(PQCM, d) - qfim.closed_qfim(UQCM, d)
-        err = max(err, -np.linalg.eigvalsh(gap)[0])
-    add("pqcm_minus_uqcm_psd", err)
+        errs.append(-np.linalg.eigvalsh(gap)[0])
+    add("pqcm_minus_uqcm_psd", *errs)
 
-    err = max(
-        max(0.0, qfim.qfim_uqcm_entries(d)[0] - qfim.qfim_pqcm_entries(d)[0])
-        for d in range(2, 1001)
+    add(
+        "pqcm_diagonal_dominates",
+        *(qfim.qfim_uqcm_entries(d)[0] - qfim.qfim_pqcm_entries(d)[0] for d in range(2, 1001)),
     )
-    add("pqcm_diagonal_dominates", err)
 
-    err = 0.0
+    errs = []
     for d in range(2, 65):
         bound = channels.eta_uqcm(d) * qfim.qfim_pure_entries(d)[0]
-        err = max(err, qfim.qfim_uqcm_entries(d)[0] - bound)
-    add("information_shrinks_under_cloning", max(0.0, err))
+        errs.append(qfim.qfim_uqcm_entries(d)[0] - bound)
+    add("information_shrinks_under_cloning", *errs)
 
     for ch in (UQCM, PQCM):
-        err = 0.0
+        errs = []
         for d in range(2, 65):
             fs = qfim.qfim_shrink_entries(d, ch.shrinking_factor(d))
-            err = max(err, *np.abs(np.subtract(qfim.closed_entries(ch, d), fs)))
-        add(f"{ch.kind}_matches_generic_shrink", err)
+            errs.extend(np.abs(np.subtract(qfim.closed_entries(ch, d), fs)))
+        add(f"{ch.kind}_matches_generic_shrink", *errs)
 
-    err = 0.0
+    errs = []
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         diags = np.array([qfim.qfim_shrink_entries(d, e)[0] for e in etas])
-        err = max(err, max(0.0, -np.diff(diags).min()))
-    add("qfim_monotone_in_eta", err)
+        errs.append(-np.diff(diags).min())
+    add("qfim_monotone_in_eta", *errs)
 
     # --- variance bounds --------------------------------------------------
-    err = 0.0
+    errs = []
     for d in range(2, 33):
         for eta in (0.3, 0.5, channels.eta_uqcm(d), channels.eta_pqcm(d), 1.0):
             f = qfim.closed_qfim(channels.ParamChannel("shrink", eta), d)
             dense = float(np.trace(np.linalg.inv(f)).real)
-            err = max(err, abs(crb.total_variance_bound(d, eta) - dense))
-    add("variance_trace_inverse", err)
+            errs.append(abs(crb.total_variance_bound(d, eta) - dense))
+    add("variance_trace_inverse", *errs)
 
-    err = max(
-        abs(crb.total_variance_bound(d, 1.0) - d * (d - 1) / 2.0)
-        for d in range(2, 65)
+    add(
+        "variance_pure_closed_form",
+        *(abs(crb.total_variance_bound(d, 1.0) - d * (d - 1) / 2.0) for d in range(2, 65)),
     )
-    add("variance_pure_closed_form", err)
 
-    err = 0.0
+    errs = []
     for d in range(2, 21):
         e_in = crb.total_variance_bound(d, 1.0)
         e_u = crb.total_variance_bound(d, channels.eta_uqcm(d))
         e_p = crb.total_variance_bound(d, channels.eta_pqcm(d))
-        err = max(err, e_in - e_p, e_p - e_u)
-    add("variance_ordering", max(0.0, err))
+        errs += [e_in - e_p, e_p - e_u]
+    add("variance_ordering", *errs)
 
-    err = 0.0
+    errs = []
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         bounds = np.array([crb.total_variance_bound(d, e) for e in etas])
-        err = max(err, max(0.0, np.diff(bounds).max()))
-    add("variance_monotone_in_eta", err)
+        errs.append(np.diff(bounds).max())
+    add("variance_monotone_in_eta", *errs)
 
-    err = 0.0
+    errs = []
     for d in range(2, 17):
         inv_eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(qfim.closed_qfim(PURE, d))))
         expect = np.sort(np.concatenate((np.full(d - 2, d / 4.0), [d * d / 4.0])))
-        err = max(err, np.abs(inv_eigs - expect).max())
-    add("pure_inverse_eigenvalues", err)
+        errs.append(np.abs(inv_eigs - expect).max())
+    add("pure_inverse_eigenvalues", *errs)
 
-    err = 0.0
+    errs = []
     for d in range(3, 33):
         for ch in (UQCM, PQCM):
             l1, l2 = crb.qfim_eigenvalues(d, *qfim.closed_entries(ch, d))
             structured = np.sort(np.concatenate(([l1], np.full(d - 2, l2))))
-            err = max(err, np.abs(structured - np.linalg.eigvalsh(qfim.closed_qfim(ch, d))).max())
-    add("structured_vs_dense_eigenvalues", err)
+            errs.append(np.abs(structured - np.linalg.eigvalsh(qfim.closed_qfim(ch, d))).max())
+    add("structured_vs_dense_eigenvalues", *errs)
 
-    err = 0.0
+    errs = []
     for d in range(2, 11):
         for eta in (0.5, channels.eta_uqcm(d)):
             p = PhaseVector.random(d, rng)
             rho = qfim.reconstruct_density(qfim.spectral_output(p, eta))
-            err = max(err, np.abs(rho - channels.shrink_output(p, eta)).max())
-    add("spectral_reconstruction", err)
+            errs.append(np.abs(rho - channels.shrink_output(p, eta)).max())
+    add("spectral_reconstruction", *errs)
 
     # --- attainability ----------------------------------------------------
     # one closed matrix per draw, against zero, its raw-weight form and the oracle
-    err_closed = err_forms = err_num = err_agree = 0.0
+    err_closed, err_forms, err_num, err_agree = [], [], [], []
     for d in full_dims:
         for ch in (PURE, UQCM, PQCM):
             p = PhaseVector.random(d, rng, 10)
             sd = qfim.spectral_output(p, ch.shrinking_factor(d))
-            dv = states.basis_derivatives(p)
-            a = crb.attainability_closed(sd, dv)
+            a = crb.attainability_closed(sd)
             num = oracle.attainability_numeric(ch, p, fd_step)
-            err_closed = max(err_closed, np.abs(a).max())
-            err_forms = max(err_forms, np.abs(a - crb._attainability_raw_weight(sd, dv)).max())
-            err_num = max(err_num, np.abs(num).max())
-            err_agree = max(err_agree, np.abs(num - a).max())
-    add("attainability_closed_zero", err_closed)
-    add("attainability_weight_forms_agree", err_forms)
-    add("attainability_numeric_zero", err_num)
-    add("attainability_paths_agree", err_agree)
+            err_closed.append(np.abs(a).max())
+            err_forms.append(np.abs(a - crb._attainability_raw_weight(sd)).max())
+            err_num.append(np.abs(num).max())
+            err_agree.append(np.abs(num - a).max())
+    add("attainability_closed_zero", *err_closed)
+    add("attainability_weight_forms_agree", *err_forms)
+    add("attainability_numeric_zero", *err_num)
+    add("attainability_paths_agree", *err_agree)
 
     # --- finite-difference oracle vs closed forms -------------------------
     for ch in CHANNELS:
-        err = 0.0
+        errs = []
         for d in full_dims:
             closed = qfim.closed_qfim(ch, d)
             p = PhaseVector.random(d, rng, 5)
-            err = max(err, np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
-        add(f"oracle_agreement_{ch.kind}", err)
+            errs.append(np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
+        add(f"oracle_agreement_{ch.kind}", *errs)
 
-    err = 0.0
+    errs = []
     for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5)):
         p = PhaseVector.random(d, rng)
         coarse = oracle.qfim_numeric(ch, p, 1e-4)
         fine = oracle.qfim_numeric(ch, p, 5e-5)
-        err = max(err, np.abs(coarse - fine).max())
-    add("oracle_step_robustness", err)
+        errs.append(np.abs(coarse - fine).max())
+    add("oracle_step_robustness", *errs)
 
-    err = 0.0
+    errs = []
     for d in full_dims:
         for ch in CHANNELS:
             p = PhaseVector.random(d, rng, 3)
@@ -376,7 +375,7 @@ def run_verification(
             drho = oracle._central_differences(ch.density, p, fd_step)
             sld = oracle.sld_solve(rho, drho)
             residual = drho - 0.5 * (rho @ sld + sld @ rho)
-            err = max(err, np.linalg.norm(residual, axis=(-2, -1)).max())
-    add("sld_residual", err)
+            errs.append(np.linalg.norm(residual, axis=(-2, -1)).max())
+    add("sld_residual", *errs)
 
     return results

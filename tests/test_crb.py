@@ -19,7 +19,7 @@ from phaseclone.qfim import (
     qfim_shrink_entries,
     spectral_output,
 )
-from phaseclone.states import PhaseVector, basis_derivatives
+from phaseclone.states import PhaseVector
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 9])
@@ -27,50 +27,32 @@ def test_spectral_route_maps_a_stack(d):
     """A (k, d-1) stack of phase points gives the per-point matrices bit for bit."""
     stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)
     for eta in (1.0, eta_uqcm(d), 0.3):
-        sd, dvecs = spectral_output(stack, eta), basis_derivatives(stack)
+        sd = spectral_output(stack, eta)
         for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
-            got = fn(sd, dvecs)
+            got = fn(sd)
             assert got.shape == (4, d - 1, d - 1)
             for row, phases in zip(got, stack.phases):
                 p = PhaseVector(d, phases)
-                assert np.array_equal(row, fn(spectral_output(p, eta), basis_derivatives(p)))
+                assert np.array_equal(row, fn(spectral_output(p, eta)))
 
 
 class TestAttainability:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_vanishes_for_equatorial_family(self, d):
-        rng = np.random.default_rng(d)
-        for eta in (1.0, eta_uqcm(d), eta_pqcm(d)):
-            for _ in range(3):
-                p = PhaseVector.random(d, rng)
-                a = attainability_closed(spectral_output(p, eta), basis_derivatives(p))
-                assert np.abs(a).max() < 1e-10
-
     def test_pure_state_vanishes(self):
         # rank-1 support: only the state itself contributes
         p = PhaseVector.random(6, np.random.default_rng(0))
-        a = attainability_closed(spectral_output(p, 1.0), basis_derivatives(p))
+        a = attainability_closed(spectral_output(p, 1.0))
         assert np.abs(a).max() < 1e-12
 
     def test_antisymmetry(self):
         p = PhaseVector.random(5, np.random.default_rng(1))
-        a = attainability_closed(spectral_output(p, 0.6), basis_derivatives(p))
+        a = attainability_closed(spectral_output(p, 0.6))
         assert np.abs(a + a.T).max() < 1e-12
         assert np.all(np.diag(a) == 0.0)
 
-    @pytest.mark.parametrize("d", [2, 3, 6])
-    def test_weight_forms_agree(self, d):
-        # symmetrized (lam_k - lam_l) weight equals the raw 16 lam^2 lam form
-        # after the antisymmetric-sum identity
-        p = PhaseVector.random(d, np.random.default_rng(d))
-        sd = spectral_output(p, eta_uqcm(d))
-        dv = basis_derivatives(p)
-        assert np.abs(attainability_closed(sd, dv) - _attainability_raw_weight(sd, dv)).max() < 1e-12
-
     def test_empty_support_raises(self):
-        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex))
+        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
         with pytest.raises(ValueError):
-            attainability_closed(sd, np.zeros((2, 3, 3), dtype=complex))
+            attainability_closed(sd)
 
 
 class TestStructuredEigenvalues:

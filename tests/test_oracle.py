@@ -22,7 +22,6 @@ from phaseclone.qfim import closed_qfim, spectral_output
 from phaseclone.states import (
     TWO_PI,
     PhaseVector,
-    basis_derivatives,
     complement_basis,
     equatorial_state,
     state_derivative,
@@ -150,7 +149,7 @@ class TestRhoDerivative:
         with pytest.raises(ValueError, match="step"):
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
 
-    @pytest.mark.parametrize("mu", [0, -1, 4])
+    @pytest.mark.parametrize("mu", [0, -1, 4, 1.5])
     def test_rejects_parameter_index_outside_range(self, mu):
         # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError
         p = PhaseVector.random(4, np.random.default_rng(9))
@@ -331,7 +330,7 @@ class TestAttainabilityNumeric:
         for kind, eta in (("pure", 1.0), ("uqcm", eta_uqcm(d)), ("pqcm", eta_pqcm(d))):
             p = PhaseVector.random(d, rng)
             num = attainability_numeric(ParamChannel(kind), p)
-            closed = attainability_closed(spectral_output(p, eta), basis_derivatives(p))
+            closed = attainability_closed(spectral_output(p, eta))
             assert np.abs(num - closed).max() < 1e-6
 
 

@@ -15,7 +15,6 @@ from phaseclone.qfim import (
     qfim_pqcm_entries,
     qfim_pure_entries,
     qfim_shrink_entries,
-    qfim_shrink_spectral,
     qfim_uqcm_entries,
     reconstruct_density,
     spectral_output,
@@ -129,7 +128,8 @@ class TestStructureResiduals:
             family = [closed_qfim(PURE, d), closed_qfim(UQCM, d), closed_qfim(PQCM, d)]
             family.append(closed_qfim(ParamChannel("shrink", rng.uniform(0.2, 1.0)), d))
             if d <= 10:
-                family.append(qfim_shrink_spectral(PhaseVector.random(d, rng), eta_uqcm(d)))
+                sd = spectral_output(PhaseVector.random(d, rng), eta_uqcm(d))
+                family.append(qfim_from_spectral(sd))
             assert max(max(equatorial_structure_residuals(f)) for f in family) < 1e-10
 
     def test_detects_broken_structure(self):
@@ -166,31 +166,38 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_reproduces_uqcm_closed_form(self, d):
         p = PhaseVector.random(d, np.random.default_rng(50 + d))
-        f = qfim_shrink_spectral(p, eta_uqcm(d))
+        f = qfim_from_spectral(spectral_output(p, eta_uqcm(d)))
         assert np.abs(f - closed_qfim(UQCM, d)).max() < 1e-10
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_reproduces_pqcm_closed_form(self, d):
         p = PhaseVector.random(d, np.random.default_rng(60 + d))
-        f = qfim_shrink_spectral(p, eta_pqcm(d))
+        f = qfim_from_spectral(spectral_output(p, eta_pqcm(d)))
         assert np.abs(f - closed_qfim(PQCM, d)).max() < 1e-10
 
     def test_rank_one_reduces_to_pure(self):
         d = 6
         p = PhaseVector.random(d, np.random.default_rng(1))
-        f = qfim_shrink_spectral(p, 1.0)
+        f = qfim_from_spectral(spectral_output(p, 1.0))
         assert np.abs(f - closed_qfim(PURE, d)).max() < 1e-12
 
     def test_empty_support_raises(self):
-        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex))
+        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
         with pytest.raises(ValueError):
-            qfim_from_spectral(sd, np.zeros((2, 3, 3), dtype=complex))
+            qfim_from_spectral(sd)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_stack_carries_its_derivatives(self, d):
+        stack = PhaseVector.random(d, np.random.default_rng(70 + d), 4)
+        sd = spectral_output(stack, 0.6)
+        assert sd.derivatives.shape == (4, d - 1, d, d)
+        assert np.array_equal(sd.derivatives, basis_derivatives(stack))
 
 
 class TestDiagonalTermSums:
     def test_qubit_values(self):
         # 4/d = 2 and 2(8+28+16+4)/(3*6*4) = 14/9; difference is the 4/9 diagonal
-        first, second = uqcm_diagonal_terms(2)
+        first, second = uqcm_diagonal_terms(PhaseVector.zero(2))
         assert first == pytest.approx(2.0, abs=1e-12)
         assert second == pytest.approx(14 / 9, abs=1e-12)
         assert first - second == pytest.approx(4 / 9, abs=1e-12)
@@ -198,24 +205,16 @@ class TestDiagonalTermSums:
     @pytest.mark.parametrize("d", range(2, 13))
     def test_closed_forms(self, d):
         p = PhaseVector.random(d, np.random.default_rng(d))
-        first, second = uqcm_diagonal_terms(d, p)
+        first, second = uqcm_diagonal_terms(p)
         second_closed = 2 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
         assert abs(first - 4 / d) < 1e-10
         assert abs(second - second_closed) < 1e-10
         assert abs((first - second) - qfim_uqcm_entries(d)[0]) < 1e-10
 
-    @pytest.mark.parametrize(
-        "p", [PhaseVector.zero(3), PhaseVector.zero(5), PhaseVector(4, np.zeros((2, 3)))],
-        ids=["d3", "d5", "stack"],
-    )
+    @pytest.mark.parametrize("p", [PhaseVector(4, np.zeros((2, 3)))], ids=["stack"])
     def test_rejects_a_point_of_another_dimension_or_a_stack(self, p):
-        with pytest.raises(ValueError, match="dim=3|dim=5|one phase point"):
-            uqcm_diagonal_terms(4, p)
-
-    @pytest.mark.parametrize("d", [1, 2.0, "3"])
-    def test_rejects_a_bad_dimension(self, d):
-        with pytest.raises(ValueError, match="dimension must be an integer"):
-            uqcm_diagonal_terms(d)
+        with pytest.raises(ValueError, match="one phase point"):
+            uqcm_diagonal_terms(p)
 
 
 _phase = st.one_of(
@@ -233,8 +232,8 @@ _eta = st.one_of(
 @given(data=st.data(), d=st.integers(2, 64), eta=_eta)
 def test_spectral_route_property(data, d, eta):
     p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
-    sd, dvecs = spectral_output(p, eta), basis_derivatives(p)
-    f = qfim_from_spectral(sd, dvecs)
+    sd = spectral_output(p, eta)
+    f = qfim_from_spectral(sd)
     fdiag, foff = closed_entries(ParamChannel("shrink", eta), d)
     off = f[~np.eye(d - 1, dtype=bool)]
     # rounding of the O(1/d) spectral terms; the support is lam > 0, so no
@@ -244,7 +243,7 @@ def test_spectral_route_property(data, d, eta):
     assert np.all(np.abs(off - foff) <= tol)
     # F_diag = -(d-1) F_off, entry by entry
     assert np.abs(np.diag(f)[:, None] + (d - 1) * off[None, :]).max(initial=0.0) <= tol
-    assert np.abs(attainability_closed(sd, dvecs)).max() <= 1e-10
+    assert np.abs(attainability_closed(sd)).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)

@@ -163,6 +163,8 @@ class TestStateDerivative:
             state_derivative(p, 0)
         with pytest.raises(IndexError):
             state_derivative(p, 3)
+        with pytest.raises(IndexError, match="integer"):
+            state_derivative(p, 1.5)
 
 
 class TestComplementBasis:

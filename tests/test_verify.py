@@ -3,8 +3,10 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from phaseclone import oracle
 from phaseclone.verify import TOLERANCES, run_verification
 
 
@@ -28,19 +30,32 @@ def test_undeclared_check_is_an_error(monkeypatch):
     [
         {"dmax_full": 1},
         {"dmax_full": 33},
+        {"dmax_full": 8.5},
         {"fd_step": 0.0},
         {"fd_step": float("nan")},
         {"tolerances": {"scaling_form_uqc": 1.0}},
         {"tolerances": {"sld_residual": float("nan")}},
         {"tolerances": {"sld_residual": -1.0}},
     ],
-    ids=["dmax1", "dmax33", "step0", "step-nan", "unknown-name", "tol-nan", "tol-negative"],
+    ids=["dmax1", "dmax33", "dmax-float", "step0", "step-nan", "unknown-name", "tol-nan", "tol-negative"],
 )
 def test_bad_arguments_rejected_before_any_check(kwargs):
     seen = []
     with pytest.raises(ValueError):
         run_verification(progress=seen.append, **kwargs)
     assert seen == []
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    """A check whose error is NaN fails; max() would have kept the 0.0 it starts from."""
+    def nan_qfim(ch, p, h):
+        return np.full(p.phases.shape[:-1] + (p.dim - 1, p.dim - 1), np.nan)
+
+    monkeypatch.setattr(oracle, "qfim_numeric", nan_qfim)
+    by_name = {r.name: r for r in run_verification(dmax_full=2)}
+    for kind in ("pure", "uqcm", "pqcm", "shrink"):
+        assert np.isnan(by_name[f"oracle_agreement_{kind}"].max_error)
+        assert not by_name[f"oracle_agreement_{kind}"].passed
 
 
 def test_no_unit_test_repeats_a_check():
