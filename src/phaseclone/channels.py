@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, equatorial_state
+from .states import PhaseVector, _check_dim, _check_dims, equatorial_state
 
 # largest d of the traced cloners: the length-d**3 full outputs, the Kraus-form
 # ParamChannel.density, and so verify's traced-cloner and oracle checks; the
@@ -32,20 +32,24 @@ FULL_UNITARY_DMAX = 32
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
 
-def _check_eta(eta: float) -> None:
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"shrinking factor must lie in (0, 1], got {eta}")
+def _check_eta(eta: float | np.ndarray) -> None:
+    """Reject a shrinking factor outside (0, 1], or an array of them whose extremes are."""
+    for e in (eta.min(), eta.max()) if isinstance(eta, np.ndarray) else (eta,):
+        if not (0.0 < e <= 1.0):
+            raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
 
 
-def eta_uqcm(d: int) -> float:
-    """Shrinking factor (d+2)/(2(d+1)) of the universal cloner."""
-    d = _check_dim(d)
+def eta_uqcm(d: int | np.ndarray) -> float | np.ndarray:
+    """Shrinking factor (d+2)/(2(d+1)) of the universal cloner; d is one integer
+    or a 1-D integer array (states._check_dims), giving a float or a column."""
+    d = _check_dims(d)
     return (d + 2) / (2.0 * (d + 1))
 
 
-def eta_pqcm(d: int) -> float:
-    """Shrinking factor (d-2+sqrt(d^2+4d-4))/(4(d-1)) of the phase-covariant cloner."""
-    d = _check_dim(d)
+def eta_pqcm(d: int | np.ndarray) -> float | np.ndarray:
+    """Shrinking factor (d-2+sqrt(d^2+4d-4))/(4(d-1)) of the phase-covariant cloner,
+    at one d or a column of them as eta_uqcm."""
+    d = _check_dims(d)
     return (d - 2 + np.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * (d - 1))
 
 
@@ -186,15 +190,15 @@ class ParamChannel:
         elif self.eta is not None:
             raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
 
-    def shrinking_factor(self, d: int) -> float:
-        d = _check_dim(d)
-        if self.kind == "pure":
-            return 1.0
+    def shrinking_factor(self, d: int | np.ndarray) -> float | np.ndarray:
+        """eta at one d (a float) or at a 1-D integer array of d (a column)."""
         if self.kind == "uqcm":
             return eta_uqcm(d)
         if self.kind == "pqcm":
             return eta_pqcm(d)
-        return float(self.eta)
+        d = _check_dims(d)
+        eta = 1.0 if self.kind == "pure" else float(self.eta)
+        return np.full(d.shape, eta) if isinstance(d, np.ndarray) else eta
 
     def density(self, p: PhaseVector) -> np.ndarray:
         if self.kind == "pure":

@@ -16,9 +16,10 @@ Each option and its default is declared once, in build_parser.  A key=value
 config file (--config) supplies new defaults for the subcommand: main parses
 argv, installs the file's values with set_defaults and parses argv again, so
 argparse casts each value with its flag's type and explicit flags win.  A key
-that names no option of the subcommand is a usage error.  CSV output uses a
-header row, 12 significant digits, and LF line endings, so fixed inputs give
-byte-identical files.
+that names no option of the subcommand is a usage error.  compute and figure
+call each closed form once, on the whole column of dimensions, and write each
+CSV row from one %-template.  CSV output uses a header row, 12 significant
+digits, and LF line endings, so fixed inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from . import __version__
 from .channels import MACHINES, ParamChannel, eta_pqcm, eta_uqcm
 from .crb import qfim_eigenvalues, total_variance_bound
 from .oracle import DEFAULT_FD_STEP
-from .qfim import (
-    CLOSED_FORM_DMAX,
-    closed_entries,
-    qfim_pqcm_entries,
-    qfim_pure_entries,
-    qfim_uqcm_entries,
-)
+from .qfim import CLOSED_FORM_DMAX, closed_entries, qfim_pqcm_entries, qfim_pure_entries, qfim_uqcm_entries
 from .verify import DEFAULT_SEED, CheckResult, check_arguments, run_verification
 
 EXIT_OK = 0
@@ -57,14 +52,6 @@ def _check_seed(seed: int) -> None:
         raise UsageError("--seed must be a non-negative integer")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -73,10 +60,20 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list], comments: list[str] | None = None) -> str:
-    lines = list(comments or [])
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _dim_column(dmin: int, dmax: int) -> np.ndarray:
+    if dmax > CLOSED_FORM_DMAX:  # checked before the column is built
+        raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
+    return np.arange(dmin, dmax + 1)
+
+
+def _rows(columns) -> zip:
+    """Rows of equal-length array columns, as tuples of Python numbers."""
+    return zip(*(c.tolist() for c in columns))
+
+
+def _csv_text(header: list[str], row_format: str, columns, comments: list[str] = ()) -> str:
+    """CSV text with one row_format line per row of the columns."""
+    lines = [*comments, ",".join(header), *(row_format % row for row in _rows(columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -90,10 +87,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if not 2 <= args.dmin <= args.dmax:
         raise UsageError("--dmin/--dmax must satisfy 2 <= dmin <= dmax")
-    try:  # |F_off| shrinks with d: the closed forms accepting dmax and eta there cover every row
-        closed_entries(channel, args.dmax)
+    dims = _dim_column(args.dmin, args.dmax)
+    try:  # each closed form once, over the whole column
+        eta = channel.shrinking_factor(dims)
+        fdiag, foff = closed_entries(channel, dims)
+        var_min = total_variance_bound(dims, eta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    lam1, lam2 = qfim_eigenvalues(dims, fdiag, foff)
     if args.fmt not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
     phases = None if args.phases is None else _parse_phases(args.phases)
@@ -109,32 +110,22 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "d", "eta", "f_diag", "f_offdiag",
         "lambda1", "lambda2", "total_variance_min", "attainable",
     ]
-    rows = []
-    for d in range(args.dmin, args.dmax + 1):
-        eta = channel.shrinking_factor(d)
-        fdiag, foff = closed_entries(channel, d)
-        lam1, lam2 = qfim_eigenvalues(d, fdiag, foff)
-        var_min = total_variance_bound(d, eta)
-        # the attainability matrix vanishes identically for the equatorial
-        # family; verify's spectral and oracle checks carry the numerical evidence
-        rows.append([d, eta, fdiag, foff, lam1, lam2, var_min, True])
-
+    # the attainability matrix vanishes identically for the equatorial family;
+    # verify's spectral and oracle checks carry the numerical evidence
+    columns = (dims, eta, fdiag, foff, lam1, lam2, var_min)
     if args.fmt == "json":
-        def jsonable(v):
-            if isinstance(v, float) and np.isnan(v):
-                return None  # keep the output strict JSON
-            return v
-
         payload = {"seed": args.seed} if phases is None else {"phases": phases}
-        payload["rows"] = [{k: jsonable(v) for k, v in zip(header, row)} for row in rows]
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        payload["rows"] = [  # NaN (lambda2 at d = 2) -> null keeps the output strict JSON
+            {**{k: None if v != v else v for k, v in zip(header, row)}, "attainable": True}
+            for row in _rows(columns)
+        ]
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        comments = (
-            [f"# phases={','.join(_fmt(v) for v in phases)}"]
-            if phases is not None
-            else [f"# seed={args.seed}"]
-        )
-        text = _csv_text(header, rows, comments)
+        if phases is None:
+            comments = [f"# seed={args.seed}"]
+        else:
+            comments = [f"# phases={','.join('%.12g' % v for v in phases)}"]
+        text = _csv_text(header, "%d" + ",%.12g" * 6 + ",true", columns, comments)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -142,30 +133,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.dmax < 3:
         raise UsageError("--dmax must be at least 3 for figure data")
-    if args.dmax > CLOSED_FORM_DMAX:
-        raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
-    dims = range(2, args.dmax + 1)
+    dims = _dim_column(2, args.dmax)
     if args.which == 1:
         header = ["d", "f_in_diag", "scaled_bound", "f_out_diag"]
-        rows = [
-            [d, qfim_pure_entries(d)[0], eta_uqcm(d) * qfim_pure_entries(d)[0], qfim_uqcm_entries(d)[0]]
-            for d in dims
-        ]
+        f_in = qfim_pure_entries(dims)[0]
+        columns = (dims, f_in, eta_uqcm(dims) * f_in, qfim_uqcm_entries(dims)[0])
     elif args.which == 2:
         header = ["d", "f_uqcm_diag", "f_pqcm_diag"]
-        rows = [[d, qfim_uqcm_entries(d)[0], qfim_pqcm_entries(d)[0]] for d in dims]
+        columns = (dims, qfim_uqcm_entries(dims)[0], qfim_pqcm_entries(dims)[0])
     else:
         header = ["d", "e_in", "e_uqcm", "e_pqcm"]
-        rows = [
-            [
-                d,
-                total_variance_bound(d, 1.0),
-                total_variance_bound(d, eta_uqcm(d)),
-                total_variance_bound(d, eta_pqcm(d)),
-            ]
-            for d in dims
-        ]
-    _emit(_csv_text(header, rows), args.out)
+        columns = (
+            dims,
+            total_variance_bound(dims, 1.0),
+            total_variance_bound(dims, eta_uqcm(dims)),
+            total_variance_bound(dims, eta_pqcm(dims)),
+        )
+    _emit(_csv_text(header, "%d" + ",%.12g" * (len(header) - 1), columns), args.out)
     return EXIT_OK
 
 

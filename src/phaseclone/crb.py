@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qfim import SpectralDecomposition, _check_shrink_args, _spectral_terms, _support_blocks
-from .states import _check_dim
+from .states import _check_dims
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -52,19 +52,23 @@ def _attainability_raw_weight(sd: SpectralDecomposition) -> np.ndarray:
     return (first - second).imag
 
 
-def qfim_eigenvalues(d: int, fdiag: float, foff: float) -> tuple[float, float]:
+def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:
     """Eigenvalues of the equatorial-structure QFIM with entries (fdiag, foff).
 
     lam1 = F_diag + (d-2) F_off, once (on the all-ones vector), and
     lam2 = F_diag - F_off, d-2 times.  For d = 2 there is no second
-    eigenvalue and lam2 is NaN.
+    eigenvalue and lam2 is NaN.  d may be a 1-D integer array with entry
+    columns to match, giving two columns.
     """
-    d = _check_dim(d)
-    lam2 = fdiag - foff if d > 2 else float("nan")
+    d = _check_dims(d)
+    if isinstance(d, np.ndarray):
+        lam2 = np.where(d > 2, fdiag - foff, np.nan)
+    else:
+        lam2 = fdiag - foff if d > 2 else float("nan")
     return fdiag + (d - 2) * foff, lam2
 
 
-def total_variance_bound(d: int, eta: float) -> float:
+def total_variance_bound(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:
     """Minimum total variance of all d-1 phases for the shrinking-channel output.
 
     Pure closed form (d-1)[2+(d-2)eta]/(2 eta^2), the trace of the inverse
@@ -72,7 +76,8 @@ def total_variance_bound(d: int, eta: float) -> float:
     per-parameter bound is this total over d-1.  The dense-inverse and
     -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
     and the tests, not here.  An eta whose QFIM entries underflow raises
-    ValueError, as in qfim_shrink_entries.
+    ValueError, as in qfim_shrink_entries.  d and eta may be columns, as
+    there.
     """
     d = _check_shrink_args(d, eta)
-    return float((d - 1) * (2.0 + (d - 2) * eta) / (2.0 * eta**2))
+    return (d - 1) * (2.0 + (d - 2) * eta) / (2.0 * (eta * eta))

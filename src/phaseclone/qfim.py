@@ -25,30 +25,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_eta, eta_uqcm
-from .states import PhaseVector, _check_dim, _check_point, basis_derivatives, complement_basis
+from .states import PhaseVector, _check_dims, _check_point, basis_derivatives, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
-def _check_closed_form_dim(d: int) -> int:
-    d = _check_dim(d)
-    if d > CLOSED_FORM_DMAX:
-        raise ValueError(f"closed forms are limited to d <= {CLOSED_FORM_DMAX}, got {d}")
-    return d
+def _check_closed_form_dim(d: int | np.ndarray) -> float | np.ndarray:
+    return _check_dims(d, CLOSED_FORM_DMAX)
 
 
-def _check_shrink_args(d: int, eta: float) -> int:
-    """d as a Python int, after rejecting d as the closed forms do, eta outside
-    (0, 1], and an eta so small that |F_off| = 4 eta^2/(d[2+(d-2)eta]) is
-    below the smallest normal float: F_off would have lost digits or be zero.
-    A normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite."""
+def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:
+    """d as _check_closed_form_dim returns it, after also rejecting eta outside
+    (0, 1] and an eta so small that |F_off| = 4 eta^2/(d[2+(d-2)eta]) is below
+    the smallest normal float: F_off would have lost digits or be zero.  A
+    normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite.  eta is a
+    float or an array that broadcasts against a column d; a column raises
+    the error of the scalar call at its largest d that underflows."""
     d = _check_closed_form_dim(d)
     _check_eta(eta)
-    if 4.0 * eta**2 / (d * (2.0 + (d - 2) * eta)) < _TINY:
-        raise ValueError(f"eta={eta} is too small: the QFIM entries underflow at d={d}")
+    small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
+    if isinstance(small, np.ndarray):
+        if small.any():
+            i = np.flatnonzero(small)[-1]
+            d_i, eta_i = (np.broadcast_to(x, small.shape)[i] for x in (d, eta))
+            _check_shrink_args(int(d_i), float(eta_i))
+    elif small:
+        raise ValueError(f"eta={eta} is too small: the QFIM entries underflow at d={int(d)}")
     return d
 
 
@@ -58,33 +63,39 @@ def _structured_matrix(d: int, fdiag: float, foff: float) -> np.ndarray:
     return out
 
 
-def qfim_pure_entries(d: int) -> tuple[float, float]:
+# Each closed form below takes one integer d, giving floats, or a 1-D integer
+# array of d, giving float64 columns with the same value at each d bit for bit.
+# Squares are written x * x: Python's float ** 2 calls pow, which can round a
+# square differently from numpy's x * x.
+
+
+def qfim_pure_entries(d: int | np.ndarray) -> tuple:
     """(diagonal, off-diagonal) entries 4(delta/d - 1/d^2) for the pure input."""
     d = _check_closed_form_dim(d)
-    return 4.0 * (1.0 / d - 1.0 / d**2), -4.0 / d**2
+    return 4.0 * (1.0 / d - 1.0 / (d * d)), -4.0 / (d * d)
 
 
-def qfim_shrink_entries(d: int, eta: float) -> tuple[float, float]:
+def qfim_shrink_entries(d: int | np.ndarray, eta: float | np.ndarray) -> tuple:
     """Entries of the QFIM for the generic shrinking-channel output.
 
     F_diag = 4(d-1)eta^2 / (d[2+(d-2)eta]) and F_off = -F_diag/(d-1).
     """
     d = _check_shrink_args(d, eta)
     denom = d * (2.0 + (d - 2) * eta)
-    return 4.0 * (d - 1) * eta**2 / denom, -4.0 * eta**2 / denom
+    return 4.0 * (d - 1) * (eta * eta) / denom, -4.0 * (eta * eta) / denom
 
 
-def qfim_uqcm_entries(d: int) -> tuple[float, float]:
+def qfim_uqcm_entries(d: int | np.ndarray) -> tuple:
     """Entries of the universal-cloner QFIM.
 
     F_diag = 2(d-1)(d+2)^2 / ((d+1)(d+4)d^2); F_off = -F_diag/(d-1).
     """
     d = _check_closed_form_dim(d)
-    denom = (d + 1) * (d + 4) * d**2
-    return 2.0 * (d - 1) * (d + 2) ** 2 / denom, -2.0 * (d + 2) ** 2 / denom
+    denom = (d + 1) * (d + 4) * (d * d)
+    return 2.0 * (d - 1) * ((d + 2) * (d + 2)) / denom, -2.0 * ((d + 2) * (d + 2)) / denom
 
 
-def qfim_pqcm_entries(d: int) -> tuple[float, float]:
+def qfim_pqcm_entries(d: int | np.ndarray) -> tuple:
     """Entries of the phase-covariant-cloner QFIM.
 
     With g = sqrt(d^2+4d-4),
@@ -97,8 +108,8 @@ def qfim_pqcm_entries(d: int) -> tuple[float, float]:
     return fdiag, -fdiag / (d - 1)
 
 
-def closed_entries(channel, d: int) -> tuple[float, float]:
-    """Closed-form (diagonal, off-diagonal) QFIM entries for a ParamChannel at dimension d."""
+def closed_entries(channel, d: int | np.ndarray) -> tuple:
+    """Closed-form (diagonal, off-diagonal) QFIM entries for a ParamChannel at one d or a column of d."""
     if channel.kind == "pure":
         return qfim_pure_entries(d)
     if channel.kind == "uqcm":

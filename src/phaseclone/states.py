@@ -24,10 +24,29 @@ TWO_PI = 2.0 * np.pi
 
 
 def _check_dim(d: int) -> int:
-    """Return d as a Python int: numpy integers overflow in the closed forms' products."""
+    """Return d as a Python int, after rejecting a non-integer or d < 2."""
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndarray:
+    """One integer d as a float, or a 1-D integer array of them as float64, after
+    rejecting any d < 2 (and any d > dmax): the closed forms evaluate a whole
+    column of dimensions at once.  They compute in float64, which holds their
+    d^4 products exactly below d ~ 9700 and, unlike int64, never overflows."""
+    if isinstance(d, np.ndarray):
+        if d.ndim != 1 or d.size == 0 or d.dtype.kind not in "iu":
+            raise ValueError(f"dimensions must be one integer or a 1-D integer array, got {d!r}")
+        if d.min() < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {int(d.min())}")
+        top, col = int(d.max()), d.astype(float)
+    else:
+        top = _check_dim(d)
+        col = float(top)
+    if dmax is not None and top > dmax:
+        raise ValueError(f"closed forms are limited to d <= {dmax}, got {top}")
+    return col
 
 
 @dataclass(frozen=True, eq=False)

@@ -354,7 +354,7 @@ class TestVerify:
         assert [e["tolerance"] for e in report if e["name"] == "scaling_form_uqcm"] == [1.0]
 
     @pytest.mark.parametrize(
-        "args", [("--dmax", "33"), ("--fd-step", "nan"), ("--fd-step", "inf")]
+        "args", [("--dmax", "33"), ("--fd-step", "nan"), ("--fd-step", "inf"), ("--fd-step", "1e-320")]
     )
     def test_bad_input_rejected_before_any_check(self, capsys, args):
         code, out, err = run(capsys, "verify", *args)

@@ -89,12 +89,6 @@ class TestTotalVarianceBound:
         # 1/F with F = 4/9
         assert total_variance_bound(2, 2 / 3) == pytest.approx(9 / 4, abs=1e-14)
 
-    @pytest.mark.parametrize("d", [2, 5, 17, 32])
-    def test_trace_inverse_agreement(self, d):
-        for eta in (0.3, 0.5, eta_uqcm(d), eta_pqcm(d), 1.0):
-            dense = np.trace(np.linalg.inv(closed_qfim(ParamChannel("shrink", eta), d))).real
-            assert abs(total_variance_bound(d, eta) - dense) < 1e-8
-
     def test_per_parameter_bounds_are_inverse_diagonal(self):
         # each phase's own bound is total/(d-1): the inverse QFIM has a constant diagonal
         d, eta = 6, 0.7

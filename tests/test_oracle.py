@@ -149,6 +149,12 @@ class TestRhoDerivative:
         with pytest.raises(ValueError, match="step"):
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
 
+    @pytest.mark.parametrize("h", [1e-320, np.float64(5e-324)])
+    def test_rejects_a_step_whose_reciprocal_overflows(self, h):
+        # 1/(2h) is inf; the check itself must raise no numpy overflow warning
+        with pytest.raises(ValueError, match="too small"):
+            rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
+
     @pytest.mark.parametrize("mu", [0, -1, 4, 1.5])
     def test_rejects_parameter_index_outside_range(self, mu):
         # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError

@@ -1,12 +1,14 @@
 """Every check of the built-in suite, run by name at its declared tolerance."""
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phaseclone import oracle
+from phaseclone.cli import main
 from phaseclone.verify import TOLERANCES, run_verification
 
 
@@ -33,11 +35,15 @@ def test_undeclared_check_is_an_error(monkeypatch):
         {"dmax_full": 8.5},
         {"fd_step": 0.0},
         {"fd_step": float("nan")},
+        {"fd_step": 1e-320},
         {"tolerances": {"scaling_form_uqc": 1.0}},
         {"tolerances": {"sld_residual": float("nan")}},
         {"tolerances": {"sld_residual": -1.0}},
     ],
-    ids=["dmax1", "dmax33", "dmax-float", "step0", "step-nan", "unknown-name", "tol-nan", "tol-negative"],
+    ids=[
+        "dmax1", "dmax33", "dmax-float", "step0", "step-nan", "step-subnormal",
+        "unknown-name", "tol-nan", "tol-negative",
+    ],
 )
 def test_bad_arguments_rejected_before_any_check(kwargs):
     seen = []
@@ -46,16 +52,32 @@ def test_bad_arguments_rejected_before_any_check(kwargs):
     assert seen == []
 
 
+def nan_qfim(ch, p, h):
+    return np.full(p.phases.shape[:-1] + (p.dim - 1, p.dim - 1), np.nan)
+
+
 def test_nan_error_fails_its_check(monkeypatch):
     """A check whose error is NaN fails; max() would have kept the 0.0 it starts from."""
-    def nan_qfim(ch, p, h):
-        return np.full(p.phases.shape[:-1] + (p.dim - 1, p.dim - 1), np.nan)
-
     monkeypatch.setattr(oracle, "qfim_numeric", nan_qfim)
     by_name = {r.name: r for r in run_verification(dmax_full=2)}
     for kind in ("pure", "uqcm", "pqcm", "shrink"):
         assert np.isnan(by_name[f"oracle_agreement_{kind}"].max_error)
         assert not by_name[f"oracle_agreement_{kind}"].passed
+
+
+def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys):
+    """The report stays strict JSON; the progress line on stderr still says nan."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(oracle, "qfim_numeric", nan_qfim)
+    assert main(["verify", "--dmax", "2"]) == 3
+    out, err = capsys.readouterr()
+    by_name = {e["name"]: e for e in json.loads(out, parse_constant=reject)}
+    for kind in ("pure", "uqcm", "pqcm", "shrink"):
+        assert by_name[f"oracle_agreement_{kind}"]["max_error"] is None
+        assert by_name[f"oracle_agreement_{kind}"]["pass"] is False
+        assert f"[FAIL] oracle_agreement_{kind}: max_error=nan " in err
 
 
 def test_no_unit_test_repeats_a_check():
