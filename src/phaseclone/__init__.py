@@ -54,7 +54,6 @@ from .states import (
     complement_basis,
     equatorial_state,
     phase_shift_unitary,
-    state_derivative,
 )
 from .verify import CheckResult, run_verification
 
@@ -95,7 +94,6 @@ __all__ = [
     "shrink_output",
     "sld_solve",
     "spectral_output",
-    "state_derivative",
     "total_variance_bound",
     "uqcm_diagonal_terms",
     "uqcm_full_output",

