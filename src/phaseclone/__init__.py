@@ -16,11 +16,7 @@ from .channels import (
     ParamChannel,
     eta_pqcm,
     eta_uqcm,
-    pqcm_coefficients,
-    pqcm_full_output,
-    reduce_first_qudit,
     shrink_output,
-    uqcm_full_output,
 )
 from .crb import (
     attainability_closed,
@@ -31,7 +27,6 @@ from .oracle import (
     DEFAULT_FD_STEP,
     attainability_numeric,
     qfim_numeric,
-    rho_derivative,
     sld_solve,
 )
 from .qfim import (
@@ -46,7 +41,6 @@ from .qfim import (
     qfim_uqcm_entries,
     reconstruct_density,
     spectral_output,
-    uqcm_diagonal_terms,
 )
 from .states import (
     PhaseVector,
@@ -78,8 +72,6 @@ __all__ = [
     "eta_pqcm",
     "eta_uqcm",
     "phase_shift_unitary",
-    "pqcm_coefficients",
-    "pqcm_full_output",
     "qfim_eigenvalues",
     "qfim_from_spectral",
     "qfim_numeric",
@@ -88,13 +80,9 @@ __all__ = [
     "qfim_shrink_entries",
     "qfim_uqcm_entries",
     "reconstruct_density",
-    "reduce_first_qudit",
-    "rho_derivative",
     "run_verification",
     "shrink_output",
     "sld_solve",
     "spectral_output",
     "total_variance_bound",
-    "uqcm_diagonal_terms",
-    "uqcm_full_output",
 ]

@@ -6,11 +6,11 @@ maximally mixed state,
 
     rho_out = eta * |psi><psi| + ((1 - eta)/d) * I,
 
-with a machine-specific shrinking factor eta(d).  The full tripartite
-unitaries (original x copy x ancilla, ancilla dimension d) are implemented as
-well.  ParamChannel.density takes the partial trace of the same isometry in
-Kraus form, straight from its two amplitudes, so the scaling form is
-validated without being assumed and no length-d^3 state is built.
+with a machine-specific shrinking factor eta(d).  ParamChannel.density takes
+the partial trace of each cloner isometry in Kraus form, straight from its
+two amplitudes, so the scaling form is validated without being assumed and
+no length-d^3 state is built.  The dense tripartite outputs and
+reduce_first_qudit are test references, kept here for the benchmark tracer.
 ParamChannel is the one model of a machine that the CLI, the verification
 suite and the finite-difference oracle share.  The outputs map a stack of
 phase points to a stack of results, with the same arithmetic as one point.
@@ -60,19 +60,6 @@ def shrink_output(p: PhaseVector, eta: float) -> np.ndarray:
     return eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / p.dim * np.eye(p.dim)
 
 
-def pqcm_coefficients(d: int) -> tuple[float, float]:
-    """Amplitudes (alpha, beta) of the phase-covariant cloning unitary.
-
-    alpha^2 = 1/2 - (d-2)/(2*sqrt(d^2+4d-4)) and beta^2 is its complement,
-    so alpha^2 + beta^2 = 1.
-    """
-    d = _check_dim(d)
-    gamma = np.sqrt(d * d + 4.0 * d - 4.0)
-    alpha = np.sqrt(0.5 - (d - 2) / (2.0 * gamma))
-    beta = np.sqrt(0.5 + (d - 2) / (2.0 * gamma))
-    return alpha, beta
-
-
 def _check_full_unitary_dim(d: int) -> None:
     _check_dim(d)
     if d > FULL_UNITARY_DMAX:
@@ -81,12 +68,14 @@ def _check_full_unitary_dim(d: int) -> None:
 
 def _isometry_amplitudes(kind: str, d: int) -> tuple[float, float]:
     """Amplitudes (diag, off) of the "uqcm" or "pqcm" cloner isometry at dimension d,
-    as _tripartite takes them; d is capped at FULL_UNITARY_DMAX."""
+    as _tripartite takes them; d is capped at FULL_UNITARY_DMAX.  The PQCM's are
+    alpha and beta/sqrt(2(d-1)), with alpha^2 = 1/2 - (d-2)/(2 sqrt(d^2+4d-4)) = 1 - beta^2."""
     _check_full_unitary_dim(d)
     if kind == "uqcm":
         return 2.0 / np.sqrt(2.0 * (d + 1)), 1.0 / np.sqrt(2.0 * (d + 1))
-    alpha, beta = pqcm_coefficients(d)
-    return alpha, beta / np.sqrt(2.0 * (d - 1))
+    gamma = np.sqrt(d * d + 4.0 * d - 4.0)
+    beta = np.sqrt(0.5 + (d - 2) / (2.0 * gamma))
+    return np.sqrt(0.5 - (d - 2) / (2.0 * gamma)), beta / np.sqrt(2.0 * (d - 1))
 
 
 def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
@@ -144,7 +133,7 @@ def pqcm_full_output(p: PhaseVector) -> np.ndarray:
         |j>|Q> -> alpha |jj>|R_j>
                   + (beta/sqrt(2(d-1))) sum_{l != j} (|jl> + |lj>)|R_l>
 
-    with (alpha, beta) from pqcm_coefficients(d).
+    with (alpha, beta) as in _isometry_amplitudes.
     """
     return _tripartite(equatorial_state(p), *_isometry_amplitudes("pqcm", p.dim))
 

@@ -59,7 +59,8 @@ def rho_derivative(
 ) -> np.ndarray:
     """Central-difference derivative of channel.density with respect to phi_mu, 1 <= mu <= d-1.
 
-    Builds only the two points phi +- h e_mu, as one stack.
+    Builds only the two points phi +- h e_mu, as one stack.  A test reference,
+    kept for the benchmark tracer: the program calls _central_differences.
     """
     if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_eta, eta_uqcm
-from .states import PhaseVector, _check_dims, _check_point, basis_derivatives, complement_basis
+from .channels import _check_eta
+from .states import PhaseVector, _check_dims, basis_derivatives, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -223,22 +223,3 @@ def qfim_from_spectral(sd: SpectralDecomposition) -> np.ndarray:
     first, second = _spectral_terms(sd)
     g = first - second
     return (g + g.swapaxes(-1, -2)).real / 2.0
-
-
-def uqcm_diagonal_terms(p: PhaseVector) -> tuple[float, float]:
-    """The two quantum sums making up the first diagonal QFIM entry of the
-    universal-cloner output, evaluated numerically at one phase point p.
-
-    Returns (first, second) with
-
-        first  = sum_n 4 lam_n <d_1 psi_n | d_1 psi_n>
-        second = sum_{n,m} (8 lam_n lam_m/(lam_n+lam_m)) |<psi_m|d_1 psi_n>|^2
-
-    so that first - second equals the closed-form diagonal entry.  They are
-    the [0, 0] entries of _spectral_terms, whose raw weight gives the same
-    second sum because |<psi_m|d_1 psi_n>| is symmetric in n, m.  In closed
-    form first = 4/d and second = 2(d^3+7d^2+8d+4)/((d+1)(d+4)d^2).
-    """
-    _check_point(p)
-    first, second = _spectral_terms(spectral_output(p, eta_uqcm(p.dim)))
-    return float(first[0, 0].real), float(second[0, 0].real)

@@ -217,9 +217,12 @@ def run_verification(
             errs.append(np.abs(qfim.qfim_from_spectral(sd) - qfim.closed_qfim(ch, d)).max())
         add(f"spectral_vs_closed_{ch.kind}", *errs)
 
+    # the [0, 0] entries of the two spectral sums for the universal cloner; the raw
+    # weight gives the symmetric second sum, as |<psi_m|d_1 psi_n>| is symmetric in n, m
     errs = []
     for d in range(2, 13):
-        first, second = qfim.uqcm_diagonal_terms(PhaseVector.random(d, rng))
+        sd = qfim.spectral_output(PhaseVector.random(d, rng), channels.eta_uqcm(d))
+        first, second = (float(t[0, 0].real) for t in qfim._spectral_terms(sd))
         second_closed = 2.0 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
         errs += [
             abs(first - 4.0 / d),

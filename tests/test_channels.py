@@ -13,7 +13,6 @@ from phaseclone.channels import (
     ParamChannel,
     eta_pqcm,
     eta_uqcm,
-    pqcm_coefficients,
     pqcm_full_output,
     reduce_first_qudit,
     shrink_output,
@@ -60,8 +59,9 @@ def pqcm_full_output_loops(p):
     |j> -> alpha |jj>|R_j> + (beta/sqrt(2(d-1))) sum_{l != j} (|jl> + |lj>)|R_l>."""
     d = p.dim
     a = equatorial_state(p)
-    alpha, beta = pqcm_coefficients(d)
-    scale = beta / np.sqrt(2.0 * (d - 1))
+    gamma = np.sqrt(d * d + 4.0 * d - 4.0)
+    alpha = np.sqrt(0.5 - (d - 2) / (2.0 * gamma))
+    scale = np.sqrt(0.5 + (d - 2) / (2.0 * gamma)) / np.sqrt(2.0 * (d - 1))
     out = np.zeros((d, d, d), dtype=complex)
     for j in range(d):
         out[j, j, j] += alpha * a[j]
@@ -156,12 +156,13 @@ class TestFullCloners:
             assert np.abs(reduce_first_qudit(psi) - reduce_second_qudit(psi)).max() < 1e-12
 
     def test_pqcm_coefficients(self):
-        for d in range(2, 40):
-            alpha, beta = pqcm_coefficients(d)
-            assert abs(alpha**2 + beta**2 - 1.0) < 1e-14
-        alpha, beta = pqcm_coefficients(2)
-        assert alpha == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-        assert beta == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        # the isometry is normalised: diag^2 + 2(d-1) off^2 = 1
+        for d in range(2, FULL_UNITARY_DMAX + 1):
+            diag, off = channels._isometry_amplitudes("pqcm", d)
+            assert abs(diag * diag + 2 * (d - 1) * off * off - 1.0) < 1e-14
+        diag, off = channels._isometry_amplitudes("pqcm", 2)
+        assert diag == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert off == pytest.approx(0.5, abs=1e-15)
 
     def test_dimension_cap(self):
         p = PhaseVector.zero(FULL_UNITARY_DMAX + 1)

