@@ -11,7 +11,6 @@ certifies simultaneous estimation of all phases.
 """
 
 from .channels import (
-    FULL_UNITARY_DMAX,
     MACHINES,
     ParamChannel,
     eta_pqcm,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "DEFAULT_FD_STEP",
-    "FULL_UNITARY_DMAX",
     "MACHINES",
     "ParamChannel",
     "PhaseVector",

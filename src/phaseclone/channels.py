@@ -24,11 +24,6 @@ import numpy as np
 
 from .states import PhaseVector, _check_dim, _check_dims, equatorial_state
 
-# largest d of the traced cloners: the length-d**3 full outputs, the Kraus-form
-# ParamChannel.density, and so verify's traced-cloner and oracle checks; the
-# closed forms cover larger d
-FULL_UNITARY_DMAX = 32
-
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
 
@@ -60,17 +55,11 @@ def shrink_output(p: PhaseVector, eta: float) -> np.ndarray:
     return eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / p.dim * np.eye(p.dim)
 
 
-def _check_full_unitary_dim(d: int) -> None:
-    _check_dim(d)
-    if d > FULL_UNITARY_DMAX:
-        raise ValueError(f"traced cloner outputs are capped at d={FULL_UNITARY_DMAX}, got {d}")
-
-
 def _isometry_amplitudes(kind: str, d: int) -> tuple[float, float]:
     """Amplitudes (diag, off) of the "uqcm" or "pqcm" cloner isometry at dimension d,
-    as _tripartite takes them; d is capped at FULL_UNITARY_DMAX.  The PQCM's are
+    as _tripartite and _first_clone take them, for any d >= 2.  The PQCM's are
     alpha and beta/sqrt(2(d-1)), with alpha^2 = 1/2 - (d-2)/(2 sqrt(d^2+4d-4)) = 1 - beta^2."""
-    _check_full_unitary_dim(d)
+    _check_dim(d)
     if kind == "uqcm":
         return 2.0 / np.sqrt(2.0 * (d + 1)), 1.0 / np.sqrt(2.0 * (d + 1))
     gamma = np.sqrt(d * d + 4.0 * d - 4.0)

@@ -35,7 +35,7 @@ from .channels import MACHINES, ParamChannel, eta_pqcm, eta_uqcm
 from .crb import qfim_eigenvalues, total_variance_bound
 from .oracle import DEFAULT_FD_STEP
 from .qfim import CLOSED_FORM_DMAX, closed_entries, qfim_pqcm_entries, qfim_pure_entries, qfim_uqcm_entries
-from .verify import DEFAULT_SEED, CheckResult, check_arguments, run_verification
+from .verify import DEFAULT_SEED, DMAX_FULL_LIMIT, CheckResult, check_arguments, run_verification
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -146,6 +146,8 @@ def cmd_verify(args: argparse.Namespace, tolerances: dict[str, float]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_seed(args.seed)
+    if args.out is not None:  # an unwritable --out fails before the first check
+        open(args.out, "w").close()
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the verification suite, emit a JSON report")
     pv.add_argument(
         "--dmax", type=int, default=8,
-        help="largest d of the traced-cloner and oracle checks (default %(default)s)",
+        help=f"largest d of the cloner and oracle checks, at most {DMAX_FULL_LIMIT} (default %(default)s)",
     )
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--fd-step", dest="fd_step", type=float, default=DEFAULT_FD_STEP)

@@ -33,34 +33,21 @@ CLOSED_FORM_DMAX = 10**6
 _TINY = float(np.finfo(float).tiny)
 
 
-def _check_closed_form_dim(d: int | np.ndarray) -> float | np.ndarray:
-    return _check_dims(d, CLOSED_FORM_DMAX)
-
-
 def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:
-    """d as _check_closed_form_dim returns it, after also rejecting eta outside
-    (0, 1] and an eta so small that |F_off| = 4 eta^2/(d[2+(d-2)eta]) is below
-    the smallest normal float: F_off would have lost digits or be zero.  A
-    normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite.  eta is a
-    float or an array that broadcasts against a column d; a column raises
-    the error of the scalar call at its largest d that underflows."""
-    d = _check_closed_form_dim(d)
+    """_check_dims(d, CLOSED_FORM_DMAX), after rejecting eta outside (0, 1] and an
+    eta whose |F_off| = 4 eta^2/(d[2+(d-2)eta]) is below the smallest normal float
+    (lost digits or zero; a normal F_off keeps the total variance 2(d-1)/(d|F_off|)
+    finite).  eta is a float or an array that broadcasts against a column d; a column
+    raises the scalar error of its last underflowing entry (its largest d if ascending)."""
+    d = _check_dims(d, CLOSED_FORM_DMAX)
     _check_eta(eta)
     small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
-    if isinstance(small, np.ndarray):
-        if small.any():
-            i = np.flatnonzero(small)[-1]
-            d_i, eta_i = (np.broadcast_to(x, small.shape)[i] for x in (d, eta))
-            _check_shrink_args(int(d_i), float(eta_i))
-    elif small:
-        raise ValueError(f"eta={eta} is too small: the QFIM entries underflow at d={int(d)}")
+    # a scalar call's small is a Python bool, on which np.any is several times slower
+    if small.any() if isinstance(small, np.ndarray) else small:
+        i = np.flatnonzero(small)[-1]
+        d_i, eta_i = (np.broadcast_to(x, np.shape(small)).flat[i] for x in (d, eta))
+        raise ValueError(f"eta={float(eta_i)} is too small: the QFIM entries underflow at d={int(d_i)}")
     return d
-
-
-def _structured_matrix(d: int, fdiag: float, foff: float) -> np.ndarray:
-    out = np.full((d - 1, d - 1), foff)
-    np.fill_diagonal(out, fdiag)
-    return out
 
 
 # Each closed form below takes one integer d, giving floats, or a 1-D integer
@@ -71,7 +58,7 @@ def _structured_matrix(d: int, fdiag: float, foff: float) -> np.ndarray:
 
 def qfim_pure_entries(d: int | np.ndarray) -> tuple:
     """(diagonal, off-diagonal) entries 4(delta/d - 1/d^2) for the pure input."""
-    d = _check_closed_form_dim(d)
+    d = _check_dims(d, CLOSED_FORM_DMAX)
     return 4.0 * (1.0 / d - 1.0 / (d * d)), -4.0 / (d * d)
 
 
@@ -90,7 +77,7 @@ def qfim_uqcm_entries(d: int | np.ndarray) -> tuple:
 
     F_diag = 2(d-1)(d+2)^2 / ((d+1)(d+4)d^2); F_off = -F_diag/(d-1).
     """
-    d = _check_closed_form_dim(d)
+    d = _check_dims(d, CLOSED_FORM_DMAX)
     denom = (d + 1) * (d + 4) * (d * d)
     return 2.0 * (d - 1) * ((d + 2) * (d + 2)) / denom, -2.0 * ((d + 2) * (d + 2)) / denom
 
@@ -102,7 +89,7 @@ def qfim_pqcm_entries(d: int | np.ndarray) -> tuple:
     F_diag = 2(d^2 + d*g - 2g) / (d[d^2 + d(g+4) - 2(g+2)]); the off-diagonal
     entry follows from the structural relation F_off = -F_diag/(d-1).
     """
-    d = _check_closed_form_dim(d)
+    d = _check_dims(d, CLOSED_FORM_DMAX)
     g = np.sqrt(d * d + 4.0 * d - 4.0)
     fdiag = 2.0 * (d * d + d * g - 2.0 * g) / (d * (d * d + d * (g + 4.0) - 2.0 * (g + 2.0)))
     return fdiag, -fdiag / (d - 1)
@@ -121,7 +108,10 @@ def closed_entries(channel, d: int | np.ndarray) -> tuple:
 
 def closed_qfim(channel, d: int) -> np.ndarray:
     """Closed-form (d-1, d-1) QFIM of a ParamChannel at dimension d; independent of the phases."""
-    return _structured_matrix(d, *closed_entries(channel, d))
+    fdiag, foff = closed_entries(channel, d)
+    out = np.full((d - 1, d - 1), foff)
+    np.fill_diagonal(out, fdiag)
+    return out
 
 
 def equatorial_structure_residuals(f: np.ndarray) -> tuple[float, float, float]:

@@ -93,11 +93,6 @@ class PhaseVector:
         return np.concatenate((np.zeros(self.phases.shape[:-1] + (1,)), self.phases), axis=-1)
 
 
-def _check_point(p: PhaseVector) -> None:
-    if p.phases.ndim != 1:
-        raise ValueError(f"expected one phase point, got a stack of shape {p.phases.shape}")
-
-
 def equatorial_state(p: PhaseVector) -> np.ndarray:
     """Amplitude vector (1/sqrt(d)) * exp(i*phi_j), j = 0..d-1, one row per point of a stack."""
     return np.exp(1j * p.full_phases) / np.sqrt(p.dim)
@@ -108,7 +103,8 @@ def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
 
     Applied to the zero-phase reference state it generates equatorial_state(p).
     """
-    _check_point(p)
+    if p.phases.ndim != 1:
+        raise ValueError(f"expected one phase point, got a stack of shape {p.phases.shape}")
     return np.diag(np.exp(1j * p.full_phases))
 
 

@@ -20,6 +20,10 @@ from .states import PhaseVector
 
 DEFAULT_SEED = 12345
 
+# largest dmax_full: the traced-cloner, attainability and oracle blocks run every
+# d up to it, and take ~5 s at 32 on a 2-vCPU host; the library itself has no cap
+DMAX_FULL_LIMIT = 32
+
 PURE = channels.ParamChannel("pure")
 UQCM = channels.ParamChannel("uqcm")
 PQCM = channels.ParamChannel("pqcm")
@@ -101,7 +105,8 @@ class CheckResult:
 
 def check_arguments(dmax_full: int, fd_step: float, tolerances: dict[str, float]) -> None:
     """Raise ValueError for arguments run_verification cannot honour as given."""
-    channels._check_full_unitary_dim(dmax_full)
+    if states._check_dim(dmax_full) > DMAX_FULL_LIMIT:
+        raise ValueError(f"dmax is limited to {DMAX_FULL_LIMIT}, to bound verify's run time; got {dmax_full}")
     oracle._check_step(fd_step)
     for name, tol in tolerances.items():
         if name not in TOLERANCES:
@@ -120,10 +125,10 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the whole suite and return one CheckResult per check.
 
-    dmax_full caps the dimensions exercised through the traced cloner
-    isometries.  With mutate=True a deliberate error is injected into the
-    shrinking factor used by the scaling-form check, which must then fail;
-    this validates that the harness can actually detect a wrong channel.
+    dmax_full (2..DMAX_FULL_LIMIT) is the largest d of the traced-cloner,
+    attainability and oracle blocks.  With mutate=True a deliberate error is
+    injected into the shrinking factor used by the scaling-form check, which
+    must then fail; this validates that the harness can detect a wrong channel.
     tolerances maps check names to tolerances that replace the ones in
     TOLERANCES; progress sees each result with its final tolerance.
     Arguments that check_arguments rejects raise ValueError before any check.

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from phaseclone import channels
 from phaseclone.channels import (
-    FULL_UNITARY_DMAX,
     MACHINES,
     ParamChannel,
     eta_pqcm,
@@ -19,6 +18,9 @@ from phaseclone.channels import (
     uqcm_full_output,
 )
 from phaseclone.states import TWO_PI, PhaseVector, complement_basis, equatorial_state
+
+# largest d at which the tests build the length-d^3 dense references
+DENSE_DMAX = 32
 
 
 def validate_density_matrix(rho, tol=1e-12):
@@ -157,25 +159,27 @@ class TestFullCloners:
 
     def test_pqcm_coefficients(self):
         # the isometry is normalised: diag^2 + 2(d-1) off^2 = 1
-        for d in range(2, FULL_UNITARY_DMAX + 1):
+        for d in range(2, 129):
             diag, off = channels._isometry_amplitudes("pqcm", d)
             assert abs(diag * diag + 2 * (d - 1) * off * off - 1.0) < 1e-14
         diag, off = channels._isometry_amplitudes("pqcm", 2)
         assert diag == pytest.approx(1 / np.sqrt(2), abs=1e-15)
         assert off == pytest.approx(0.5, abs=1e-15)
 
-    def test_dimension_cap(self):
-        p = PhaseVector.zero(FULL_UNITARY_DMAX + 1)
-        with pytest.raises(ValueError):
-            uqcm_full_output(p)
-        with pytest.raises(ValueError):
-            pqcm_full_output(p)
+
+@pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
+@pytest.mark.parametrize("d", [33, 48, 64])
+def test_cloner_density_has_no_dimension_cap(kind, d):
+    """The Kraus-form trace holds only (d, d) arrays, so it takes d above DENSE_DMAX."""
+    ch = ParamChannel(kind)
+    p = PhaseVector.random(d, np.random.default_rng(d), 3)
+    assert_allclose(ch.density(p), shrink_output(p, ch.shrinking_factor(d)), rtol=0, atol=1e-12)
 
 
 class TestBuildersMatchLoops:
     """The index-array builders against the one-input-at-a-time loops, bit for bit."""
 
-    @pytest.mark.parametrize("d", range(2, FULL_UNITARY_DMAX + 1))
+    @pytest.mark.parametrize("d", range(2, DENSE_DMAX + 1))
     def test_every_dimension(self, d):
         p = PhaseVector.random(d, np.random.default_rng(100 + d))
         assert np.array_equal(uqcm_full_output(p), uqcm_full_output_loops(p))
@@ -245,7 +249,7 @@ class TestDensitySlices:
     values, with no tripartite state and peak memory flat in the stack size."""
 
     @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
-    @pytest.mark.parametrize("d", range(2, FULL_UNITARY_DMAX + 1))
+    @pytest.mark.parametrize("d", range(2, DENSE_DMAX + 1))
     def test_stack_matches_the_dense_trace(self, kind, d):
         stack = PhaseVector.random(d, np.random.default_rng(d), 3)
         full = getattr(channels, f"{kind}_full_output")
@@ -256,7 +260,7 @@ class TestDensitySlices:
 
     @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
     def test_one_point_builds_no_tripartite_state(self, kind):
-        d = FULL_UNITARY_DMAX
+        d = DENSE_DMAX
         p = PhaseVector.random(d, np.random.default_rng(5))
         tracemalloc.start()
         try:

@@ -328,6 +328,13 @@ class TestVerify:
         assert out == ""
         assert err.startswith("usage error:") and "[pass]" not in err
 
+    @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+    def test_unwritable_out_fails_before_any_check(self, tmp_path, capsys, target):
+        code, out, err = run(capsys, "verify", "--dmax", "2", "--out", str(tmp_path / target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "[pass]" not in err and "[FAIL]" not in err
+
     @pytest.mark.parametrize(
         "line", ["tol_sld_residual = abc", "tol_sld_residual = nan", "tol_no_such_check = 1e-3"]
     )

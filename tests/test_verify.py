@@ -9,7 +9,7 @@ import pytest
 
 from phaseclone import oracle
 from phaseclone.cli import main
-from phaseclone.verify import TOLERANCES, run_verification
+from phaseclone.verify import DMAX_FULL_LIMIT, TOLERANCES, run_verification
 
 
 def test_report_lists_every_declared_check_in_order(verify_results):
@@ -50,6 +50,11 @@ def test_bad_arguments_rejected_before_any_check(kwargs):
     with pytest.raises(ValueError):
         run_verification(progress=seen.append, **kwargs)
     assert seen == []
+
+
+def test_dmax_error_names_the_bound():
+    with pytest.raises(ValueError, match=f"limited to {DMAX_FULL_LIMIT}"):
+        run_verification(dmax_full=DMAX_FULL_LIMIT + 1)
 
 
 def nan_qfim(ch, p, h):
