@@ -22,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, equatorial_state
+from .states import PhaseVector, _check_dim, _check_dims, _check_eta, equatorial_state
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
-
-
-def _check_eta(eta: float | np.ndarray) -> None:
-    """Reject a shrinking factor outside (0, 1], or an array of them whose extremes are."""
-    for e in (eta.min(), eta.max()) if isinstance(eta, np.ndarray) else (eta,):
-        if not (0.0 < e <= 1.0):
-            raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
 
 
 def eta_uqcm(d: int | np.ndarray) -> float | np.ndarray:
@@ -149,10 +142,12 @@ class ParamChannel:
 
     kind is one of MACHINES: "pure" (the input projector), "uqcm"/"pqcm"
     (the two cloners), or "shrink" (the scaling form with a fixed eta, the
-    only kind that stores eta).  density is definition-level: for the two
-    cloners it is the partial trace of the cloner isometry onto one clone,
-    taken in Kraus form from the isometry's amplitudes, so it never touches
-    the scaling form.  shrinking_factor gives eta(d) for any kind.
+    only kind that stores eta).  density has two paths.  For the two cloners
+    it is definition-level: the partial trace of the cloner isometry onto one
+    clone, taken in Kraus form from the isometry's amplitudes, so it never
+    touches the scaling form.  For "pure" and "shrink" it is the scaling form
+    shrink_output itself, the pure input being eta = 1 (1.0 |psi><psi| + 0 I).
+    shrinking_factor gives eta(d) for any kind.
     """
 
     kind: str
@@ -179,9 +174,6 @@ class ParamChannel:
         return np.full(d.shape, eta) if isinstance(d, np.ndarray) else eta
 
     def density(self, p: PhaseVector) -> np.ndarray:
-        if self.kind == "pure":
-            psi = equatorial_state(p)
-            return psi[..., :, None] * psi.conj()[..., None, :]
-        if self.kind == "shrink":
-            return shrink_output(p, self.eta)
-        return _first_clone(equatorial_state(p), *_isometry_amplitudes(self.kind, p.dim))
+        if self.kind in ("uqcm", "pqcm"):
+            return _first_clone(equatorial_state(p), *_isometry_amplitudes(self.kind, p.dim))
+        return shrink_output(p, self.shrinking_factor(p.dim))

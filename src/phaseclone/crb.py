@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qfim import SpectralDecomposition, _check_shrink_args, _spectral_terms, _support_blocks
+from .qfim import SpectralDecomposition, _check_shrink_args, _merge_last_two, _spectral_terms, _support_blocks
 from .states import _check_dims
 
 
 def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Im sum_j conj(x[..., m, j]) w[j] x[..., n, j] over the two trailing axes of x, as
     M - M^T with M = (Re x * w) @ (Im x)^T: exactly antisymmetric, zero diagonal."""
-    flat = x.shape[:-2] + (-1,)
-    m = (x.real * w).reshape(flat) @ x.imag.reshape(flat).swapaxes(-1, -2)
+    m = _merge_last_two(x.real * w) @ _merge_last_two(x.imag).swapaxes(-1, -2)
     return m - m.swapaxes(-1, -2)
 
 

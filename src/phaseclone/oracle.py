@@ -95,7 +95,7 @@ def _sld_gram(channel: ParamChannel, p: PhaseVector, h: float) -> np.ndarray:
     """G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, as one matrix product per point."""
     rho = channel.density(p)[..., None, :, :]
     slds = sld_solve(rho, _central_differences(channel.density, p, h))
-    flat = slds.shape[:-2] + (-1,)
+    flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too
     return (rho @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
 
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_eta
-from .states import PhaseVector, _check_dims, basis_derivatives, complement_basis
+from .states import PhaseVector, _check_dim, _check_dims, _check_eta, basis_derivatives, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -107,7 +106,9 @@ def closed_entries(channel, d: int | np.ndarray) -> tuple:
 
 
 def closed_qfim(channel, d: int) -> np.ndarray:
-    """Closed-form (d-1, d-1) QFIM of a ParamChannel at dimension d; independent of the phases."""
+    """Closed-form (d-1, d-1) QFIM of a ParamChannel at one integer dimension d; independent
+    of the phases.  Unlike the entry forms it takes no column of d: the matrix size is d-1."""
+    d = _check_dim(d)
     fdiag, foff = closed_entries(channel, d)
     out = np.full((d - 1, d - 1), foff)
     np.fill_diagonal(out, fdiag)
@@ -184,6 +185,11 @@ def _support_blocks(sd: SpectralDecomposition):
     return lam[sup], dsup, g
 
 
+def _merge_last_two(x: np.ndarray) -> np.ndarray:
+    """x with its two trailing axes merged, sized explicitly: a -1 fails on an empty (k = 0) stack."""
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
 def _spectral_terms(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """The two complex sums of the spectral route, G = first - second, over the support:
 
@@ -195,11 +201,10 @@ def _spectral_terms(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     attainability matrix Im G.
     """
     ls, dsup, g = _support_blocks(sd)
-    flat = dsup.shape[:-2] + (-1,)
-    weighted = (dsup.conj() * ls[:, None]).reshape(flat)
-    first = 4.0 * (weighted @ dsup.reshape(flat).swapaxes(-1, -2))
+    weighted = _merge_last_two(dsup.conj() * ls[:, None])
+    first = 4.0 * (weighted @ _merge_last_two(dsup).swapaxes(-1, -2))
     w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2
-    second = (g * w).reshape(flat) @ g.conj().reshape(flat).swapaxes(-1, -2)
+    second = _merge_last_two(g * w) @ _merge_last_two(g.conj()).swapaxes(-1, -2)
     return first, second
 
 

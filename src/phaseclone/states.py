@@ -49,6 +49,14 @@ def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndar
     return col
 
 
+def _check_eta(eta: float | np.ndarray) -> None:
+    """Reject a shrinking factor outside (0, 1], or an array of them whose extremes are:
+    the input rule of every output eta*|psi><psi| + (1-eta)I/d and of its closed forms."""
+    for e in (eta.min(), eta.max()) if isinstance(eta, np.ndarray) else (eta,):
+        if not (0.0 < e <= 1.0):
+            raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseVector:
     """The d-1 free phases of an equatorial qudit; the reference phase is 0.
@@ -99,13 +107,11 @@ def equatorial_state(p: PhaseVector) -> np.ndarray:
 
 
 def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
-    """Diagonal unitary diag(1, e^{i phi_1}, ..., e^{i phi_{d-1}}).
+    """Diagonal unitary diag(1, e^{i phi_1}, ..., e^{i phi_{d-1}}): (d, d) per point, (k, d, d) for a stack.
 
     Applied to the zero-phase reference state it generates equatorial_state(p).
     """
-    if p.phases.ndim != 1:
-        raise ValueError(f"expected one phase point, got a stack of shape {p.phases.shape}")
-    return np.diag(np.exp(1j * p.full_phases))
+    return np.exp(1j * p.full_phases)[..., :, None] * np.eye(p.dim)
 
 
 @lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d

@@ -158,10 +158,9 @@ def run_verification(
 
     errs = []
     for d in range(2, 17):
-        for _ in range(10):
-            p = PhaseVector.random(d, rng)
-            gen = states.phase_shift_unitary(p) @ states.equatorial_state(PhaseVector.zero(d))
-            errs.append(np.abs(states.equatorial_state(p) - gen).max())
+        p = PhaseVector.random(d, rng, 10)
+        gen = states.phase_shift_unitary(p) @ states.equatorial_state(PhaseVector.zero(d))
+        errs.append(np.abs(states.equatorial_state(p) - gen).max())
     add("phase_shift_generates_state", *errs)
 
     errs = []
@@ -179,15 +178,11 @@ def run_verification(
     add("basis_derivative_finite_difference", *errs)
 
     errs = []
+    fns = (states.equatorial_state, states.complement_basis, channels.ParamChannel("shrink", 0.7).density)
     for d in (2, 5, 9):
         p = PhaseVector.random(d, rng)
-        for mu in range(1, d):
-            shift = np.zeros(d - 1)
-            shift[mu - 1] = 2 * np.pi
-            q = PhaseVector(d, p.phases + shift)
-            errs.append(np.abs(states.equatorial_state(p) - states.equatorial_state(q)).max())
-            errs.append(np.abs(states.complement_basis(p) - states.complement_basis(q)).max())
-            errs.append(np.abs(channels.shrink_output(p, 0.7) - channels.shrink_output(q, 0.7)).max())
+        q = PhaseVector(d, p.phases + 2 * np.pi)  # every phase shifted by one period
+        errs += [np.abs(fn(p) - fn(q)).max() for fn in fns]
     add("gauge_period_invariance", *errs)
 
     # --- cloning channels ----------------------------------------------

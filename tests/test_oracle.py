@@ -230,6 +230,12 @@ class TestStacks:
                 for row, phases in zip(got, stack.phases):
                     assert np.array_equal(row, fn(channel(kind), PhaseVector(d, phases)))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_stack_gives_empty_matrices(self, kind):
+        p = PhaseVector(3, np.zeros((0, 2)))
+        for fn in (qfim_numeric, attainability_numeric):
+            assert fn(channel(kind), p).shape == (0, 2, 2)
+
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_central_differences(self, d):
         stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)

@@ -75,6 +75,11 @@ class TestShrinkClosed:
         with pytest.raises(ValueError):
             qfim_shrink_entries(CLOSED_FORM_DMAX + 1, 0.5)
 
+    def test_closed_qfim_rejects_a_column(self):
+        # the entry forms take a column of d; the (d-1, d-1) matrix takes one d
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            closed_qfim(UQCM, np.arange(2, 5))
+
 
 class TestClonerClosedForms:
     def test_uqcm_qubit_anchor(self):

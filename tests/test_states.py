@@ -69,15 +69,17 @@ class TestPhaseVector:
         with pytest.raises(ValueError, match="finite"):
             PhaseVector(3, phases)
 
-    @pytest.mark.parametrize(
-        "fn",
-        [phase_shift_unitary],
-        ids=["phase_shift_unitary"],
-    )
-    def test_single_point_helpers_reject_a_stack(self, fn):
-        # at k = d-1 a stack would otherwise broadcast into a wrong result
-        with pytest.raises(ValueError, match="one phase point"):
-            fn(PhaseVector(4, np.zeros((3, 3))))
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_phase_shift_unitary_maps_a_stack(self, d):
+        # k = d-1 is the stack that a (d, d) broadcast would silently mix up
+        rng = np.random.default_rng(40 + d)
+        for k in (1, d - 1, 5):
+            stack = PhaseVector.random(d, rng, k)
+            got = phase_shift_unitary(stack)
+            assert got.shape == (k, d, d)
+            for u, phases in zip(got, stack.phases):
+                assert np.array_equal(u, phase_shift_unitary(PhaseVector(d, phases)))
+        assert phase_shift_unitary(PhaseVector(d, np.zeros((0, d - 1)))).shape == (0, d, d)
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_basis_derivatives_of_a_stack_of_d_minus_1_points(self, d):
