@@ -4,15 +4,17 @@ The channels are channels.ParamChannel instances, and the oracle calls
 nothing on them but .density; for the two cloners that is the partial
 trace of the cloner isometry, never the scaling form.  Everything here is
 computed from central finite differences of the density matrix, one per
-phase, with every shifted point built by one density call on a stack, and
-the symmetric-logarithmic-derivative equation
+phase, and the symmetric-logarithmic-derivative equation
 
     d_rho_m = (rho L_m + L_m rho) / 2,
 
 solved for the whole (d-1, d, d) stack of derivatives in one eigenbasis of
-rho.  The defining traces G_mn = Tr(rho L_m L_n) for every pair (m, n) are
-one Gram product of the flattened rho L_m with the flattened transposes
-L_n^T; then F = Re(G + G^T)/2 and A = Im G.  Every function takes one
+rho.  sld_pass is the one evaluation: rho and all 2(d-1) shifted points
+come from one density call on a stack, and the defining traces
+G_mn = Tr(rho L_m L_n) for every pair (m, n) are one Gram product of the
+flattened rho L_m with the flattened transposes L_n^T.  Its views are the
+QFIM F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
+qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
 (k, ...) stack; each point of a stack gets the arithmetic of a single
 point, so the results agree bit for bit.  This module imports only
@@ -21,6 +23,8 @@ helpers, so agreement between the two paths is a genuine check.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +42,31 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} is too small: 1/(2h) overflows")
 
 
-def _central_differences(fn, p: PhaseVector, h: float, rows=slice(None)) -> np.ndarray:
-    """(fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h for every mu (or the mu - 1
-    picked by rows), stacked as [..., mu-1] after the stack axes of p.
+def _stencil(fn, p: PhaseVector, h: float, rows=slice(None), centre: bool = False):
+    """fn at phi +- h e_mu for every mu (or the mu - 1 picked by rows), and at
+    phi itself with centre, from one call of fn on one stack of every point.
 
     fn is any function of the phases that maps a stack of points to a stack
-    of results; it is called once, on every shifted point of every point of p.
+    of results.  Returns (fn(phi), or None without centre; the central
+    differences (fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h stacked as
+    [..., mu-1] after the stack axes of p).  fn(phi) is copied out of the
+    stack of results, so the stack is freed on return.
     """
     _check_step(h)
     shifts = h * np.eye(p.dim - 1)[rows]
     x = p.phases[..., None, :]
-    pts = np.stack((x + shifts, x - shifts))
-    out = fn(PhaseVector(p.dim, pts.reshape(-1, p.dim - 1)))
-    out = out.reshape(pts.shape[:-1] + out.shape[1:])
-    return (out[0] - out[1]) / (2.0 * h)
+    shifted = np.stack((x + shifts, x - shifts))
+    centres = p.phases.reshape(-1, p.dim - 1) if centre else np.empty((0, p.dim - 1))
+    out = fn(PhaseVector(p.dim, np.concatenate((centres, shifted.reshape(-1, p.dim - 1)))))
+    n = len(centres)
+    at = out[:n].reshape(p.phases.shape[:-1] + out.shape[1:]).copy() if centre else None
+    out = out[n:].reshape(shifted.shape[:-1] + out.shape[1:])
+    return at, (out[0] - out[1]) / (2.0 * h)
+
+
+def _central_differences(fn, p: PhaseVector, h: float, rows=slice(None)) -> np.ndarray:
+    """The central differences of _stencil alone, with fn called on the shifted points only."""
+    return _stencil(fn, p, h, rows)[1]
 
 
 def rho_derivative(
@@ -60,7 +75,7 @@ def rho_derivative(
     """Central-difference derivative of channel.density with respect to phi_mu, 1 <= mu <= d-1.
 
     Builds only the two points phi +- h e_mu, as one stack.  A test reference,
-    kept for the benchmark tracer: the program calls _central_differences.
+    kept for the benchmark tracer: the program takes density differences from sld_pass.
     """
     if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
@@ -91,22 +106,50 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     return v @ ltil @ vh
 
 
-def _sld_gram(channel: ParamChannel, p: PhaseVector, h: float) -> np.ndarray:
-    """G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, as one matrix product per point."""
-    rho = channel.density(p)[..., None, :, :]
-    slds = sld_solve(rho, _central_differences(channel.density, p, h))
+@dataclass(frozen=True, eq=False)
+class SldPass:
+    """One finite-difference SLD evaluation at a phase point or a stack of them.
+
+    rho (..., d, d), its central differences drho (..., d-1, d, d), their
+    SLDs (..., d-1, d, d) and the traces gram[..., m, n] = Tr(rho L_m L_n).
+    """
+
+    rho: np.ndarray
+    drho: np.ndarray
+    slds: np.ndarray
+    gram: np.ndarray
+
+    @property
+    def qfim(self) -> np.ndarray:
+        """Tr[rho (L_m L_n + L_n L_m)]/2 = Re(G + G^T)/2."""
+        return 0.5 * (self.gram + self.gram.swapaxes(-1, -2)).real
+
+    @property
+    def attainability(self) -> np.ndarray:
+        """Im Tr(rho L_m L_n) = Im G, as a real matrix."""
+        return self.gram.imag
+
+
+def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> SldPass:
+    """rho, its central differences, their SLDs and G from one density call.
+
+    G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, one matrix product per point.
+    """
+    rho, drho = _stencil(channel.density, p, h, centre=True)
+    rho_b = rho[..., None, :, :]
+    slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too
-    return (rho @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    gram = (rho_b @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    return SldPass(rho, drho, slds, gram)
 
 
 def qfim_numeric(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """QFIM from the defining symmetrized trace, Tr[rho (L_m L_n + L_n L_m)]/2."""
-    g = _sld_gram(channel, p, h)
-    return 0.5 * (g + g.swapaxes(-1, -2)).real
+    return sld_pass(channel, p, h).qfim
 
 
 def attainability_numeric(
     channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """Commutator-trace imaginary parts Im Tr(rho L_m L_n), as a real matrix."""
-    return _sld_gram(channel, p, h).imag
+    return sld_pass(channel, p, h).attainability

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, _check_eta, basis_derivatives, complement_basis
+from .states import PhaseVector, _check_dim, _check_dims, _check_eta, _derivatives_of_basis, complement_basis
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -154,7 +154,8 @@ class SpectralDecomposition:
 
 def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     """Spectral decomposition of the shrinking-channel output, with the
-    eigenvector derivatives from basis_derivatives(p).
+    eigenvector derivatives of states.basis_derivatives(p), taken from the
+    one complement basis it builds.
 
     The equatorial state itself is an eigenvector with eigenvalue
     eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
@@ -164,7 +165,8 @@ def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     _check_eta(eta)
     d = p.dim
     lam = np.concatenate(([eta + (1.0 - eta) / d], np.full(d - 1, (1.0 - eta) / d)))
-    return SpectralDecomposition(lam, complement_basis(p), basis_derivatives(p))
+    basis = complement_basis(p)
+    return SpectralDecomposition(lam, basis, _derivatives_of_basis(basis))
 
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:

@@ -52,6 +52,8 @@ def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndar
 def _check_eta(eta: float | np.ndarray) -> None:
     """Reject a shrinking factor outside (0, 1], or an array of them whose extremes are:
     the input rule of every output eta*|psi><psi| + (1-eta)I/d and of its closed forms."""
+    if isinstance(eta, np.ndarray) and eta.size == 0:
+        raise ValueError("shrinking factor eta must hold at least one value, got an empty array")
     for e in (eta.min(), eta.max()) if isinstance(eta, np.ndarray) else (eta,):
         if not (0.0 < e <= 1.0):
             raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
@@ -152,8 +154,14 @@ def basis_derivatives(p: PhaseVector) -> np.ndarray:
     exact up to rounding, with no finite differences involved.  Row
     [mu-1, 0] is the derivative of the state, i e^{i phi_mu}/sqrt(d) |mu>.
     """
-    mu = np.arange(1, p.dim)[:, None, None]
-    k = np.arange(p.dim)
+    return _derivatives_of_basis(complement_basis(p))
+
+
+def _derivatives_of_basis(basis: np.ndarray) -> np.ndarray:
+    """basis_derivatives from a complement_basis already built, for callers that need both."""
+    d = basis.shape[-1]
+    mu = np.arange(1, d)[:, None, None]
+    k = np.arange(d)
     # entries [mu-1, n, k] = delta_{k mu} - delta_{n mu}
     weights = (k == mu).astype(float) - (k[:, None] == mu)
-    return 1j * weights * complement_basis(p)[..., None, :, :]
+    return 1j * weights * basis[..., None, :, :]

@@ -6,7 +6,9 @@ closed-form versus spectral-route agreement, ordering and positivity of the
 information matrices, variance-bound identities, attainability, and the
 finite-difference oracle comparisons.  Each check reports its worst observed
 error against a fixed tolerance.  TOLERANCES declares every check, in run
-order, with that tolerance; it is the one list of check names.
+order, with that tolerance; it is the one list of check names.  Checks that
+share a quantity share its draws: one oracle.sld_pass per (d, channel) draw
+stack feeds the oracle attainability, QFIM-agreement and SLD-residual checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .states import PhaseVector
 DEFAULT_SEED = 12345
 
 # largest dmax_full: the traced-cloner, attainability and oracle blocks run every
-# d up to it, and take ~5 s at 32 on a 2-vCPU host; the library itself has no cap
+# d up to it, and take ~4 s at 32 on a 2-vCPU host; the library itself has no cap
 DMAX_FULL_LIMIT = 32
 
 PURE = channels.ParamChannel("pure")
@@ -322,7 +324,21 @@ def run_verification(
             errs.append(np.abs(rho - channels.shrink_output(p, eta)).max())
     add("spectral_reconstruction", *errs)
 
-    # --- attainability ----------------------------------------------------
+    # --- attainability and the finite-difference oracle ------------------
+    # one oracle pass per (d, channel) draw stack feeds every oracle check: its
+    # Im G against zero and the closed attainability matrix, its QFIM against
+    # the closed form, and its SLDs against the equation that defines them
+    agreement = {ch.kind: [] for ch in CHANNELS}
+    residual = []
+
+    def oracle_pass(ch: channels.ParamChannel, p: PhaseVector) -> oracle.SldPass:
+        sp = oracle.sld_pass(ch, p, fd_step)
+        agreement[ch.kind].append(np.abs(sp.qfim - qfim.closed_qfim(ch, p.dim)).max())
+        rho = sp.rho[:, None]
+        res = sp.drho - 0.5 * (rho @ sp.slds + sp.slds @ rho)
+        residual.append(np.linalg.norm(res, axis=(-2, -1)).max())
+        return sp
+
     # one closed matrix per draw, against zero, its raw-weight form and the oracle
     err_closed, err_forms, err_num, err_agree = [], [], [], []
     for d in full_dims:
@@ -330,7 +346,7 @@ def run_verification(
             p = PhaseVector.random(d, rng, 10)
             sd = qfim.spectral_output(p, ch.shrinking_factor(d))
             a = crb.attainability_closed(sd)
-            num = oracle.attainability_numeric(ch, p, fd_step)
+            num = oracle_pass(ch, p).attainability
             err_closed.append(np.abs(a).max())
             err_forms.append(np.abs(a - crb._attainability_raw_weight(sd)).max())
             err_num.append(np.abs(num).max())
@@ -340,14 +356,10 @@ def run_verification(
     add("attainability_numeric_zero", *err_num)
     add("attainability_paths_agree", *err_agree)
 
-    # --- finite-difference oracle vs closed forms -------------------------
+    for d in full_dims:
+        oracle_pass(SHRINK, PhaseVector.random(d, rng, 5))
     for ch in CHANNELS:
-        errs = []
-        for d in full_dims:
-            closed = qfim.closed_qfim(ch, d)
-            p = PhaseVector.random(d, rng, 5)
-            errs.append(np.abs(oracle.qfim_numeric(ch, p, fd_step) - closed).max())
-        add(f"oracle_agreement_{ch.kind}", *errs)
+        add(f"oracle_agreement_{ch.kind}", *agreement[ch.kind])
 
     errs = []
     for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5)):
@@ -357,15 +369,6 @@ def run_verification(
         errs.append(np.abs(coarse - fine).max())
     add("oracle_step_robustness", *errs)
 
-    errs = []
-    for d in full_dims:
-        for ch in CHANNELS:
-            p = PhaseVector.random(d, rng, 3)
-            rho = ch.density(p)[:, None]
-            drho = oracle._central_differences(ch.density, p, fd_step)
-            sld = oracle.sld_solve(rho, drho)
-            residual = drho - 0.5 * (rho @ sld + sld @ rho)
-            errs.append(np.linalg.norm(residual, axis=(-2, -1)).max())
-    add("sld_residual", *errs)
+    add("sld_residual", *residual)
 
     return results

@@ -76,6 +76,17 @@ def test_bad_column_rejected(dims):
         qfim_uqcm_entries(dims)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: total_variance_bound(5, np.array([])), lambda: qfim_shrink_entries(np.arange(2, 5), np.array([]))],
+    ids=["total_variance_bound", "qfim_shrink_entries"],
+)
+def test_empty_eta_array_rejected(call):
+    # numpy's min() of an empty array would raise its own "zero-size array" error
+    with pytest.raises(ValueError, match="eta must hold at least one value"):
+        call()
+
+
 def outcome(fn, d, eta):
     try:
         return outputs(fn(d, eta))

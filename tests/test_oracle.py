@@ -15,6 +15,7 @@ from phaseclone.oracle import (
     attainability_numeric,
     qfim_numeric,
     rho_derivative,
+    sld_pass,
     sld_solve,
 )
 from phaseclone.qfim import closed_qfim
@@ -93,14 +94,15 @@ class TestCentralDifferences:
                     for mu in range(1, d):
                         assert np.array_equal(got[mu - 1], central_difference_reference(fn, p, mu, h))
 
-    @pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric])
-    def test_two_density_calls_per_phase_point(self, fn, monkeypatch):
-        # the base point, then every shifted point of it as one stack
+    @pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric, sld_pass])
+    def test_one_density_call_per_phase_point(self, fn, monkeypatch):
+        # the base point and every shifted point of it as one stack
         calls = counting_density(monkeypatch)
         rng = np.random.default_rng(13)
         for kind in ("pure", "uqcm", "pqcm"):
             fn(ParamChannel(kind), PhaseVector.random(5, rng))
-        assert calls == [(4,), (8, 4)] * 3
+        fn(ParamChannel("uqcm"), PhaseVector.random(5, rng, 3))
+        assert calls == [(9, 4)] * 3 + [(27, 4)]
 
 
 class TestRhoDerivative:
@@ -254,6 +256,47 @@ class TestStacks:
         assert got.shape == drho.shape
         for row, r, dr in zip(got, rho, drho):
             assert np.array_equal(row, sld_solve(r, dr))
+
+
+def two_call_gram(ch, p, h):
+    """G = Tr(rho L_m L_n) with rho and the shifted points from two density calls:
+    the reference that the one-call pass must reproduce bit for bit."""
+    rho = ch.density(p)[..., None, :, :]
+    slds = sld_solve(rho, _central_differences(ch.density, p, h))
+    flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)
+    return (rho @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+
+
+class TestSldPass:
+    """One pass builds rho, its differences, their SLDs and G = Tr(rho L_m L_n)."""
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    @pytest.mark.parametrize("k", [None, 1, 4])
+    def test_fields_equal_their_definitions(self, d, k):
+        rng = np.random.default_rng(100 + d)
+        for kind in KINDS:
+            ch = channel(kind)
+            p = PhaseVector.random(d, rng, k)
+            for h in (1e-5, 3e-4):
+                sp = sld_pass(ch, p, h)
+                rho = ch.density(p)
+                drho = _central_differences(ch.density, p, h)
+                assert np.array_equal(sp.rho, rho)
+                assert np.array_equal(sp.drho, drho)
+                assert np.array_equal(sp.slds, sld_solve(rho[..., None, :, :], drho))
+                g = two_call_gram(ch, p, h)
+                assert np.array_equal(sp.gram, g)
+                assert np.array_equal(qfim_numeric(ch, p, h), 0.5 * (g + g.swapaxes(-1, -2)).real)
+                assert np.array_equal(attainability_numeric(ch, p, h), g.imag)
+
+    def test_rho_owns_its_memory(self):
+        # a view of the stacked density would keep every shifted point alive
+        sp = sld_pass(ParamChannel("pqcm"), PhaseVector.random(6, np.random.default_rng(14), 3))
+        assert sp.rho.flags.owndata and sp.rho.shape == (3, 6, 6)
+
+    def test_rejects_bad_step(self):
+        with pytest.raises(ValueError, match="step"):
+            sld_pass(ParamChannel("pure"), PhaseVector.zero(3), 0.0)
 
 
 _phase = st.one_of(

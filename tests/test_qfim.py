@@ -22,7 +22,7 @@ from phaseclone.qfim import (
 )
 from phaseclone.channels import shrink_output
 from phaseclone.crb import attainability_closed, total_variance_bound
-from phaseclone.states import TWO_PI, PhaseVector, basis_derivatives
+from phaseclone.states import TWO_PI, PhaseVector, basis_derivatives, complement_basis
 
 PURE, UQCM, PQCM = ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm")
 
@@ -184,11 +184,13 @@ class TestSpectralRoute:
         with pytest.raises(ValueError):
             qfim_from_spectral(sd)
 
-    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
     def test_stack_carries_its_derivatives(self, d):
+        # one complement basis serves the eigenvectors and their derivatives
         stack = PhaseVector.random(d, np.random.default_rng(70 + d), 4)
         sd = spectral_output(stack, 0.6)
         assert sd.derivatives.shape == (4, d - 1, d, d)
+        assert np.array_equal(sd.eigenvectors, complement_basis(stack))
         assert np.array_equal(sd.derivatives, basis_derivatives(stack))
 
 

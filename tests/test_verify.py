@@ -57,13 +57,17 @@ def test_dmax_error_names_the_bound():
         run_verification(dmax_full=DMAX_FULL_LIMIT + 1)
 
 
-def nan_qfim(ch, p, h):
-    return np.full(p.phases.shape[:-1] + (p.dim - 1, p.dim - 1), np.nan)
+SLD_PASS = oracle.sld_pass
+
+
+def nan_pass(ch, p, h):
+    sp = SLD_PASS(ch, p, h)
+    return oracle.SldPass(*(np.full_like(x, np.nan) for x in (sp.rho, sp.drho, sp.slds, sp.gram)))
 
 
 def test_nan_error_fails_its_check(monkeypatch):
     """A check whose error is NaN fails; max() would have kept the 0.0 it starts from."""
-    monkeypatch.setattr(oracle, "qfim_numeric", nan_qfim)
+    monkeypatch.setattr(oracle, "sld_pass", nan_pass)
     by_name = {r.name: r for r in run_verification(dmax_full=2)}
     for kind in ("pure", "uqcm", "pqcm", "shrink"):
         assert np.isnan(by_name[f"oracle_agreement_{kind}"].max_error)
@@ -75,7 +79,7 @@ def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr(oracle, "qfim_numeric", nan_qfim)
+    monkeypatch.setattr(oracle, "sld_pass", nan_pass)
     assert main(["verify", "--dmax", "2"]) == 3
     out, err = capsys.readouterr()
     by_name = {e["name"]: e for e in json.loads(out, parse_constant=reject)}
@@ -83,6 +87,40 @@ def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys):
         assert by_name[f"oracle_agreement_{kind}"]["max_error"] is None
         assert by_name[f"oracle_agreement_{kind}"]["pass"] is False
         assert f"[FAIL] oracle_agreement_{kind}: max_error=nan " in err
+
+
+def test_one_oracle_pass_per_draw_stack(monkeypatch):
+    """Every (d, channel) draw stack gets one pass, which all oracle checks read;
+    the six step-robustness evaluations come on top."""
+    seen = []
+
+    def counting(ch, p, h):
+        seen.append((ch.kind, p.dim, len(p.phases), h))
+        return SLD_PASS(ch, p, h)
+
+    monkeypatch.setattr(oracle, "sld_pass", counting)
+    assert all(r.passed for r in run_verification(dmax_full=4))
+    step = oracle.DEFAULT_FD_STEP
+    shared = [(ch, d, 10, step) for d in (2, 3, 4) for ch in ("pure", "uqcm", "pqcm")]
+    shared += [("shrink", d, 5, step) for d in (2, 3, 4)]
+    robustness = [(ch, d, d - 1, h) for ch, d in (("uqcm", 3), ("pqcm", 4), ("shrink", 5)) for h in (1e-4, 5e-5)]
+    assert seen == shared + robustness
+
+
+@pytest.mark.parametrize(
+    "scale, failing",
+    [
+        (1e-6, ["sld_residual"]),
+        (1e-4, [f"oracle_agreement_{kind}" for kind in ("pure", "uqcm", "pqcm", "shrink")] + ["sld_residual"]),
+    ],
+    ids=["1e-6", "1e-4"],
+)
+def test_shared_pass_still_guards_the_solver(monkeypatch, scale, failing):
+    """A solver off by a factor 1 + scale fails the SLD residual at 1e-6, and
+    the closed-form agreement too at 1e-4 (G moves by 2 scale F, and F <= 1)."""
+    solve = oracle.sld_solve
+    monkeypatch.setattr(oracle, "sld_solve", lambda rho, drho: solve(rho, drho) * (1 + scale))
+    assert [r.name for r in run_verification(dmax_full=4) if not r.passed] == failing
 
 
 def test_no_unit_test_repeats_a_check():
