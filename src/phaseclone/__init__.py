@@ -32,7 +32,6 @@ from .qfim import (
     SpectralDecomposition,
     closed_entries,
     closed_qfim,
-    equatorial_structure_residuals,
     qfim_from_spectral,
     qfim_pqcm_entries,
     qfim_pure_entries,
@@ -66,7 +65,6 @@ __all__ = [
     "closed_qfim",
     "complement_basis",
     "equatorial_state",
-    "equatorial_structure_residuals",
     "eta_pqcm",
     "eta_uqcm",
     "phase_shift_unitary",

@@ -159,6 +159,8 @@ class ParamChannel:
         if self.kind == "shrink":
             if self.eta is None:
                 raise ValueError("shrink channel requires eta")
+            if np.ndim(self.eta) != 0:
+                raise ValueError(f"a shrink channel takes one eta, got {self.eta!r}")
             _check_eta(self.eta)
         elif self.eta is not None:
             raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")

@@ -115,25 +115,6 @@ def closed_qfim(channel, d: int) -> np.ndarray:
     return out
 
 
-def equatorial_structure_residuals(f: np.ndarray) -> tuple[float, float, float]:
-    """How far a matrix is from the equatorial-family QFIM structure.
-
-    Returns (diagonal spread, off-diagonal spread, relation residual), where
-    the relation residual is max |F_diag + (d-1) F_off|.  All three are zero
-    for d = 2 up to the diagonal spread.
-    """
-    f = np.asarray(f)
-    n = f.shape[0]
-    diag = np.diag(f)
-    dspread = float(diag.max() - diag.min())
-    if n == 1:
-        return dspread, 0.0, 0.0
-    off = f[~np.eye(n, dtype=bool)]
-    ospread = float(off.max() - off.min())
-    relation = float(np.abs(diag.mean() + n * off.mean()).max())
-    return dspread, ospread, relation
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigen-decomposition of a density matrix restricted to what the

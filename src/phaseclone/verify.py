@@ -238,10 +238,12 @@ def run_verification(
         *(abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d)) for d in range(2, 65)),
     )
 
+    # the closed-form sweeps evaluate each closed form once on a column of d
+    d64 = np.arange(2, 65)
     errs = []
-    for d in range(2, 33):
-        for ch in CHANNELS:
-            errs.append(max(qfim.equatorial_structure_residuals(qfim.closed_qfim(ch, d))))
+    for ch in CHANNELS:
+        fdiag, foff = qfim.closed_entries(ch, d64)
+        errs.extend(np.abs(fdiag + (d64 - 1) * foff))
     add("diag_offdiag_relation", *errs)
 
     errs = []
@@ -259,11 +261,9 @@ def run_verification(
         errs.append(-np.linalg.eigvalsh(gap)[0])
     add("pqcm_minus_uqcm_psd", *errs)
 
-    # the pure closed-form sweeps evaluate each closed form once on a column of d
     d1000 = np.arange(2, 1001)
     add("pqcm_diagonal_dominates", *(qfim.qfim_uqcm_entries(d1000)[0] - qfim.qfim_pqcm_entries(d1000)[0]))
 
-    d64 = np.arange(2, 65)
     bound = channels.eta_uqcm(d64) * qfim.qfim_pure_entries(d64)[0]
     add("information_shrinks_under_cloning", *(qfim.qfim_uqcm_entries(d64)[0] - bound))
 

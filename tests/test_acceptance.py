@@ -54,7 +54,7 @@ def test_criterion_8_asymptotics_and_monotonicity(check):
 
 
 def test_criterion_9_relation_invariant(check):
-    # every family up to d=64 and spectral matrices: test_qfim.TestStructureResiduals
+    # every closed form up to d=64; spectral matrices: test_qfim.test_spectral_route_property
     check("diag_offdiag_relation")
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from strategies import phase
 
 from phaseclone import channels
 from phaseclone.channels import (
@@ -220,13 +221,6 @@ def test_empty_stack_gives_an_empty_stack(kind):
     assert rho.shape == (0, 4, 4) and rho.dtype == complex
 
 
-_phase = st.one_of(
-    st.floats(0.0, TWO_PI, exclude_max=True),
-    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
-    st.floats(-1e-9, 1e-9),
-)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -237,7 +231,7 @@ _phase = st.one_of(
 def test_every_density_is_a_state(data, d, k, kind):
     """Every ParamChannel output is Hermitian, unit-trace and PSD, whatever the phases."""
     eta = data.draw(st.floats(0.0, 1.0, exclude_min=True)) if kind == "shrink" else None
-    rows = data.draw(st.lists(st.lists(_phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
+    rows = data.draw(st.lists(st.lists(phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
     rho = ParamChannel(kind, eta).density(PhaseVector(d, rows))
     assert rho.shape == (k, d, d)
     for r in rho:

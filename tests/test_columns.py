@@ -33,6 +33,7 @@ CLOSED_FORMS = {
     "qfim_uqcm_entries": qfim_uqcm_entries,
     "qfim_pqcm_entries": qfim_pqcm_entries,
     "qfim_shrink_entries(0.4)": partial(qfim_shrink_entries, eta=0.4),
+    "qfim_shrink_entries(eta_uqcm)": lambda d: qfim_shrink_entries(d, eta_uqcm(d)),
     "qfim_shrink_entries(eta_pqcm)": lambda d: qfim_shrink_entries(d, eta_pqcm(d)),
     **{f"closed_entries({ch.kind})": partial(closed_entries, ch) for ch in KINDS},
     **{f"shrinking_factor({ch.kind})": ch.shrinking_factor for ch in KINDS},

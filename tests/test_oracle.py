@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from strategies import phase
 
 import phaseclone
 import phaseclone.oracle as oracle_module
@@ -20,7 +21,6 @@ from phaseclone.oracle import (
 )
 from phaseclone.qfim import closed_qfim
 from phaseclone.states import (
-    TWO_PI,
     PhaseVector,
     basis_derivatives,
     complement_basis,
@@ -299,17 +299,10 @@ class TestSldPass:
             sld_pass(ParamChannel("pure"), PhaseVector.zero(3), 0.0)
 
 
-_phase = st.one_of(
-    st.floats(0.0, TWO_PI, exclude_max=True),
-    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
-    st.floats(-1e-9, 1e-9),
-)
-
-
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), d=st.integers(2, 6), k=st.integers(1, 4), kind=st.sampled_from(KINDS))
 def test_stacked_oracle_property(data, d, k, kind):
-    rows = data.draw(st.lists(st.lists(_phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
+    rows = data.draw(st.lists(st.lists(phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
     stack = PhaseVector(d, rows)
     for fn in (qfim_numeric, attainability_numeric):
         got = fn(channel(kind), stack)
@@ -323,7 +316,7 @@ def test_oracle_matches_closed_forms_property(data, d, k, kind):
     """Every point of a stack gives the closed-form QFIM, entrywise to 1e-8 F_diag;
     shrink eta is log-uniform in [1e-3, 1]."""
     eta = 10.0 ** data.draw(st.floats(-3.0, 0.0)) if kind == "shrink" else None
-    rows = data.draw(st.lists(st.lists(_phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
+    rows = data.draw(st.lists(st.lists(phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
     ch = ParamChannel(kind, eta)
     closed = closed_qfim(ch, d)
     assert np.abs(qfim_numeric(ch, PhaseVector(d, rows)) - closed).max() <= 1e-8 * closed[0, 0]
@@ -344,14 +337,6 @@ class TestQfimNumeric:
         p = PhaseVector.random(5, np.random.default_rng(7))
         f = qfim_numeric(ParamChannel("pure"), p)
         assert np.abs(f - closed_qfim(ParamChannel("pure"), 5)).max() < 1e-6
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_agreement_with_closed_forms(self, d):
-        rng = np.random.default_rng(30 + d)
-        for kind, eta in (("pure", None), ("uqcm", None), ("pqcm", None), ("shrink", 0.4)):
-            ch = ParamChannel(kind, eta)
-            p = PhaseVector.random(d, rng)
-            assert np.abs(qfim_numeric(ch, p) - closed_qfim(ch, d)).max() < 1e-5
 
     @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
     def test_cloners_above_d32(self, kind):
@@ -395,6 +380,8 @@ class TestParamChannel:
             ParamChannel("shrink", 1.3)
         with pytest.raises(ValueError):
             ParamChannel("uqcm", 0.5)
+        with pytest.raises(ValueError, match="one eta"):
+            ParamChannel("shrink", np.array([0.3, 0.5]))
 
     def test_cloners_never_use_the_scaling_form(self, monkeypatch):
         import phaseclone.channels as channels

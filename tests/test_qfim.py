@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from strategies import phase
 
 from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.qfim import (
@@ -11,7 +12,6 @@ from phaseclone.qfim import (
     _spectral_terms,
     closed_entries,
     closed_qfim,
-    equatorial_structure_residuals,
     qfim_from_spectral,
     qfim_pqcm_entries,
     qfim_pure_entries,
@@ -22,7 +22,7 @@ from phaseclone.qfim import (
 )
 from phaseclone.channels import shrink_output
 from phaseclone.crb import attainability_closed, total_variance_bound
-from phaseclone.states import TWO_PI, PhaseVector, basis_derivatives, complement_basis
+from phaseclone.states import PhaseVector, basis_derivatives, complement_basis
 
 PURE, UQCM, PQCM = ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm")
 
@@ -109,33 +109,6 @@ class TestClonerClosedForms:
         assert abs(fp[1] - fs[1]) <= 1e-12
 
 
-class TestStructureResiduals:
-    @pytest.mark.parametrize("d", [2, 3, 8, 32])
-    def test_relation_holds_for_all_families(self, d):
-        for ch in (PURE, UQCM, PQCM, ParamChannel("shrink", 0.37)):
-            f = closed_qfim(ch, d)
-            dspread, ospread, relation = equatorial_structure_residuals(f)
-            assert dspread < 1e-10
-            assert ospread < 1e-10
-            assert relation < 1e-10
-
-    def test_relation_up_to_d64(self):
-        # every closed form at each d, a random eta, and the spectral matrices
-        rng = np.random.default_rng(9)
-        for d in range(2, 65):
-            family = [closed_qfim(PURE, d), closed_qfim(UQCM, d), closed_qfim(PQCM, d)]
-            family.append(closed_qfim(ParamChannel("shrink", rng.uniform(0.2, 1.0)), d))
-            if d <= 10:
-                sd = spectral_output(PhaseVector.random(d, rng), eta_uqcm(d))
-                family.append(qfim_from_spectral(sd))
-            assert max(max(equatorial_structure_residuals(f)) for f in family) < 1e-10
-
-    def test_detects_broken_structure(self):
-        f = closed_qfim(PURE, 4).copy()
-        f[0, 0] += 0.1
-        assert equatorial_structure_residuals(f)[0] > 0.05
-
-
 class TestSpectralRoute:
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_reconstruction_of_a_stack(self, k):
@@ -204,11 +177,6 @@ class TestDiagonalTermSums:
         assert first - second == pytest.approx(4 / 9, abs=1e-12)
 
 
-_phase = st.one_of(
-    st.floats(0.0, TWO_PI, exclude_max=True),
-    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
-    st.floats(-1e-9, 1e-9),
-)
 # uniform, small, and within 1e-11 of 1, where (1-eta)/d is a tiny support eigenvalue
 _eta = st.one_of(
     st.just(1.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-11, 1.0)
@@ -218,7 +186,7 @@ _eta = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), d=st.integers(2, 64), eta=_eta)
 def test_spectral_route_property(data, d, eta):
-    p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
+    p = PhaseVector(d, data.draw(st.lists(phase, min_size=d - 1, max_size=d - 1)))
     sd = spectral_output(p, eta)
     f = qfim_from_spectral(sd)
     fdiag, foff = closed_entries(ParamChannel("shrink", eta), d)
@@ -231,14 +199,6 @@ def test_spectral_route_property(data, d, eta):
     # F_diag = -(d-1) F_off, entry by entry
     assert np.abs(np.diag(f)[:, None] + (d - 1) * off[None, :]).max(initial=0.0) <= tol
     assert np.abs(attainability_closed(sd)).max() <= 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(d=st.integers(2, 64))
-def test_pqcm_dominates_uqcm_property(d):
-    """PQCM >= UQCM in the Loewner order: the gap matrix has no negative eigenvalue."""
-    gap = closed_qfim(PQCM, d) - closed_qfim(UQCM, d)
-    assert np.linalg.eigvalsh(gap)[0] >= -1e-12
 
 
 @pytest.mark.parametrize("int_type", [int, np.int32, np.int64])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from strategies import phase
 
 from phaseclone.oracle import _central_differences
 from phaseclone.states import (
@@ -217,18 +218,10 @@ def test_complement_basis_matches_gram_schmidt(d):
         assert np.abs(complement_basis(p) - gram_schmidt_rows(p)).max() < 1e-13
 
 
-# uniform phases, and phases within 1e-9 of the 2*pi wrap on either side
-_phase = st.one_of(
-    st.floats(0.0, TWO_PI, exclude_max=True),
-    st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9),
-    st.floats(-1e-9, 1e-9),
-)
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), d=st.integers(2, 64))
 def test_basis_derivatives_property(data, d):
-    p = PhaseVector(d, data.draw(st.lists(_phase, min_size=d - 1, max_size=d - 1)))
+    p = PhaseVector(d, data.draw(st.lists(phase, min_size=d - 1, max_size=d - 1)))
     stack = basis_derivatives(p)
     fd = _central_differences(complement_basis, p, 1e-5)
     for mu in range(1, d):

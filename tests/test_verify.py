@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseclone import oracle
+from phaseclone import oracle, qfim
 from phaseclone.cli import main
 from phaseclone.verify import DMAX_FULL_LIMIT, TOLERANCES, run_verification
 
@@ -121,6 +121,25 @@ def test_shared_pass_still_guards_the_solver(monkeypatch, scale, failing):
     solve = oracle.sld_solve
     monkeypatch.setattr(oracle, "sld_solve", lambda rho, drho: solve(rho, drho) * (1 + scale))
     assert [r.name for r in run_verification(dmax_full=4) if not r.passed] == failing
+
+
+def test_broken_off_diagonal_entry_is_caught(monkeypatch):
+    """A UQCM off-diagonal entry off by a factor 1 + 1e-6 breaks F_diag = -(d-1) F_off;
+    the checks that set the entry beside the spectral route, the generic shrink
+    form and a dense eigensolver fail with it, and no other check does."""
+    entries = qfim.qfim_uqcm_entries
+
+    def broken(d):
+        fdiag, foff = entries(d)
+        return fdiag, foff * (1 + 1e-6)
+
+    monkeypatch.setattr(qfim, "qfim_uqcm_entries", broken)
+    assert [r.name for r in run_verification(dmax_full=2) if not r.passed] == [
+        "spectral_vs_closed_uqcm",
+        "diag_offdiag_relation",
+        "uqcm_matches_generic_shrink",
+        "structured_vs_dense_eigenvalues",
+    ]
 
 
 def test_no_unit_test_repeats_a_check():
