@@ -16,10 +16,12 @@ Each option and its default is declared once, in build_parser.  A key=value
 config file (--config) supplies new defaults for the subcommand: main parses
 argv, installs the file's values with set_defaults and parses argv again, so
 argparse casts each value with its flag's type and explicit flags win.  A key
-that names no option of the subcommand is a usage error.  compute and figure
-call each closed form once, on the whole column of dimensions, and write each
-CSV row from one %-template.  CSV output uses a header row, 12 significant
-digits, and LF line endings, so fixed inputs give byte-identical files.
+that names no option of the subcommand is a usage error.  verify's tolerances
+and oracle step are fixed in the verify module; no key or flag sets them.
+compute and figure call each closed form once, on the whole column of
+dimensions, and write each CSV row from one %-template.  CSV output uses a
+header row, 12 significant digits, and LF line endings, so fixed inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from . import __version__
 from .channels import MACHINES, ParamChannel, eta_pqcm, eta_uqcm
 from .crb import qfim_eigenvalues, total_variance_bound
-from .oracle import DEFAULT_FD_STEP
 from .qfim import CLOSED_FORM_DMAX, closed_entries, qfim_pqcm_entries, qfim_pure_entries, qfim_uqcm_entries
 from .verify import DEFAULT_SEED, DMAX_FULL_LIMIT, CheckResult, check_arguments, run_verification
 
@@ -140,9 +141,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, tolerances: dict[str, float]) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        check_arguments(args.dmax, args.fd_step, tolerances)
+        check_arguments(args.dmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_seed(args.seed)
@@ -156,10 +157,7 @@ def cmd_verify(args: argparse.Namespace, tolerances: dict[str, float]) -> int:
             file=sys.stderr,
         )
 
-    results = run_verification(
-        dmax_full=args.dmax, seed=args.seed, fd_step=args.fd_step, mutate=args.mutate,
-        progress=progress, tolerances=tolerances,
-    )
+    results = run_verification(dmax_full=args.dmax, seed=args.seed, mutate=args.mutate, progress=progress)
     report = [r.as_dict() for r in results]
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     n_fail = sum(not r.passed for r in results)
@@ -186,7 +184,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """A subcommand's value options by config key (--fd-step -> fd_step)."""
+    """A subcommand's value options by config key: the long flag, "--" dropped and "-" as "_"."""
     return {
         a.option_strings[-1].lstrip("-").replace("-", "_"): a
         for a in parser._actions
@@ -194,34 +192,18 @@ def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     }
 
 
-def _install_config(args: argparse.Namespace) -> dict[str, str]:
-    """Make the --config file's values the subcommand's defaults; return them.
+def _install_config(args: argparse.Namespace) -> None:
+    """Make the --config file's values the subcommand's defaults.
 
-    Every key must name a value option of the subcommand; verify also takes
-    tol_<check> keys, which cmd_verify checks against the declared checks.
-    The values stay strings: the next parse casts them with each option's type.
+    Every key must name a value option of the subcommand.  The values stay
+    strings: the next parse casts them with each option's type.
     """
     file_values = _parse_config_file(args.config)
     options = _file_options(args.subparser)
-    unknown = [
-        k for k in file_values
-        if k not in options and not (args.command == "verify" and k.startswith("tol_"))
-    ]
+    unknown = [k for k in file_values if k not in options]
     if unknown:
         raise UsageError(f"config keys name no option of {args.command}: " + ", ".join(unknown))
-    args.subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items() if k in options})
-    return file_values
-
-
-def _tolerance_overrides(file_values: dict[str, str]) -> dict[str, float]:
-    out = {}
-    for key, raw in file_values.items():
-        if key.startswith("tol_"):
-            try:
-                out[key[4:]] = float(raw)
-            except ValueError as exc:
-                raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
-    return out
+    args.subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest d of the cloner and oracle checks, at most {DMAX_FULL_LIMIT} (default %(default)s)",
     )
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--fd-step", dest="fd_step", type=float, default=DEFAULT_FD_STEP)
     pv.add_argument("--out", type=str)
     pv.add_argument("--config", type=str)
     pv.add_argument(
@@ -274,15 +255,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        file_values = {}
         if args.config is not None:
-            file_values = _install_config(args)
+            _install_config(args)
             args = parser.parse_args(argv)  # flags still win over the new defaults
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "figure":
             return cmd_figure(args)
-        return cmd_verify(args, _tolerance_overrides(file_values))
+        return cmd_verify(args)
     except SystemExit as exc:  # argparse: --help, --version and usage errors
         return int(exc.code or 0)
     except UsageError as exc:

@@ -42,9 +42,9 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} is too small: 1/(2h) overflows")
 
 
-def _stencil(fn, p: PhaseVector, h: float, rows=slice(None), centre: bool = False):
-    """fn at phi +- h e_mu for every mu (or the mu - 1 picked by rows), and at
-    phi itself with centre, from one call of fn on one stack of every point.
+def _stencil(fn, p: PhaseVector, h: float, centre: bool = False):
+    """fn at phi +- h e_mu for every mu, and at phi itself with centre, from
+    one call of fn on one stack of every point.
 
     fn is any function of the phases that maps a stack of points to a stack
     of results.  Returns (fn(phi), or None without centre; the central
@@ -53,7 +53,7 @@ def _stencil(fn, p: PhaseVector, h: float, rows=slice(None), centre: bool = Fals
     stack of results, so the stack is freed on return.
     """
     _check_step(h)
-    shifts = h * np.eye(p.dim - 1)[rows]
+    shifts = h * np.eye(p.dim - 1)
     x = p.phases[..., None, :]
     shifted = np.stack((x + shifts, x - shifts))
     centres = p.phases.reshape(-1, p.dim - 1) if centre else np.empty((0, p.dim - 1))
@@ -64,9 +64,9 @@ def _stencil(fn, p: PhaseVector, h: float, rows=slice(None), centre: bool = Fals
     return at, (out[0] - out[1]) / (2.0 * h)
 
 
-def _central_differences(fn, p: PhaseVector, h: float, rows=slice(None)) -> np.ndarray:
+def _central_differences(fn, p: PhaseVector, h: float) -> np.ndarray:
     """The central differences of _stencil alone, with fn called on the shifted points only."""
-    return _stencil(fn, p, h, rows)[1]
+    return _stencil(fn, p, h)[1]
 
 
 def rho_derivative(
@@ -74,12 +74,12 @@ def rho_derivative(
 ) -> np.ndarray:
     """Central-difference derivative of channel.density with respect to phi_mu, 1 <= mu <= d-1.
 
-    Builds only the two points phi +- h e_mu, as one stack.  A test reference,
+    Row mu - 1 of the central differences for every phase.  A test reference,
     kept for the benchmark tracer: the program takes density differences from sld_pass.
     """
     if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
-    return _central_differences(channel.density, p, h, [mu - 1])[..., 0, :, :]
+    return _central_differences(channel.density, p, h)[..., mu - 1, :, :]
 
 
 def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ closed-form versus spectral-route agreement, ordering and positivity of the
 information matrices, variance-bound identities, attainability, and the
 finite-difference oracle comparisons.  Each check reports its worst observed
 error against a fixed tolerance.  TOLERANCES declares every check, in run
-order, with that tolerance; it is the one list of check names.  Checks that
+order, with that tolerance; it is the one list of check names, and no
+argument or config key changes a tolerance or the oracle's step.  Checks that
 share a quantity share its draws: one oracle.sld_pass per (d, channel) draw
 stack feeds the oracle attainability, QFIM-agreement and SLD-residual checks.
 """
@@ -105,25 +106,14 @@ class CheckResult:
         }
 
 
-def check_arguments(dmax_full: int, fd_step: float, tolerances: dict[str, float]) -> None:
-    """Raise ValueError for arguments run_verification cannot honour as given."""
+def check_arguments(dmax_full: int) -> None:
+    """Raise ValueError for a dmax_full that run_verification cannot honour."""
     if states._check_dim(dmax_full) > DMAX_FULL_LIMIT:
         raise ValueError(f"dmax is limited to {DMAX_FULL_LIMIT}, to bound verify's run time; got {dmax_full}")
-    oracle._check_step(fd_step)
-    for name, tol in tolerances.items():
-        if name not in TOLERANCES:
-            raise ValueError(f"no check is named {name!r}")
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValueError(f"the tolerance of {name} must be finite and >= 0, got {tol}")
 
 
 def run_verification(
-    dmax_full: int = 8,
-    seed: int = DEFAULT_SEED,
-    fd_step: float = oracle.DEFAULT_FD_STEP,
-    mutate: bool = False,
-    progress=None,
-    tolerances: dict[str, float] | None = None,
+    dmax_full: int = 8, seed: int = DEFAULT_SEED, mutate: bool = False, progress=None
 ) -> list[CheckResult]:
     """Run the whole suite and return one CheckResult per check.
 
@@ -131,12 +121,11 @@ def run_verification(
     attainability and oracle blocks.  With mutate=True a deliberate error is
     injected into the shrinking factor used by the scaling-form check, which
     must then fail; this validates that the harness can detect a wrong channel.
-    tolerances maps check names to tolerances that replace the ones in
-    TOLERANCES; progress sees each result with its final tolerance.
-    Arguments that check_arguments rejects raise ValueError before any check.
+    Every check runs at its TOLERANCES entry and the oracle at its default
+    step; progress sees each result as it is added.  A dmax_full that
+    check_arguments rejects raises ValueError before any check.
     """
-    tolerances = tolerances or {}
-    check_arguments(dmax_full, fd_step, tolerances)
+    check_arguments(dmax_full)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -144,7 +133,7 @@ def run_verification(
         # one scalar error per draw; the worst of them, at least 0, and NaN if
         # any is NaN (max() keeps whichever of a NaN and a number comes first)
         err = float("nan") if np.isnan(errs).any() else max(0.0, *errs)
-        res = CheckResult(name, float(err), float(tolerances.get(name, TOLERANCES[name])))
+        res = CheckResult(name, float(err), TOLERANCES[name])
         results.append(res)
         if progress is not None:
             progress(res)
@@ -332,7 +321,7 @@ def run_verification(
     residual = []
 
     def oracle_pass(ch: channels.ParamChannel, p: PhaseVector) -> oracle.SldPass:
-        sp = oracle.sld_pass(ch, p, fd_step)
+        sp = oracle.sld_pass(ch, p)
         agreement[ch.kind].append(np.abs(sp.qfim - qfim.closed_qfim(ch, p.dim)).max())
         rho = sp.rho[:, None]
         res = sp.drho - 0.5 * (rho @ sp.slds + sp.slds @ rho)

@@ -115,11 +115,6 @@ class TestRhoDerivative:
             for mu in range(1, d):
                 assert np.array_equal(rho_derivative(channel(kind), p, mu), full[mu - 1])
 
-    def test_builds_only_its_own_pair(self, monkeypatch):
-        calls = counting_density(monkeypatch)
-        rho_derivative(ParamChannel("uqcm"), PhaseVector.random(6, np.random.default_rng(22)), 3)
-        assert calls == [(2, 5)]
-
     def test_constant_channel_gives_zero(self):
         p = PhaseVector.random(3, np.random.default_rng(0))
         d_rho = rho_derivative(_ConstantChannel(3), p, 1)

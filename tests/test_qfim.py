@@ -134,18 +134,6 @@ class TestSpectralRoute:
         assert_allclose(sd.eigenvalues, [0.75, 0.125, 0.125], atol=1e-15)
         assert np.all(sd.eigenvalues > 0)
 
-    @pytest.mark.parametrize("d", range(2, 11))
-    def test_reproduces_uqcm_closed_form(self, d):
-        p = PhaseVector.random(d, np.random.default_rng(50 + d))
-        f = qfim_from_spectral(spectral_output(p, eta_uqcm(d)))
-        assert np.abs(f - closed_qfim(UQCM, d)).max() < 1e-10
-
-    @pytest.mark.parametrize("d", range(2, 11))
-    def test_reproduces_pqcm_closed_form(self, d):
-        p = PhaseVector.random(d, np.random.default_rng(60 + d))
-        f = qfim_from_spectral(spectral_output(p, eta_pqcm(d)))
-        assert np.abs(f - closed_qfim(PQCM, d)).max() < 1e-10
-
     def test_rank_one_reduces_to_pure(self):
         d = 6
         p = PhaseVector.random(d, np.random.default_rng(1))
