@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, _check_eta, equatorial_state
+from .states import PhaseVector, _check_dim, _check_dims, _check_one_eta, equatorial_state
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
@@ -42,8 +42,9 @@ def eta_pqcm(d: int | np.ndarray) -> float | np.ndarray:
 
 
 def shrink_output(p: PhaseVector, eta: float) -> np.ndarray:
-    """Single-copy output eta*|psi><psi| + ((1-eta)/d)*I as a (d, d) matrix per point."""
-    _check_eta(eta)
+    """Single-copy output eta*|psi><psi| + ((1-eta)/d)*I as a (d, d) matrix per point;
+    eta is one number, which every point shares."""
+    _check_one_eta(eta)
     psi = equatorial_state(p)
     return eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / p.dim * np.eye(p.dim)
 
@@ -159,9 +160,7 @@ class ParamChannel:
         if self.kind == "shrink":
             if self.eta is None:
                 raise ValueError("shrink channel requires eta")
-            if np.ndim(self.eta) != 0:
-                raise ValueError(f"a shrink channel takes one eta, got {self.eta!r}")
-            _check_eta(self.eta)
+            _check_one_eta(self.eta)
         elif self.eta is not None:
             raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qfim import SpectralDecomposition, _check_shrink_args, _merge_last_two, _spectral_terms, _support_blocks
+from .qfim import SpectralDecomposition, _check_shrink_args, _merge_last_two, _spectral_terms
 from .states import _check_dims
 
 
@@ -37,7 +37,7 @@ def attainability_closed(sd: SpectralDecomposition) -> np.ndarray:
     vanishes.  The sums use the eigenvector derivatives sd carries, and a
     stack of decompositions gives a stack of matrices.
     """
-    ls, dsup, g = _support_blocks(sd)
+    ls, dsup, g = sd._blocks
     out = 4.0 * _imag_form(dsup, ls[:, None])
     w = 8.0 * np.outer(ls, ls) * (ls[:, None] - ls[None, :]) / (ls[:, None] + ls[None, :]) ** 2
     out -= _imag_form(g.conj(), w)

@@ -9,17 +9,20 @@ phase, and the symmetric-logarithmic-derivative equation
     d_rho_m = (rho L_m + L_m rho) / 2,
 
 solved for the whole (d-1, d, d) stack of derivatives in one eigenbasis of
-rho.  sld_pass is the one evaluation: rho and all 2(d-1) shifted points
-come from one density call on a stack, and the defining traces
+rho.  The solve's right products (drho V and L~ V^dagger, V the
+eigenvectors) run on each point's (d-1)*d merged rows, one matrix product
+per point.  sld_pass is the one evaluation: rho and all 2(d-1) shifted
+points come from one density call on a stack, and the defining traces
 G_mn = Tr(rho L_m L_n) for every pair (m, n) are one Gram product of the
 flattened rho L_m with the flattened transposes L_n^T.  Its views are the
 QFIM F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
 qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
 (k, ...) stack; each point of a stack gets the arithmetic of a single
-point, so the results agree bit for bit.  This module imports only
-ParamChannel and PhaseVector, none of the closed forms or generator
-helpers, so agreement between the two paths is a genuine check.
+point, merged-row products of the same shapes included, so the results
+agree bit for bit.  This module imports only ParamChannel and
+PhaseVector, none of the closed forms or generator helpers, so agreement
+between the two paths is a genuine check.
 """
 
 from __future__ import annotations
@@ -82,6 +85,18 @@ def rho_derivative(
     return _central_differences(channel.density, p, h)[..., mu - 1, :, :]
 
 
+def _times_per_point(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m.  Where m is one matrix per point, (d, d) or (..., 1, d, d), against
+    slices x (..., n, d, d), the n slices of each point are merged into n * d rows:
+    one gemm per point, with the same shapes for a single point and for a stack."""
+    if x.ndim < 3 or (m.ndim > 2 and m.shape[-3] != 1):
+        return x @ m
+    if m.ndim > 2:
+        m = m[..., 0, :, :]
+    out = x.reshape(x.shape[:-3] + (x.shape[-3] * x.shape[-2], x.shape[-1])) @ m
+    return out.reshape(out.shape[:-2] + x.shape[-3:])
+
+
 def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative solved in the eigenbasis of rho.
 
@@ -91,19 +106,24 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     traces are insensitive to that block).  rho has shape (..., d, d) and
     drho is any stack that broadcasts against it, e.g. (k, 1, d, d) against
     (k, d-1, d, d); one eigendecomposition per rho serves every slice, and
-    a slice with no weight on the support raises ValueError.
+    a slice with no weight on the support raises ValueError.  The right
+    products drho V and L~ V^dagger run on each point's merged rows.
     """
     lam, v = np.linalg.eigh(rho)
     vh = v.conj().swapaxes(-1, -2)
-    dtil = vh @ drho @ v
+    dtil = vh @ _times_per_point(drho, v)
     denom = lam[..., :, None] + lam[..., None, :]
     solvable = denom > SLD_SUPPORT_TOL
-    total = np.linalg.norm(dtil, axis=(-2, -1))
-    on_support = np.linalg.norm(np.where(solvable, dtil, 0.0), axis=(-2, -1))
-    if np.any((total > 1e-10) & (on_support < 1e-14 * total)):
+    if solvable.all():  # rho of full rank: no kernel block to guard or to zero
+        return v @ _times_per_point(2.0 * dtil / denom, vh)
+    # squared Frobenius norms: no weight on the support means |on| < 1e-14 |total|
+    mag = dtil.real**2 + dtil.imag**2
+    total = mag.sum(axis=(-2, -1))
+    on_support = np.where(solvable, mag, 0.0).sum(axis=(-2, -1))
+    if np.any((total > 1e-20) & (on_support < 1e-28 * total)):
         raise ValueError("derivative has no weight on the support of rho")
     ltil = np.divide(2.0 * dtil, denom, out=np.zeros_like(dtil), where=solvable)
-    return v @ ltil @ vh
+    return v @ _times_per_point(ltil, vh)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,16 +15,27 @@ with every sum restricted to the support lam_i > 0 of the density matrix
 (the unitary-parametrisation form; Liu, Yuan, Lu, Wang, J. Phys. A 53,
 023001 (2020)).  The classical term sum_i (d_m lam_i)(d_n lam_i)/lam_i is
 zero for this family: the eigenvalues of a shrinking-channel output carry
-no phase dependence.
+no phase dependence.  The overlaps <d_m psi_i|psi_j> are one matmul per
+decomposition, computed once and read by the QFIM and by both forms of the
+attainability matrix in crb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, _check_eta, _derivatives_of_basis, complement_basis
+from .states import (
+    PhaseVector,
+    _check_dim,
+    _check_dims,
+    _check_eta,
+    _check_one_eta,
+    _derivatives_of_basis,
+    complement_basis,
+)
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
@@ -109,9 +120,16 @@ def closed_qfim(channel, d: int) -> np.ndarray:
     """Closed-form (d-1, d-1) QFIM of a ParamChannel at one integer dimension d; independent
     of the phases.  Unlike the entry forms it takes no column of d: the matrix size is d-1."""
     d = _check_dim(d)
-    fdiag, foff = closed_entries(channel, d)
-    out = np.full((d - 1, d - 1), foff)
-    np.fill_diagonal(out, fdiag)
+    return _from_entries(*closed_entries(channel, d), d)
+
+
+def _from_entries(fdiag, foff, d: int) -> np.ndarray:
+    """The (d-1, d-1) matrix with diagonal fdiag and off-diagonal foff, or a stack of
+    them, one per entry of the columns fdiag and foff."""
+    foff = np.asarray(foff)
+    out = np.empty(foff.shape + (d - 1, d - 1))
+    out[...] = foff[..., None, None]
+    out[..., range(d - 1), range(d - 1)] = np.asarray(fdiag)[..., None]
     return out
 
 
@@ -132,6 +150,11 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     derivatives: np.ndarray
 
+    @cached_property
+    def _blocks(self):
+        """_support_blocks(self), contracted once however many routes read them."""
+        return _support_blocks(self)
+
 
 def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     """Spectral decomposition of the shrinking-channel output, with the
@@ -141,9 +164,9 @@ def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
     The equatorial state itself is an eigenvector with eigenvalue
     eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
     exactly 0 at eta = 1.  A stack of phase points gives a stack of
-    eigenvector sets.
+    eigenvector sets, all with the one eigenvalue set of the one eta.
     """
-    _check_eta(eta)
+    _check_one_eta(eta)
     d = p.dim
     lam = np.concatenate(([eta + (1.0 - eta) / d], np.full(d - 1, (1.0 - eta) / d)))
     basis = complement_basis(p)
@@ -158,14 +181,19 @@ def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
 
 def _support_blocks(sd: SpectralDecomposition):
     """Support eigenvalues ls, their eigenvector derivatives dsup (..., nparams, r, d)
-    and the overlaps g[..., m, i, j] = <d_m psi_i|psi_j> over the support lam > 0."""
+    and the overlaps g[..., m, i, j] = <d_m psi_i|psi_j> over the support lam > 0.
+
+    g is one matmul per point: the nparams * r rows of conj(dsup) against the r
+    support eigenvectors.  Read it through sd._blocks, which computes it once.
+    """
     lam = sd.eigenvalues
     sup = np.flatnonzero(lam > 0)
     if sup.size == 0:
         raise ValueError("density matrix has empty support")
     dsup = np.asarray(sd.derivatives)[..., sup, :]
-    g = np.einsum("...mic,...jc->...mij", dsup.conj(), sd.eigenvectors[..., sup, :])
-    return lam[sup], dsup, g
+    rows = dsup.shape[:-3] + (dsup.shape[-3] * sup.size, dsup.shape[-1])
+    g = dsup.conj().reshape(rows) @ sd.eigenvectors[..., sup, :].swapaxes(-1, -2)
+    return lam[sup], dsup, g.reshape(dsup.shape[:-1] + (sup.size,))
 
 
 def _merge_last_two(x: np.ndarray) -> np.ndarray:
@@ -183,7 +211,7 @@ def _spectral_terms(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     G = Tr(rho L_m L_n) as in the oracle: the QFIM is Re(G + G^T)/2 and the
     attainability matrix Im G.
     """
-    ls, dsup, g = _support_blocks(sd)
+    ls, dsup, g = sd._blocks
     weighted = _merge_last_two(dsup.conj() * ls[:, None])
     first = 4.0 * (weighted @ _merge_last_two(dsup).swapaxes(-1, -2))
     w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2

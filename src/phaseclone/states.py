@@ -59,6 +59,14 @@ def _check_eta(eta: float | np.ndarray) -> None:
             raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
 
 
+def _check_one_eta(eta: float) -> None:
+    """_check_eta for a routine that builds one output per point: an eta array
+    would broadcast into a wrong matrix or fail inside numpy, so it is rejected."""
+    if not isinstance(eta, float) and np.ndim(eta) != 0:  # np.ndim of a float takes ~1 us
+        raise ValueError(f"expected one eta, got {eta!r}")
+    _check_eta(eta)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseVector:
     """The d-1 free phases of an equatorial qudit; the reference phase is 0.

@@ -24,7 +24,7 @@ from .states import PhaseVector
 DEFAULT_SEED = 12345
 
 # largest dmax_full: the traced-cloner, attainability and oracle blocks run every
-# d up to it, and take ~4 s at 32 on a 2-vCPU host; the library itself has no cap
+# d up to it, and take 2-3 s at 32 on a 2-vCPU host; the library itself has no cap
 DMAX_FULL_LIMIT = 32
 
 PURE = channels.ParamChannel("pure")
@@ -244,10 +244,9 @@ def run_verification(
     add("qfim_phase_independence", *errs)
 
     # --- orderings and inequalities --------------------------------------
-    errs = []
-    for d in range(2, 65):
-        gap = qfim.closed_qfim(PQCM, d) - qfim.closed_qfim(UQCM, d)
-        errs.append(-np.linalg.eigvalsh(gap)[0])
+    # each gap matrix has the entry differences of the two closed forms
+    gap_diag, gap_off = np.subtract(qfim.qfim_pqcm_entries(d64), qfim.qfim_uqcm_entries(d64))
+    errs = [-np.linalg.eigvalsh(qfim._from_entries(gd, go, d))[0] for d, gd, go in zip(d64, gap_diag, gap_off)]
     add("pqcm_minus_uqcm_psd", *errs)
 
     d1000 = np.arange(2, 1001)
@@ -268,12 +267,13 @@ def run_verification(
     add("qfim_monotone_in_eta", *errs)
 
     # --- variance bounds --------------------------------------------------
+    # one (5, d-1, d-1) stack of closed_qfim matrices per d, inverted in one call
     errs = []
     for d in range(2, 33):
-        for eta in (0.3, 0.5, channels.eta_uqcm(d), channels.eta_pqcm(d), 1.0):
-            f = qfim.closed_qfim(channels.ParamChannel("shrink", eta), d)
-            dense = float(np.trace(np.linalg.inv(f)).real)
-            errs.append(abs(crb.total_variance_bound(d, eta) - dense))
+        etas = np.array([0.3, 0.5, channels.eta_uqcm(d), channels.eta_pqcm(d), 1.0])
+        f = qfim._from_entries(*qfim.qfim_shrink_entries(d, etas), d)
+        dense = np.trace(np.linalg.inv(f), axis1=-2, axis2=-1)
+        errs.extend(np.abs(crb.total_variance_bound(d, etas) - dense))
     add("variance_trace_inverse", *errs)
 
     add("variance_pure_closed_form", *np.abs(crb.total_variance_bound(d64, 1.0) - d64 * (d64 - 1) / 2.0))
@@ -297,12 +297,13 @@ def run_verification(
         errs.append(np.abs(inv_eigs - expect).max())
     add("pure_inverse_eigenvalues", *errs)
 
+    # one eigvalsh call on the (UQCM, PQCM) pair of closed_qfim matrices per d
     errs = []
     for d in range(3, 33):
-        for ch in (UQCM, PQCM):
-            l1, l2 = crb.qfim_eigenvalues(d, *qfim.closed_entries(ch, d))
-            structured = np.sort(np.concatenate(([l1], np.full(d - 2, l2))))
-            errs.append(np.abs(structured - np.linalg.eigvalsh(qfim.closed_qfim(ch, d))).max())
+        fdiag, foff = np.array([qfim.closed_entries(ch, d) for ch in (UQCM, PQCM)]).T
+        lam1, lam2 = crb.qfim_eigenvalues(d, fdiag, foff)
+        structured = np.sort(np.column_stack((lam1, np.repeat(lam2[:, None], d - 2, axis=1))))
+        errs.extend(np.abs(structured - np.linalg.eigvalsh(qfim._from_entries(fdiag, foff, d))).max(axis=1))
     add("structured_vs_dense_eigenvalues", *errs)
 
     errs = []
@@ -324,7 +325,7 @@ def run_verification(
         sp = oracle.sld_pass(ch, p)
         agreement[ch.kind].append(np.abs(sp.qfim - qfim.closed_qfim(ch, p.dim)).max())
         rho = sp.rho[:, None]
-        res = sp.drho - 0.5 * (rho @ sp.slds + sp.slds @ rho)
+        res = sp.drho - 0.5 * (rho @ sp.slds + oracle._times_per_point(sp.slds, rho))  # L rho on merged rows
         residual.append(np.linalg.norm(res, axis=(-2, -1)).max())
         return sp
 
@@ -335,9 +336,10 @@ def run_verification(
             p = PhaseVector.random(d, rng, 10)
             sd = qfim.spectral_output(p, ch.shrinking_factor(d))
             a = crb.attainability_closed(sd)
-            num = oracle_pass(ch, p).attainability
             err_closed.append(np.abs(a).max())
             err_forms.append(np.abs(a - crb._attainability_raw_weight(sd)).max())
+            del sd  # its derivatives and the overlaps it caches would stay alive through the oracle pass
+            num = oracle_pass(ch, p).attainability
             err_num.append(np.abs(num).max())
             err_agree.append(np.abs(num - a).max())
     add("attainability_closed_zero", *err_closed)

@@ -126,6 +126,12 @@ class TestShrinkOutput:
         with pytest.raises(ValueError):
             shrink_output(p, 1.2)
 
+    @pytest.mark.parametrize("eta", [[0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]]], ids=["3", "2", "1x1"])
+    def test_eta_array_rejected(self, eta):
+        # one output per point takes one eta; an array broadcast into a wrong matrix
+        with pytest.raises(ValueError, match="one eta"):
+            shrink_output(PhaseVector.zero(3), np.array(eta))
+
 
 class TestFullCloners:
     @pytest.mark.parametrize("d", range(2, 9))

@@ -244,13 +244,16 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_sld_solve_with_a_stacked_rho(self, kind):
-        stack = PhaseVector.random(5, np.random.default_rng(24), 3)
-        rho = channel(kind).density(stack)
-        drho = _central_differences(channel(kind).density, stack, 1e-5)
-        got = sld_solve(rho[:, None], drho)
-        assert got.shape == drho.shape
-        for row, r, dr in zip(got, rho, drho):
-            assert np.array_equal(row, sld_solve(r, dr))
+        # k = 10 is verify's stack size
+        for d in (2, 5, 8):
+            for k in (1, 3, 10):
+                stack = PhaseVector.random(d, np.random.default_rng(24), k)
+                rho = channel(kind).density(stack)
+                drho = _central_differences(channel(kind).density, stack, 1e-5)
+                got = sld_solve(rho[:, None], drho)
+                assert got.shape == drho.shape
+                for row, r, dr in zip(got, rho, drho):
+                    assert np.array_equal(row, sld_solve(r, dr))
 
 
 def two_call_gram(ch, p, h):

@@ -10,6 +10,7 @@ from phaseclone.qfim import (
     CLOSED_FORM_DMAX,
     SpectralDecomposition,
     _spectral_terms,
+    _support_blocks,
     closed_entries,
     closed_qfim,
     qfim_from_spectral,
@@ -144,6 +145,24 @@ class TestSpectralRoute:
         sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
         with pytest.raises(ValueError):
             qfim_from_spectral(sd)
+
+    @pytest.mark.parametrize("eta", [[0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]]], ids=["3", "2", "1x1"])
+    def test_eta_array_rejected(self, eta):
+        with pytest.raises(ValueError, match="one eta"):
+            spectral_output(PhaseVector.zero(3), np.array(eta))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("eta", [1.0, 0.4], ids=["support1", "supportd"])
+    @pytest.mark.parametrize("k", [None, 0, 1, 10])
+    def test_support_overlaps_equal_the_contraction(self, d, eta, k):
+        """The one-matmul overlaps g[..., m, i, j] = <d_m psi_i|psi_j> against an einsum."""
+        sd = spectral_output(PhaseVector.random(d, np.random.default_rng(d), k), eta)
+        ls, dsup, g = _support_blocks(sd)
+        sup = np.flatnonzero(sd.eigenvalues > 0)
+        assert sup.size == (1 if eta == 1.0 else d)
+        ref = np.einsum("...mic,...jc->...mij", dsup.conj(), sd.eigenvectors[..., sup, :])
+        assert g.shape == ref.shape == dsup.shape[:-1] + (sup.size,)
+        assert_allclose(g, ref, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
     def test_stack_carries_its_derivatives(self, d):

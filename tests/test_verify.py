@@ -1,13 +1,14 @@
 """Every check of the built-in suite, run by name at its declared tolerance."""
 
 import ast
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaseclone import oracle, qfim
+from phaseclone import crb, oracle, qfim
 from phaseclone.cli import main
 from phaseclone.verify import DMAX_FULL_LIMIT, TOLERANCES, run_verification
 
@@ -96,6 +97,79 @@ def test_one_oracle_pass_per_draw_stack(monkeypatch):
     shared += [("shrink", d, 5, step) for d in (2, 3, 4)]
     robustness = [(ch, d, d - 1, h) for ch, d in (("uqcm", 3), ("pqcm", 4), ("shrink", 5)) for h in (1e-4, 5e-5)]
     assert seen == shared + robustness
+
+
+def test_one_overlap_contraction_per_decomposition(monkeypatch):
+    """Each spectral decomposition contracts its support overlaps once, however
+    many routes read them: the attainability block's closed and raw-weight
+    forms share one contraction per (d, channel) draw stack."""
+    blocks, closed = [], []
+    support_blocks, attainability_closed = qfim._support_blocks, crb.attainability_closed
+
+    def counting_blocks(sd):
+        blocks.append(sd)
+        return support_blocks(sd)
+
+    def counting_closed(sd):
+        closed.append(sd)
+        return attainability_closed(sd)
+
+    for module in (qfim, crb):  # under every name a module holds it by
+        if getattr(module, "_support_blocks", None) is support_blocks:
+            monkeypatch.setattr(module, "_support_blocks", counting_blocks)
+    monkeypatch.setattr(crb, "attainability_closed", counting_closed)
+    assert all(r.passed for r in run_verification(dmax_full=4))
+    assert len(closed) == 9  # d in (2, 3, 4) x (pure, uqcm, pqcm)
+    assert len(set(map(id, blocks))) == len(blocks)
+    assert [sum(b is sd for b in blocks) for sd in closed] == [1] * 9
+
+
+def _variance_off_at_one_point(fn):
+    # the last d of the check, and an eta inside its column
+    return lambda d, eta: fn(d, eta) * np.where((np.asarray(d) == 32) & (np.asarray(eta) == 0.5), 1 + 1e-6, 1.0)
+
+
+def _lam2_off_at_d20(fn):
+    def broken(d, fdiag, foff):
+        lam1, lam2 = fn(d, fdiag, foff)
+        return lam1, lam2 * np.where(np.asarray(d) == 20, 1 + 1e-6, 1.0)
+
+    return broken
+
+
+def _pqcm_below_uqcm_at_d40(fn):
+    def broken(d):
+        scale = np.where(np.asarray(d) == 40, 1 - 1e-3, 1.0)
+        return tuple(x * scale for x in fn(d))
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, check",
+    [
+        (crb, "total_variance_bound", _variance_off_at_one_point, "variance_trace_inverse"),
+        (crb, "qfim_eigenvalues", _lam2_off_at_d20, "structured_vs_dense_eigenvalues"),
+        (qfim, "qfim_pqcm_entries", _pqcm_below_uqcm_at_d40, "pqcm_minus_uqcm_psd"),
+    ],
+    ids=["variance", "eigenvalues", "gap"],
+)
+def test_stacked_check_keeps_every_point(monkeypatch, module, name, fault, check):
+    """A check that stacks its (d, eta, channel) cases still fails when its subject
+    is wrong at one of them."""
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert check in [r.name for r in run_verification(dmax_full=2) if not r.passed]
+
+
+def test_report_passes_the_benchmark_check(capsys):
+    """perfbench/reference.py judges the benchmark's verify output; a change that
+    drops, renames or loosens a check fails here before the benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    assert main(["verify", "--dmax", "8", "--seed", "12345"]) == 0
+    assert reference.check_verify_report(capsys.readouterr().out) == []
 
 
 @pytest.mark.parametrize(
