@@ -221,12 +221,6 @@ def test_stack_matches_each_point(d):
             assert np.array_equal(row, fn(p))
 
 
-@pytest.mark.parametrize("kind", ["pure", "uqcm", "pqcm", "shrink"])
-def test_empty_stack_gives_an_empty_stack(kind):
-    rho = ParamChannel(kind, 0.3 if kind == "shrink" else None).density(PhaseVector(4, np.zeros((0, 3))))
-    assert rho.shape == (0, 4, 4) and rho.dtype == complex
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),

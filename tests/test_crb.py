@@ -11,6 +11,7 @@ from phaseclone.crb import (
     qfim_eigenvalues,
     total_variance_bound,
 )
+from phaseclone.oracle import sld_solve
 from phaseclone.qfim import (
     SpectralDecomposition,
     closed_entries,
@@ -20,20 +21,14 @@ from phaseclone.qfim import (
     spectral_output,
 )
 from phaseclone.states import PhaseVector
+from test_stacks import ROUTINES, check_stack
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 9])
 def test_spectral_route_maps_a_stack(d):
-    """A (k, d-1) stack of phase points gives the per-point matrices bit for bit."""
-    stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)
-    for eta in (1.0, eta_uqcm(d), 0.3):
-        sd = spectral_output(stack, eta)
-        for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
-            got = fn(sd)
-            assert got.shape == (4, d - 1, d - 1)
-            for row, phases in zip(got, stack.phases):
-                p = PhaseVector(d, phases)
-                assert np.array_equal(row, fn(spectral_output(p, eta)))
+    for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
+        for eta in ("1.0", "eta_uqcm", "0.3"):
+            check_stack(ROUTINES[f"{fn.__name__}(spectral_output({eta}))"], d, ks=(4,))
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.3])
@@ -60,6 +55,35 @@ class TestAttainability:
         sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
         with pytest.raises(ValueError):
             attainability_closed(sd)
+
+    @pytest.mark.parametrize("d,rank", [(2, 2), (3, 3), (4, 2), (5, 5)])
+    def test_matches_the_oracle_where_it_is_not_zero(self, d, rank):
+        """rho(t) = U rho_0 U^dagger, U = exp(-i(t_1 H_1 + t_2 H_2)) with random
+        non-commuting H_m: at t = 0 the eigenvector derivatives are -i H_m v_i
+        exactly, and Im Tr(rho L_1 L_2) is not zero."""
+        rng = np.random.default_rng(d)
+        gens = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        gens = (gens + gens.conj().swapaxes(-1, -2)) / 2
+        lam = np.zeros(d)
+        lam[:rank] = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
+        lam /= lam.sum()
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        sd = SpectralDecomposition(lam, q.T, -1j * (gens @ q).swapaxes(-1, -2))
+
+        def rho(t):
+            w, v = np.linalg.eigh(t[0] * gens[0] + t[1] * gens[1])
+            u = (v * np.exp(-1j * w)) @ v.conj().T
+            return u @ (q * lam) @ q.conj().T @ u.conj().T
+
+        h = 1e-5
+        drho = np.stack([(rho(h * e) - rho(-h * e)) / (2 * h) for e in np.eye(2)])
+        rho0 = rho(np.zeros(2))
+        slds = sld_solve(rho0, drho)
+        g = np.einsum("ab,mbc,nca->mn", rho0, slds, slds)
+        assert np.abs(g.imag).max() > 1e-3
+        assert_allclose(attainability_closed(sd), g.imag, rtol=0, atol=1e-7)
+        assert_allclose(_attainability_raw_weight(sd), g.imag, rtol=0, atol=1e-7)
+        assert_allclose(qfim_from_spectral(sd), g.real, rtol=0, atol=1e-7)
 
 
 class TestStructuredEigenvalues:

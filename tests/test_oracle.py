@@ -1,4 +1,5 @@
 import ast
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
+from test_stacks import check_stack
 
 import phaseclone
 import phaseclone.oracle as oracle_module
@@ -219,41 +221,19 @@ class TestStacks:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_qfim_and_attainability_numeric(self, d):
-        stack = PhaseVector.random(d, np.random.default_rng(80 + d), 3)
         for kind in KINDS:
             for fn in (qfim_numeric, attainability_numeric):
-                got = fn(channel(kind), stack)
-                assert got.shape == (3, d - 1, d - 1)
-                for row, phases in zip(got, stack.phases):
-                    assert np.array_equal(row, fn(channel(kind), PhaseVector(d, phases)))
+                check_stack(partial(fn, channel(kind)), d, ks=(3,))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_empty_stack_gives_empty_matrices(self, kind):
-        p = PhaseVector(3, np.zeros((0, 2)))
         for fn in (qfim_numeric, attainability_numeric):
-            assert fn(channel(kind), p).shape == (0, 2, 2)
+            check_stack(partial(fn, channel(kind)), 3, ks=())
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_central_differences(self, d):
-        stack = PhaseVector.random(d, np.random.default_rng(90 + d), 4)
         for fn in [equatorial_state, complement_basis] + [channel(k).density for k in KINDS]:
-            got = _central_differences(fn, stack, 1e-5)
-            assert got.shape[:2] == (4, d - 1)
-            for row, phases in zip(got, stack.phases):
-                assert np.array_equal(row, _central_differences(fn, PhaseVector(d, phases), 1e-5))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_sld_solve_with_a_stacked_rho(self, kind):
-        # k = 10 is verify's stack size
-        for d in (2, 5, 8):
-            for k in (1, 3, 10):
-                stack = PhaseVector.random(d, np.random.default_rng(24), k)
-                rho = channel(kind).density(stack)
-                drho = _central_differences(channel(kind).density, stack, 1e-5)
-                got = sld_solve(rho[:, None], drho)
-                assert got.shape == drho.shape
-                for row, r, dr in zip(got, rho, drho):
-                    assert np.array_equal(row, sld_solve(r, dr))
+            check_stack(partial(_central_differences, fn, h=1e-5), d, ks=(4,))
 
 
 def two_call_gram(ch, p, h):
@@ -295,17 +275,6 @@ class TestSldPass:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             sld_pass(ParamChannel("pure"), PhaseVector.zero(3), 0.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), d=st.integers(2, 6), k=st.integers(1, 4), kind=st.sampled_from(KINDS))
-def test_stacked_oracle_property(data, d, k, kind):
-    rows = data.draw(st.lists(st.lists(phase, min_size=d - 1, max_size=d - 1), min_size=k, max_size=k))
-    stack = PhaseVector(d, rows)
-    for fn in (qfim_numeric, attainability_numeric):
-        got = fn(channel(kind), stack)
-        for row, phases in zip(got, rows):
-            assert np.array_equal(row, fn(channel(kind), PhaseVector(d, phases)))
 
 
 @settings(max_examples=40, deadline=None)

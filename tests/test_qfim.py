@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
+from test_stacks import check_stack
 
 from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.qfim import (
@@ -114,11 +115,7 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_reconstruction_of_a_stack(self, k):
         # at k = d = 4 a transposed (d, d, k) stack would broadcast into a wrong result
-        stack = PhaseVector.random(4, np.random.default_rng(k), k)
-        got = reconstruct_density(spectral_output(stack, 0.6))
-        assert got.shape == (k, 4, 4)
-        for row, phases in zip(got, stack.phases):
-            assert np.array_equal(row, reconstruct_density(spectral_output(PhaseVector(4, phases), 0.6)))
+        check_stack(lambda p: reconstruct_density(spectral_output(p, 0.6)), 4, ks=(k,))
 
     @pytest.mark.parametrize("d,eta", [(2, 0.5), (4, 0.8), (7, 1.0)])
     def test_reconstruction(self, d, eta):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
+from test_stacks import check_stack
 
 from phaseclone.oracle import _central_differences
 from phaseclone.states import (
@@ -72,24 +73,11 @@ class TestPhaseVector:
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_phase_shift_unitary_maps_a_stack(self, d):
-        # k = d-1 is the stack that a (d, d) broadcast would silently mix up
-        rng = np.random.default_rng(40 + d)
-        for k in (1, d - 1, 5):
-            stack = PhaseVector.random(d, rng, k)
-            got = phase_shift_unitary(stack)
-            assert got.shape == (k, d, d)
-            for u, phases in zip(got, stack.phases):
-                assert np.array_equal(u, phase_shift_unitary(PhaseVector(d, phases)))
-        assert phase_shift_unitary(PhaseVector(d, np.zeros((0, d - 1)))).shape == (0, d, d)
+        check_stack(phase_shift_unitary, d, ks=(1, d - 1, 5))
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_basis_derivatives_of_a_stack_of_d_minus_1_points(self, d):
-        # k = d-1 is the stack that would broadcast against the (d-1, d, d) weights
-        stack = PhaseVector.random(d, np.random.default_rng(d), d - 1)
-        got = basis_derivatives(stack)
-        assert got.shape == (d - 1, d - 1, d, d)
-        for row, phases in zip(got, stack.phases):
-            assert np.array_equal(row, basis_derivatives(PhaseVector(d, phases)))
+        check_stack(basis_derivatives, d, ks=(d - 1,))
 
 
 class TestEquatorialState:
