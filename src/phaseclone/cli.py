@@ -12,12 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error,
 3 verification failure.
 
-Each option and its default is declared once, in build_parser.  A key=value
-config file (--config) supplies new defaults for the subcommand: main parses
-argv, installs the file's values with set_defaults and parses argv again, so
-argparse casts each value with its flag's type and explicit flags win.  A key
-that names no option of the subcommand is a usage error.  verify's tolerances
-and oracle step are fixed in the verify module; no key or flag sets them.
+Each option and its default is declared once, in build_parser.  main builds
+one parser per process, on its first call, and then only reads it.  A call
+with a key=value config file (--config) builds a parser of its own, installs
+the file's values there with set_defaults and parses argv again, so argparse
+casts each value with its flag's type and explicit flags win.  A key that
+names no option of the subcommand is a usage error.  verify's tolerances and
+oracle step are fixed in the verify module; no key or flag sets them.
 compute and figure call each closed form once, on the whole column of
 dimensions, and write each CSV row from one %-template.  CSV output uses a
 header row, 12 significant digits, and LF line endings, so fixed inputs give
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -251,12 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config: built once, then only read."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            _install_config(args)
+        args = _shared_parser().parse_args(argv)
+        if args.config is not None:  # the file's values go on a parser of this call only
+            parser = build_parser()
+            _install_config(parser.parse_args(argv))
             args = parser.parse_args(argv)  # flags still win over the new defaults
         if args.command == "compute":
             return cmd_compute(args)

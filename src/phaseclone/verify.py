@@ -187,7 +187,7 @@ def run_verification(
             fault = 1e-3 if mutate and ch is UQCM else 0.0  # only the scaling form must catch it
             p = PhaseVector.random(d, rng, 20)
             rho = ch.density(p)
-            errs.extend(map(np.linalg.norm, rho - channels.shrink_output(p, eta + fault)))
+            errs.extend(np.linalg.norm(rho - channels.shrink_output(p, eta + fault), axis=(-2, -1)))
             psi = states.equatorial_state(p)
             fids = (psi.conj()[:, None, :] @ rho @ psi[:, :, None])[:, 0, 0].real
             fid += [fids.max() - fids.min(), np.abs(fids - (eta + (1 - eta) / d)).max()]
@@ -267,13 +267,15 @@ def run_verification(
     add("qfim_monotone_in_eta", *errs)
 
     # --- variance bounds --------------------------------------------------
-    # one (5, d-1, d-1) stack of closed_qfim matrices per d, inverted in one call
+    # each closed form once on the flattened (d, eta) column; one inv call on a (5, d-1, d-1) stack per d
+    d32 = np.arange(2, 33)
+    etas = np.array([np.full(31, 0.3), np.full(31, 0.5), channels.eta_uqcm(d32), channels.eta_pqcm(d32), np.ones(31)])
+    column = np.repeat(d32, 5), etas.T.ravel()  # five etas per d
+    (fdiag, foff), bound = qfim.qfim_shrink_entries(*column), crb.total_variance_bound(*column)
     errs = []
-    for d in range(2, 33):
-        etas = np.array([0.3, 0.5, channels.eta_uqcm(d), channels.eta_pqcm(d), 1.0])
-        f = qfim._from_entries(*qfim.qfim_shrink_entries(d, etas), d)
-        dense = np.trace(np.linalg.inv(f), axis1=-2, axis2=-1)
-        errs.extend(np.abs(crb.total_variance_bound(d, etas) - dense))
+    for d, fd, fo, b in zip(d32.tolist(), *(c.reshape(31, 5) for c in (fdiag, foff, bound))):
+        dense = np.trace(np.linalg.inv(qfim._from_entries(fd, fo, d)), axis1=-2, axis2=-1)
+        errs.extend(np.abs(b - dense))
     add("variance_trace_inverse", *errs)
 
     add("variance_pure_closed_form", *np.abs(crb.total_variance_bound(d64, 1.0) - d64 * (d64 - 1) / 2.0))
@@ -297,11 +299,12 @@ def run_verification(
         errs.append(np.abs(inv_eigs - expect).max())
     add("pure_inverse_eigenvalues", *errs)
 
-    # one eigvalsh call on the (UQCM, PQCM) pair of closed_qfim matrices per d
+    # each closed form once per cloner on d = 3..32; one eigvalsh call on the (UQCM, PQCM) pair per d
+    d3 = np.arange(3, 33)
+    entries = np.array([qfim.closed_entries(ch, d3) for ch in (UQCM, PQCM)])  # (cloner, entry, d)
+    lams = np.array([crb.qfim_eigenvalues(d3, *e) for e in entries])
     errs = []
-    for d in range(3, 33):
-        fdiag, foff = np.array([qfim.closed_entries(ch, d) for ch in (UQCM, PQCM)]).T
-        lam1, lam2 = crb.qfim_eigenvalues(d, fdiag, foff)
+    for d, (fdiag, foff), (lam1, lam2) in zip(d3.tolist(), entries.T, lams.T):
         structured = np.sort(np.column_stack((lam1, np.repeat(lam2[:, None], d - 2, axis=1))))
         errs.extend(np.abs(structured - np.linalg.eigvalsh(qfim._from_entries(fdiag, foff, d))).max(axis=1))
     add("structured_vs_dense_eigenvalues", *errs)

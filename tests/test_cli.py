@@ -1,11 +1,13 @@
 import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import phaseclone
-from phaseclone import crb, qfim, states
+from phaseclone import cli, crb, qfim, states
 from phaseclone.channels import ParamChannel
 from phaseclone.cli import main
 from phaseclone.verify import DEFAULT_SEED
@@ -412,6 +414,56 @@ def test_verify_defaults_after_a_config_call(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--config", str(cfg)]) == 0
     assert main(["verify"]) == 0
     assert [(c["dmax_full"], c["seed"]) for c in calls] == [(2, 3), (8, DEFAULT_SEED)]
+
+
+def test_plain_calls_build_the_parser_once(capsys, monkeypatch):
+    """main builds its parser on the first call of a process; later calls only read it."""
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    build, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    argvs = (["compute", "--machine", "uqcm"], ["figure", "1"], ["verify"], ["compute", "--dmin", "1"])
+    assert [main(argv) for argv in argvs] == [0, 0, 0, 2]
+    assert len(builds) == 1
+
+
+def test_config_call_leaves_the_shared_parser_alone(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dmax = 3\nseed = 9\n")
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    shared = cli._shared_parser()
+    assert main(["compute", "--machine", "uqcm", "--config", str(cfg)]) == 0
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert cli._shared_parser() is shared
+    assert shared.parse_args(["compute"]).dmax == 20
+    assert shared.parse_args(["verify"]).seed == DEFAULT_SEED
+
+
+def test_threads_share_the_parser_safely(tmp_path):
+    """Plain and --config calls from several threads each write their own output."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dmax = 3\n")
+    argvs = [["compute", "--machine", "uqcm"], ["compute", "--machine", "uqcm", "--config", str(cfg)]]
+    expected = []
+    for k, argv in enumerate(argvs):
+        assert main([*argv, "--out", str(tmp_path / f"ref{k}.csv")]) == 0
+        expected.append((tmp_path / f"ref{k}.csv").read_text())
+    assert expected[0] != expected[1]
+
+    def work(t):
+        for i in range(20):
+            out = tmp_path / f"t{t}-{i}.csv"
+            assert main([*argvs[(t + i) % 2], "--out", str(out)]) == 0
+            assert out.read_text() == expected[(t + i) % 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for future in [pool.submit(work, t) for t in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # SHA-256 of shipped outputs; closed-form IEEE arithmetic, so they do not depend on BLAS
