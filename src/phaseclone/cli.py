@@ -13,12 +13,14 @@ Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error,
 3 verification failure.
 
 Each option and its default is declared once, in build_parser.  main builds
-one parser per process, on its first call, and then only reads it.  A call
-with a key=value config file (--config) builds a parser of its own, installs
-the file's values there with set_defaults and parses argv again, so argparse
-casts each value with its flag's type and explicit flags win.  A key that
-names no option of the subcommand is a usage error.  verify's tolerances and
-oracle step are fixed in the verify module; no key or flag sets them.
+one parser per process, on its first call, and then only reads it.  Each
+command line is parsed once, by its subcommand's parser alone; the top-level
+parser handles only --help, --version and a missing or unknown command.  A
+call with a key=value config file (--config) builds a parser of its own,
+installs the file's values there with set_defaults and parses argv again, so
+argparse casts each value with its flag's type and explicit flags win.  A key
+that names no option of the subcommand is a usage error.  verify's tolerances
+and oracle step are fixed in the verify module; no key or flag sets them.
 compute and figure call each closed form once, on the whole column of
 dimensions, and write each CSV row from one %-template.  CSV output uses a
 header row, 12 significant digits, and LF line endings, so fixed inputs give
@@ -83,6 +85,8 @@ def _csv_text(header: list[str], row_format: str, columns, comments: list[str] =
 def cmd_compute(args: argparse.Namespace) -> int:
     if not args.machine:
         raise UsageError("--machine is required (pure, uqcm, pqcm, or shrink)")
+    if args.fmt not in ("csv", "json"):  # a config file can set any string
+        raise UsageError("--format must be csv or json")
     try:
         channel = ParamChannel(args.machine, args.eta)
     except ValueError as exc:
@@ -98,8 +102,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lam1, lam2 = qfim_eigenvalues(dims, fdiag, foff)
-    if args.fmt not in ("csv", "json"):
-        raise UsageError("--format must be csv or json")
 
     header = [
         "d", "eta", "f_diag", "f_offdiag",
@@ -194,18 +196,18 @@ def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     }
 
 
-def _install_config(args: argparse.Namespace) -> None:
+def _install_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
     """Make the --config file's values the subcommand's defaults.
 
     Every key must name a value option of the subcommand.  The values stay
     strings: the next parse casts them with each option's type.
     """
     file_values = _parse_config_file(args.config)
-    options = _file_options(args.subparser)
+    options = _file_options(subparser)
     unknown = [k for k in file_values if k not in options]
     if unknown:
         raise UsageError(f"config keys name no option of {args.command}: " + ", ".join(unknown))
-    args.subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items()})
+    subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a deliberate shrinking-factor error (self-test; must fail)",
     )
-    for p in (pc, pf, pv):
-        p.set_defaults(subparser=p)
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -259,13 +260,22 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv once: a leading subcommand name hands the rest to its parser."""
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)  # help, version, a missing or unknown command
+
+
 def main(argv=None) -> int:
+    if argv is None:  # the installed entry point passes nothing
+        argv = sys.argv[1:]
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(_shared_parser(), argv)
         if args.config is not None:  # the file's values go on a parser of this call only
             parser = build_parser()
-            _install_config(parser.parse_args(argv))
-            args = parser.parse_args(argv)  # flags still win over the new defaults
+            _install_config(args, parser.commands[args.command])
+            args = _parse(parser, argv)  # flags still win over the new defaults
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "figure":

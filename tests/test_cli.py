@@ -200,6 +200,16 @@ class TestCompute:
         assert code == 2
         assert "cannot read config file" in err
 
+    def test_format_from_config_checked_before_any_closed_form(self, tmp_path, capsys, monkeypatch):
+        # argparse applies no choices to a default, so a file's format reaches cmd_compute
+        cfg = tmp_path / "fmt.cfg"
+        cfg.write_text("format = xml\n")
+        monkeypatch.setattr(cli, "closed_entries", lambda *a: pytest.fail("closed form computed"))
+        code, out, err = run(capsys, "compute", "--machine", "uqcm", "--dmax", "1000000", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--format must be csv or json" in err
+
     def test_unknown_machine_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("machine = bogus\n")
@@ -464,6 +474,56 @@ def test_threads_share_the_parser_safely(tmp_path):
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_command_argv_never_reaches_the_top_level_parser(capsys, monkeypatch):
+    """A command line is parsed once, by its subcommand's parser alone."""
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    shared, calls = cli._shared_parser(), []
+    parse = shared.parse_known_args
+    monkeypatch.setattr(shared, "parse_known_args", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+    argvs = (["compute", "--machine", "uqcm"], ["figure", "1"], ["verify", "--dmax", "2"])
+    assert [main(argv) for argv in argvs] == [0, 0, 0]
+    assert calls == []
+    assert main(["--version"]) == 0 and len(calls) == 1  # the counter does see top-level parses
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the installed console script calls main() with no arguments
+    argv = ["compute", "--machine", "pure", "--dmax", "3"]
+    monkeypatch.setattr(sys, "argv", ["phaseclone", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, *argv)[1]
+
+
+def test_unknown_option_names_its_subcommand(capsys):
+    code, out, err = run(capsys, "compute", "--bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: phaseclone compute [-h]")
+    assert err.endswith("\nphaseclone compute: error: unrecognized arguments: --bogus\n")
+
+
+USAGE = "usage: phaseclone [-h] [--version] {compute,figure,verify} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,head",
+    [
+        (["--help"], 0, USAGE),
+        (["--version"], 0, f"phaseclone {phaseclone.__version__}\n"),
+        ([], 2, USAGE),
+        (["bogus"], 2, USAGE),
+    ],
+    ids=["help", "version", "empty", "unknown-command"],
+)
+def test_top_level_parser_answers_argv_without_a_command(capsys, argv, code, head):
+    """Help, version, a missing or an unknown command: the top-level parser's own exit and text."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    assert expected[0] == code and (expected[1] + expected[2]).startswith(head)
+    assert run(capsys, *argv) == expected
 
 
 # SHA-256 of shipped outputs; closed-form IEEE arithmetic, so they do not depend on BLAS
