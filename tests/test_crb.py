@@ -112,6 +112,10 @@ class TestStructuredEigenvalues:
 
 
 class TestTotalVarianceBound:
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_pure_input_closed_form(self, d):
+        assert total_variance_bound(d, 1.0) == d * (d - 1) / 2
+
     def test_qubit_uqcm_point(self):
         # 1/F with F = 4/9
         assert total_variance_bound(2, 2 / 3) == pytest.approx(9 / 4, abs=1e-14)
