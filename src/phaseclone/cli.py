@@ -16,10 +16,11 @@ Each option and its default is declared once, in build_parser.  main builds
 one parser per process, on its first call, and then only reads it.  Each
 command line is parsed once, by its subcommand's parser alone; the top-level
 parser handles only --help, --version and a missing or unknown command.  A
-call with a key=value config file (--config) builds a parser of its own,
-installs the file's values there with set_defaults and parses argv again, so
-argparse casts each value with its flag's type and explicit flags win.  A key
-that names no option of the subcommand is a usage error.  verify's tolerances
+key=value config file (--config) is read as UTF-8 flags: each line becomes
+--option=value, placed after the command name and ahead of the command line's
+own flags, and the whole line is parsed again on the same parser.  So each
+value is checked as its flag is, and explicit flags win.  A key that names no
+option of the subcommand is a usage error.  verify's tolerances
 and oracle step are fixed in the verify module; no key or flag sets them.
 compute and figure call each closed form once, on the whole column of
 dimensions, and write each CSV row from one %-template.  CSV output uses a
@@ -85,8 +86,6 @@ def _csv_text(header: list[str], row_format: str, columns, comments: list[str] =
 def cmd_compute(args: argparse.Namespace) -> int:
     if not args.machine:
         raise UsageError("--machine is required (pure, uqcm, pqcm, or shrink)")
-    if args.fmt not in ("csv", "json"):  # a config file can set any string
-        raise UsageError("--format must be csv or json")
     try:
         channel = ParamChannel(args.machine, args.eta)
     except ValueError as exc:
@@ -152,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     _check_seed(args.seed)
     if args.out is not None:  # an unwritable --out fails before the first check
-        open(args.out, "w").close()
+        open(args.out, "a").close()  # "a": a failed run keeps the old report
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
@@ -172,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -196,18 +195,17 @@ def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     }
 
 
-def _install_config(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
-    """Make the --config file's values the subcommand's defaults.
+def _config_flags(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> list[str]:
+    """The --config file's values as flags of the subcommand, one --option=value each.
 
-    Every key must name a value option of the subcommand.  The values stay
-    strings: the next parse casts them with each option's type.
+    Every key must name a value option of the subcommand.
     """
     file_values = _parse_config_file(args.config)
     options = _file_options(subparser)
     unknown = [k for k in file_values if k not in options]
     if unknown:
         raise UsageError(f"config keys name no option of {args.command}: " + ", ".join(unknown))
-    subparser.set_defaults(**{options[k].dest: v for k, v in file_values.items()})
+    return [f"{options[k].option_strings[-1]}={v}" for k, v in file_values.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every call without --config: built once, then only read."""
+    """The parser of every call: built once, then only read."""
     return build_parser()
 
 
@@ -271,11 +269,10 @@ def main(argv=None) -> int:
     if argv is None:  # the installed entry point passes nothing
         argv = sys.argv[1:]
     try:
-        args = _parse(_shared_parser(), argv)
-        if args.config is not None:  # the file's values go on a parser of this call only
-            parser = build_parser()
-            _install_config(args, parser.commands[args.command])
-            args = _parse(parser, argv)  # flags still win over the new defaults
+        parser = _shared_parser()
+        args = _parse(parser, argv)
+        if args.config is not None:  # argv[0] is the command; the later flag of two wins
+            args = _parse(parser, [argv[0], *_config_flags(args, parser.commands[argv[0]]), *argv[1:]])
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "figure":

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -201,21 +203,35 @@ class TestCompute:
         assert "cannot read config file" in err
 
     def test_format_from_config_checked_before_any_closed_form(self, tmp_path, capsys, monkeypatch):
-        # argparse applies no choices to a default, so a file's format reaches cmd_compute
+        # a file's format is a --format flag, so argparse checks its choices
         cfg = tmp_path / "fmt.cfg"
         cfg.write_text("format = xml\n")
         monkeypatch.setattr(cli, "closed_entries", lambda *a: pytest.fail("closed form computed"))
-        code, out, err = run(capsys, "compute", "--machine", "uqcm", "--dmax", "1000000", "--config", str(cfg))
+        argv = ("compute", "--machine", "uqcm", "--dmax", "1000000")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert "--format must be csv or json" in err
+        assert err == run(capsys, *argv, "--format", "xml")[2]
 
     def test_unknown_machine_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("machine = bogus\n")
-        code, out, _ = run(capsys, "compute", "--config", str(cfg))
+        code, out, err = run(capsys, "compute", "--config", str(cfg))
         assert code == 2
         assert out == ""
+        assert err == run(capsys, "compute", "--machine", "bogus")[2]
+
+    def test_config_file_is_read_as_utf8_in_any_locale(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("# shrinking factor \u03b7\nmachine = pure\ndmax = 3\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(phaseclone.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phaseclone.cli", "compute", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [row[0] for row in parse_csv(proc.stdout)[1]] == ["2", "3"]
 
 
 class TestFigure:
@@ -332,6 +348,19 @@ class TestVerify:
         assert out == ""
         assert "unrecognized arguments: --fd-step" in err and "[pass]" not in err
 
+    def test_failed_run_keeps_the_previous_report(self, tmp_path, capsys, monkeypatch):
+        report_path = tmp_path / "report.json"
+        report_path.write_text("old")
+
+        def fail(**kw):
+            raise RuntimeError("numerical failure")
+
+        monkeypatch.setattr(cli, "run_verification", fail)
+        code, out, err = run(capsys, "verify", "--dmax", "2", "--out", str(report_path))
+        assert code == 1
+        assert err == "error: numerical failure\n"
+        assert report_path.read_text() == "old"
+
     @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
     def test_unwritable_out_fails_before_any_check(self, tmp_path, capsys, target):
         code, out, err = run(capsys, "verify", "--dmax", "2", "--out", str(tmp_path / target))
@@ -403,7 +432,7 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, text,
     ids=["compute", "figure"],
 )
 def test_config_values_do_not_outlive_their_call(tmp_path, capsys, argv, text):
-    """main runs many commands in one process; a file's values are defaults of
+    """main runs many commands in one process; a file's values are flags of
     that call only, so the next plain call gets the declared defaults back."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -426,14 +455,18 @@ def test_verify_defaults_after_a_config_call(tmp_path, capsys, monkeypatch):
     assert [(c["dmax_full"], c["seed"]) for c in calls] == [(2, 3), (8, DEFAULT_SEED)]
 
 
-def test_plain_calls_build_the_parser_once(capsys, monkeypatch):
-    """main builds its parser on the first call of a process; later calls only read it."""
+def test_plain_calls_build_the_parser_once(tmp_path, capsys, monkeypatch):
+    """main builds its parser on the first call of a process; later calls,
+    --config calls among them, only read it."""
     monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
     build, builds = cli.build_parser, []
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
     cli._shared_parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dmax = 3\n")
     argvs = (["compute", "--machine", "uqcm"], ["figure", "1"], ["verify"], ["compute", "--dmin", "1"])
     assert [main(argv) for argv in argvs] == [0, 0, 0, 2]
+    assert [main([*argv, "--config", str(cfg)]) for argv in argvs] == [0, 0, 0, 2]
     assert len(builds) == 1
 
 
