@@ -29,7 +29,7 @@ MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
 def eta_uqcm(d: int | np.ndarray) -> float | np.ndarray:
     """Shrinking factor (d+2)/(2(d+1)) of the universal cloner; d is one integer
-    or a 1-D integer array (states._check_dims), giving a float or a column."""
+    or a 1-D integer array (states._check_dims), giving a numpy float or a column."""
     d = _check_dims(d)
     return (d + 2) / (2.0 * (d + 1))
 
@@ -165,14 +165,13 @@ class ParamChannel:
             raise ValueError(f"eta is not a parameter of the {self.kind!r} channel")
 
     def shrinking_factor(self, d: int | np.ndarray) -> float | np.ndarray:
-        """eta at one d (a float) or at a 1-D integer array of d (a column)."""
+        """eta at one d (a numpy float) or at a 1-D integer array of d (a column)."""
         if self.kind == "uqcm":
             return eta_uqcm(d)
         if self.kind == "pqcm":
             return eta_pqcm(d)
-        d = _check_dims(d)
         eta = 1.0 if self.kind == "pure" else float(self.eta)
-        return np.full(d.shape, eta) if isinstance(d, np.ndarray) else eta
+        return np.full(np.shape(_check_dims(d)), eta)[()]
 
     def density(self, p: PhaseVector) -> np.ndarray:
         if self.kind in ("uqcm", "pqcm"):

@@ -61,12 +61,7 @@ def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:
     d = 2 there is no second eigenvalue and lam2 is NaN.  d may be a 1-D
     integer array with entry columns to match, giving two columns.
     """
-    d = _check_dims(d)
-    if isinstance(d, np.ndarray):
-        lam2 = np.where(d > 2, fdiag - foff, np.nan)
-    else:
-        lam2 = fdiag - foff if d > 2 else float("nan")
-    return -foff, lam2
+    return -foff, np.where(_check_dims(d) > 2, fdiag - foff, np.nan)[()]
 
 
 def total_variance_bound(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:

@@ -52,18 +52,17 @@ def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> float | 
     d = _check_dims(d, CLOSED_FORM_DMAX)
     _check_eta(eta)
     small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
-    # a scalar call's small is a Python bool, on which np.any is several times slower
-    if small.any() if isinstance(small, np.ndarray) else small:
+    if small.any():
         i = np.flatnonzero(small)[-1]
         d_i, eta_i = (np.broadcast_to(x, np.shape(small)).flat[i] for x in (d, eta))
         raise ValueError(f"eta={float(eta_i)} is too small: the QFIM entries underflow at d={int(d_i)}")
     return d
 
 
-# Each closed form below takes one integer d, giving floats, or a 1-D integer
-# array of d, giving float64 columns with the same value at each d bit for bit.
-# Squares are written x * x: Python's float ** 2 calls pow, which can round a
-# square differently from numpy's x * x.
+# Each closed form below runs one numpy path: one integer d is a 0-d column,
+# giving numpy floats, and a 1-D integer array of d gives float64 columns.
+# Squares are written x * x: eta may be a Python float, whose ** 2 calls pow,
+# which can round a square differently from numpy's x * x.
 
 
 def qfim_pure_entries(d: int | np.ndarray) -> tuple:

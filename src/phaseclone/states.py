@@ -31,30 +31,31 @@ def _check_dim(d: int) -> int:
 
 
 def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndarray:
-    """One integer d as a float, or a 1-D integer array of them as float64, after
-    rejecting any d < 2 (and any d > dmax): the closed forms evaluate a whole
-    column of dimensions at once.  They compute in float64, which holds their
-    d^4 products exactly below d ~ 9700 and, unlike int64, never overflows."""
-    if isinstance(d, np.ndarray):
-        if d.ndim != 1 or d.size == 0 or d.dtype.kind not in "iu":
-            raise ValueError(f"dimensions must be one integer or a 1-D integer array, got {d!r}")
-        if d.min() < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {int(d.min())}")
-        top, col = int(d.max()), d.astype(float)
-    else:
-        top = _check_dim(d)
-        col = float(top)
-    if dmax is not None and top > dmax:
-        raise ValueError(f"closed forms are limited to d <= {dmax}, got {top}")
-    return col
+    """d as float64, after rejecting anything but one integer or a 1-D integer array
+    (a 0-d column), and any d < 2 or d > dmax: the closed forms run one numpy path,
+    so one d gives a numpy float and a column of d a float64 column.  They compute in
+    float64, which holds their d^4 products exactly below d ~ 9700 and, unlike int64,
+    never overflows."""
+    a = np.asarray(d)
+    if a.ndim > 1 or a.size == 0 or a.dtype.kind not in "iu":
+        raise ValueError(f"dimension must be an integer >= 2, or a 1-D array of them, got {d!r}")
+    if a.min() < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {int(a.min())}")
+    if dmax is not None and a.max() > dmax:
+        raise ValueError(f"closed forms are limited to d <= {dmax}, got {int(a.max())}")
+    return a.astype(float)[()]
 
 
 def _check_eta(eta: float | np.ndarray) -> None:
-    """Reject a shrinking factor outside (0, 1], or an array of them whose extremes are:
-    the input rule of every output eta*|psi><psi| + (1-eta)I/d and of its closed forms."""
-    if isinstance(eta, np.ndarray) and eta.size == 0:
+    """Reject a shrinking factor that is not a real number in (0, 1], or an array of
+    them whose extremes are not: the input rule of every output
+    eta*|psi><psi| + (1-eta)I/d and of its closed forms."""
+    a = np.asarray(eta)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"shrinking factor must be a real number in (0, 1], got {eta!r}")
+    if a.size == 0:
         raise ValueError("shrinking factor eta must hold at least one value, got an empty array")
-    for e in (eta.min(), eta.max()) if isinstance(eta, np.ndarray) else (eta,):
+    for e in (a.min(), a.max()):
         if not (0.0 < e <= 1.0):
             raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
 
@@ -62,7 +63,7 @@ def _check_eta(eta: float | np.ndarray) -> None:
 def _check_one_eta(eta: float) -> None:
     """_check_eta for a routine that builds one output per point: an eta array
     would broadcast into a wrong matrix or fail inside numpy, so it is rejected."""
-    if not isinstance(eta, float) and np.ndim(eta) != 0:  # np.ndim of a float takes ~1 us
+    if np.ndim(eta) != 0:
         raise ValueError(f"expected one eta, got {eta!r}")
     _check_eta(eta)
 

@@ -18,7 +18,7 @@ from phaseclone.channels import (
     shrink_output,
     uqcm_full_output,
 )
-from phaseclone.states import TWO_PI, PhaseVector, complement_basis, equatorial_state
+from phaseclone.states import PhaseVector, equatorial_state
 
 # largest d at which the tests build the length-d^3 dense references
 DENSE_DMAX = 32
@@ -125,6 +125,12 @@ class TestShrinkOutput:
             shrink_output(p, 0.0)
         with pytest.raises(ValueError):
             shrink_output(p, 1.2)
+        # a bool or complex eta is not a real number, though it compares as one or fails to
+        for eta in (True, 0.5 + 0j):
+            with pytest.raises(ValueError, match="real number"):
+                shrink_output(p, eta)
+            with pytest.raises(ValueError, match="real number"):
+                ParamChannel("shrink", eta)
 
     @pytest.mark.parametrize("eta", [[0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]]], ids=["3", "2", "1x1"])
     def test_eta_array_rejected(self, eta):
@@ -201,24 +207,6 @@ class TestBuildersMatchLoops:
         p = PhaseVector(d, np.array(phases))
         assert np.array_equal(uqcm_full_output(p), uqcm_full_output_loops(p))
         assert np.array_equal(pqcm_full_output(p), pqcm_full_output_loops(p))
-
-
-@pytest.mark.parametrize("d", range(2, 9))
-def test_stack_matches_each_point(d):
-    """A (k, d-1) stack of points gives the per-point results bit for bit."""
-    rng = np.random.default_rng(700 + d)
-    near_wrap = rng.choice([-1e-9, 1e-12, TWO_PI - 1e-12, TWO_PI + 1e-9], size=(3, d - 1))
-    stack = PhaseVector(d, np.vstack((near_wrap, rng.uniform(-10.0, 10.0, size=(5, d - 1)))))
-    points = [PhaseVector(d, row) for row in stack.phases]
-    fns = [equatorial_state, complement_basis] + [
-        ParamChannel(kind, 0.3 if kind == "shrink" else None).density
-        for kind in ("pure", "uqcm", "pqcm", "shrink")
-    ]
-    for fn in fns:
-        got = fn(stack)
-        assert got.shape[0] == len(points)
-        for row, p in zip(got, points):
-            assert np.array_equal(row, fn(p))
 
 
 @settings(max_examples=40, deadline=None)

@@ -63,6 +63,8 @@ def test_column_equals_scalar_calls_bit_for_bit(name):
     dims = np.arange(2, 2001)
     columns = outputs(fn(dims))
     scalars = [outputs(fn(d)) for d in dims.tolist()]
+    # one d gives numpy floats, not 0-d arrays, which bits() would let through
+    assert all(isinstance(x, float) for s in scalars for x in s)
     for k, column in enumerate(columns):
         assert column.shape == dims.shape
         assert bits(column) == bits([s[k] for s in scalars]), f"output {k}"
@@ -75,6 +77,16 @@ def test_column_equals_scalar_calls_bit_for_bit(name):
 def test_bad_column_rejected(dims):
     with pytest.raises(ValueError, match="dimension"):
         qfim_uqcm_entries(dims)
+
+
+def test_a_list_is_a_column_and_a_0d_array_is_one_d():
+    # d is read through np.asarray: a list of integers runs as the column it spells,
+    # a 0-d integer array as its one d, and an integer past uint64 is no integer dtype
+    for fn in (qfim_uqcm_entries, partial(total_variance_bound, eta=0.3), ParamChannel("pure").shrinking_factor):
+        assert bits(outputs(fn([2, 3, 4]))) == bits(outputs(fn(np.arange(2, 5))))
+        assert bits(outputs(fn(np.array(5)))) == bits(outputs(fn(5)))
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            fn(2**64)
 
 
 @pytest.mark.parametrize(

@@ -31,13 +31,6 @@ def test_spectral_route_maps_a_stack(d):
             check_stack(ROUTINES[f"{fn.__name__}(spectral_output({eta}))"], d, ks=(4,))
 
 
-@pytest.mark.parametrize("eta", [1.0, 0.3])
-def test_spectral_route_maps_an_empty_stack(eta):
-    sd = spectral_output(PhaseVector(3, np.zeros((0, 2))), eta)
-    for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
-        assert fn(sd).shape == (0, 2, 2)
-
-
 class TestAttainability:
     def test_pure_state_vanishes(self):
         # rank-1 support: only the state itself contributes

@@ -61,6 +61,17 @@ class TestShrinkClosed:
             qfim_shrink_entries(3, 0.0)
         with pytest.raises(ValueError):
             qfim_shrink_entries(3, 1.5)
+        # an eta that is not a real number is a ValueError, not a TypeError from the range test
+        for call in (
+            lambda: total_variance_bound(5, "0.5"),
+            lambda: total_variance_bound(5, None),
+            lambda: qfim_shrink_entries(3, 0.5 + 0j),
+            lambda: ParamChannel("shrink", True),
+        ):
+            with pytest.raises(ValueError, match="real number"):
+                call()
+        # an integer eta is a real number
+        assert qfim_shrink_entries(3, 1) == qfim_shrink_entries(3, 1.0)
 
     @pytest.mark.parametrize("eta", [1e-160, 1e-170, 5e-324])
     def test_underflowing_eta_rejected(self, eta):
