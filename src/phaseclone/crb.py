@@ -75,5 +75,5 @@ def total_variance_bound(d: int | np.ndarray, eta: float | np.ndarray) -> float 
     ValueError, as in qfim_shrink_entries.  d and eta may be columns, as
     there.
     """
-    d = _check_shrink_args(d, eta)
+    d, eta = _check_shrink_args(d, eta)
     return (d - 1) * (2.0 + (d - 2) * eta) / (2.0 * (eta * eta))

@@ -43,26 +43,27 @@ CLOSED_FORM_DMAX = 10**6
 _TINY = float(np.finfo(float).tiny)
 
 
-def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:
-    """_check_dims(d, CLOSED_FORM_DMAX), after rejecting eta outside (0, 1] and an
-    eta whose |F_off| = 4 eta^2/(d[2+(d-2)eta]) is below the smallest normal float
-    (lost digits or zero; a normal F_off keeps the total variance 2(d-1)/(d|F_off|)
-    finite).  eta is a float or an array that broadcasts against a column d; a column
-    raises the scalar error of its last underflowing entry (its largest d if ascending)."""
-    d = _check_dims(d, CLOSED_FORM_DMAX)
-    _check_eta(eta)
+def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> tuple:
+    """(_check_dims(d, CLOSED_FORM_DMAX), _check_eta(eta)), both float64, so a list d or
+    eta runs as the column it spells, after also rejecting an eta whose |F_off| =
+    4 eta^2/(d[2+(d-2)eta]) is below the smallest normal float (lost digits or zero; a
+    normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite).  eta is one value
+    or an array that broadcasts against a column d; a column raises the scalar error
+    of its last underflowing entry (its largest d if ascending)."""
+    d, eta = _check_dims(d, CLOSED_FORM_DMAX), _check_eta(eta)
     small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
     if small.any():
         i = np.flatnonzero(small)[-1]
         d_i, eta_i = (np.broadcast_to(x, np.shape(small)).flat[i] for x in (d, eta))
         raise ValueError(f"eta={float(eta_i)} is too small: the QFIM entries underflow at d={int(d_i)}")
-    return d
+    return d, eta
 
 
 # Each closed form below runs one numpy path: one integer d is a 0-d column,
 # giving numpy floats, and a 1-D integer array of d gives float64 columns.
-# Squares are written x * x: eta may be a Python float, whose ** 2 calls pow,
-# which can round a square differently from numpy's x * x.
+# Squares are written x * x: after the checks one d and one eta are numpy scalars,
+# whose ** 2 calls pow, which can round a square differently from the x * x that an
+# array's ** 2 computes; x * x keeps one d equal to its entry of a column.
 
 
 def qfim_pure_entries(d: int | np.ndarray) -> tuple:
@@ -76,7 +77,7 @@ def qfim_shrink_entries(d: int | np.ndarray, eta: float | np.ndarray) -> tuple:
 
     F_diag = 4(d-1)eta^2 / (d[2+(d-2)eta]) and F_off = -F_diag/(d-1).
     """
-    d = _check_shrink_args(d, eta)
+    d, eta = _check_shrink_args(d, eta)
     denom = d * (2.0 + (d - 2) * eta)
     return 4.0 * (d - 1) * (eta * eta) / denom, -4.0 * (eta * eta) / denom
 

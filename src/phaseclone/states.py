@@ -46,10 +46,10 @@ def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndar
     return a.astype(float)[()]
 
 
-def _check_eta(eta: float | np.ndarray) -> None:
-    """Reject a shrinking factor that is not a real number in (0, 1], or an array of
-    them whose extremes are not: the input rule of every output
-    eta*|psi><psi| + (1-eta)I/d and of its closed forms."""
+def _check_eta(eta: float | np.ndarray) -> float | np.ndarray:
+    """eta as float64, after rejecting a shrinking factor that is not a real number in
+    (0, 1], or an array of them whose extremes are not: the input rule of every output
+    eta*|psi><psi| + (1-eta)I/d and of its closed forms.  A list runs as the column it spells."""
     a = np.asarray(eta)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"shrinking factor must be a real number in (0, 1], got {eta!r}")
@@ -58,6 +58,7 @@ def _check_eta(eta: float | np.ndarray) -> None:
     for e in (a.min(), a.max()):
         if not (0.0 < e <= 1.0):
             raise ValueError(f"shrinking factor must lie in (0, 1], got {e}")
+    return a.astype(float)[()]
 
 
 def _check_one_eta(eta: float) -> None:
@@ -83,7 +84,10 @@ class PhaseVector:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_dim(self.dim))
-        phases = np.array(self.phases, dtype=float, ndmin=1)
+        phases = np.asarray(self.phases)
+        if phases.dtype.kind not in "iuf":  # a complex part or a bool is no phase
+            raise ValueError(f"phases must be real numbers, got dtype {phases.dtype}")
+        phases = np.array(phases, dtype=float, ndmin=1)
         if phases.ndim > 2 or phases.shape[-1] != self.dim - 1:
             raise ValueError(
                 f"expected {self.dim - 1} phases for dim={self.dim}, "

@@ -28,6 +28,74 @@ def parse_csv(text):
     return header, rows
 
 
+def parse_error(command, message):
+    """argparse's stderr for a bad command line: the subcommand's usage, then its error line."""
+    return f"{cli.build_parser().commands[command].format_usage()}phaseclone {command}: error: {message}\n"
+
+
+# (id, argv, config text or bytes or None, exit code, stdout, stderr): main on the argv, plus --config
+# <file> holding any config (<config> in stderr), returns the code and writes exactly this stdout and stderr.
+CASES = [
+    ("compute-shrink-without-eta", "compute --machine shrink --dmin 2 --dmax 4", None, 2, "",
+     "usage error: machine=shrink: shrink channel requires eta\n"),
+    ("compute-eta-for-pure", "compute --machine pure --eta 0.5", None, 2, "",
+     "usage error: machine=pure: eta is not a parameter of the 'pure' channel\n"),
+    ("compute-dmin-above-dmax", "compute --machine uqcm --dmin 5 --dmax 3", None, 2, "",
+     "usage error: --dmin/--dmax must satisfy 2 <= dmin <= dmax\n"),
+    ("compute-without-machine", "compute", None, 2, "",
+     "usage error: --machine is required (pure, uqcm, pqcm, or shrink)\n"),
+    # no second eigenvalue exists at d=2: null keeps the JSON strict
+    ("compute-json-d2", "compute --machine pure --dmin 2 --dmax 2 --format json", None, 0, json.dumps({
+        "seed": DEFAULT_SEED, "rows": [{"d": 2, "eta": 1.0, "f_diag": 1.0, "f_offdiag": -1.0, "lambda1": 1.0,
+        "lambda2": None, "total_variance_min": 1.0, "attainable": True}]}, indent=2) + "\n", ""),
+    ("compute-phases-flag", "compute --machine uqcm --phases 0.1", None, 2, "",  # no number depends on them
+     parse_error("compute", "unrecognized arguments: --phases 0.1")),
+    ("compute-phases-key", "compute --machine uqcm", "phases = 0.1\n", 2, "",
+     "usage error: config keys name no option of compute: phases\n"),
+    *[(f"compute-eta-{eta}", f"compute --machine shrink --eta {eta}", None, 2, "",
+       f"usage error: eta={eta} is too small: the QFIM entries underflow at d=20\n")
+      for eta in ("1e-200", "1e-170", "5e-324")],
+    ("compute-missing-config", "compute --machine pure --config /no/such.cfg", None, 2, "",
+     "usage error: cannot read config file /no/such.cfg: [Errno 2] No such file or directory: '/no/such.cfg'\n"),
+    ("compute-undecodable-config", "compute", b"\xff\xfe\x00machine = pure\n", 2, "",
+     "usage error: cannot read config file <config>: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte\n"),
+    ("compute-unknown-key", "compute", "machine = pure\ndmaxx = 3\n", 2, "",
+     "usage error: config keys name no option of compute: dmaxx\n"),
+    ("compute-bogus", "compute --bogus", None, 2, "", parse_error("compute", "unrecognized arguments: --bogus")),
+    ("figure-2-qubit-values", "figure 2 --dmax 3", None, 0,
+     "d,f_uqcm_diag,f_pqcm_diag\n2,0.444444444444,0.5\n3,0.396825396825,0.414178541679\n", ""),
+    ("figure-dmax-2", "figure 2 --dmax 2", None, 2, "", "usage error: --dmax must be at least 3 for figure data\n"),
+    ("figure-dmax-cap", "figure 1 --dmax 2000000", None, 2, "", "usage error: --dmax must not exceed 1000000\n"),
+    ("figure-4", "figure 4", None, 2, "",
+     parse_error("figure", "argument which: invalid choice: 4 (choose from 1, 2, 3)")),
+    ("figure-unwritable-out", "figure 2 --out /nonexistent-dir/fig.csv", None, 1, "",
+     "error: [Errno 2] No such file or directory: '/nonexistent-dir/fig.csv'\n"),
+    ("figure-tol-key", "figure 2", "tol_sld_residual = 1\n", 2, "",
+     "usage error: config keys name no option of figure: tol_sld_residual\n"),
+    ("verify-dmax-33", "verify --dmax 33", None, 2, "",
+     "usage error: dmax is limited to 32, to bound verify's run time; got 33\n"),
+    # the oracle step is fixed: every tolerance is calibrated at oracle.DEFAULT_FD_STEP
+    ("verify-fd-step-flag", "verify --fd-step 1e-4", None, 2, "",
+     parse_error("verify", "unrecognized arguments: --fd-step 1e-4")),
+    ("verify-fd-step-key", "verify", "fd_step = 1e-4\n", 2, "",
+     "usage error: config keys name no option of verify: fd_step\n"),
+    # a loosened tolerance would report the self-test fault as a pass
+    ("verify-tol-key", "verify --mutate", "tol_scaling_form_uqcm = 1.0\n", 2, "",
+     "usage error: config keys name no option of verify: tol_scaling_form_uqcm\n"),
+    ("version", "--version", None, 0, f"phaseclone {phaseclone.__version__}\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, stdout, stderr", [pytest.param(*c[1:], id=c[0]) for c in CASES])
+def test_cli_case(tmp_path, capsys, argv, config, code, stdout, stderr):
+    argv, cfg = argv.split(), tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
+        argv += ["--config", str(cfg)]
+    assert run(capsys, *argv) == (code, stdout, stderr.replace("<config>", str(cfg)))
+
+
 class TestCompute:
     def test_uqcm_qubit_row(self, capsys):
         code, out, _ = run(capsys, "compute", "--machine", "uqcm", "--dmin", "2", "--dmax", "2")
@@ -78,24 +146,6 @@ class TestCompute:
             for row in rows:
                 assert "-" + row[header.index("lambda1")] == row[header.index("f_offdiag")]
 
-    def test_shrink_requires_eta(self, capsys):
-        code, _, err = run(capsys, "compute", "--machine", "shrink", "--dmin", "2", "--dmax", "4")
-        assert code == 2
-        assert "eta" in err
-
-    def test_eta_rejected_for_other_machines(self, capsys):
-        code, _, _ = run(capsys, "compute", "--machine", "pure", "--eta", "0.5")
-        assert code == 2
-
-    def test_invalid_dimension_range(self, capsys):
-        code, _, _ = run(capsys, "compute", "--machine", "uqcm", "--dmin", "5", "--dmax", "3")
-        assert code == 2
-
-    def test_machine_required(self, capsys):
-        code, _, err = run(capsys, "compute")
-        assert code == 2
-        assert "machine" in err
-
     def test_byte_identical_for_fixed_seed(self, tmp_path, capsys):
         args = ["compute", "--machine", "pqcm", "--dmax", "8", "--seed", "777"]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -117,36 +167,6 @@ class TestCompute:
         assert row["eta"] == 0.5
         assert row["attainable"] is True
         assert row["f_diag"] == pytest.approx(4 * 2 * 0.25 / (3 * 2.5))
-
-    def test_json_is_strict_at_d2(self, capsys):
-        # no second eigenvalue exists at d=2; JSON must stay parseable
-        code, out, _ = run(
-            capsys, "compute", "--machine", "pure",
-            "--dmin", "2", "--dmax", "2", "--format", "json",
-        )
-        assert code == 0
-        row = json.loads(out)["rows"][0]
-        assert row["lambda2"] is None
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_phases_is_no_option(self, capsys, tmp_path, source):
-        # no number depends on the phases, so compute takes none
-        argv = ["compute", "--machine", "uqcm"]
-        if source == "flag":
-            argv += ["--phases", "0.1"]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("phases = 0.1\n")
-            argv += ["--config", str(cfg)]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert "phases" in err
-
-    @pytest.mark.parametrize("eta", ["1e-200", "1e-170", "5e-324"])
-    def test_underflowing_eta_rejected(self, capsys, eta):
-        code, _, err = run(capsys, "compute", "--machine", "shrink", "--eta", eta)
-        assert code == 2
-        assert "too small" in err
 
     def test_smallest_accepted_eta(self, capsys):
         # the boundary is |F_off(d=8)| = 4 eta^2/(8 (2 + 6 eta)) at the smallest
@@ -189,18 +209,6 @@ class TestCompute:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0][1]) == 0.9
-
-    def test_missing_config_file(self, capsys):
-        code, _, err = run(capsys, "compute", "--machine", "pure", "--config", "/no/such/file.cfg")
-        assert code == 2
-        assert "cannot read config file" in err
-
-    def test_undecodable_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_bytes(b"\xff\xfe\x00machine = pure\n")
-        code, _, err = run(capsys, "compute", "--config", str(cfg))
-        assert code == 2
-        assert "cannot read config file" in err
 
     def test_format_from_config_checked_before_any_closed_form(self, tmp_path, capsys, monkeypatch):
         # a file's format is a --format flag, so argparse checks its choices
@@ -256,12 +264,6 @@ class TestFigure:
         for d in range(10, 20):
             assert gaps[d + 1] < gaps[d]
 
-    def test_fig2_qubit_values(self, capsys):
-        code, out, _ = run(capsys, "figure", "2", "--dmax", "3")
-        _, rows = parse_csv(out)
-        assert float(rows[0][1]) == pytest.approx(4 / 9, abs=1e-12)
-        assert float(rows[0][2]) == pytest.approx(0.5, abs=1e-12)
-
     def test_fig3_orderings(self, capsys):
         code, out, _ = run(capsys, "figure", "3", "--dmax", "20")
         assert code == 0
@@ -282,23 +284,6 @@ class TestFigure:
         for r1, r3, rp in zip(fig1_rows, fig3_rows, pure_rows):
             assert float(r1[1]) == float(rp[2])  # pure diagonal entry
             assert float(r3[1]) == float(rp[6])  # pure total variance
-
-    def test_small_dmax_rejected(self, capsys):
-        code, _, _ = run(capsys, "figure", "2", "--dmax", "2")
-        assert code == 2
-
-    def test_dmax_cap(self, capsys):
-        code, out, err = run(capsys, "figure", "1", "--dmax", "2000000")
-        assert code == 2
-        assert out == ""
-        assert "must not exceed" in err
-
-    def test_invalid_selector_rejected(self, capsys):
-        assert main(["figure", "4"]) == 2
-
-    def test_unwritable_path(self, capsys):
-        code, _, err = run(capsys, "figure", "2", "--out", "/nonexistent-dir/fig.csv")
-        assert code == 1
 
 
 class TestVerify:
@@ -334,20 +319,6 @@ class TestVerify:
         n_pass = sum(e["pass"] for e in report)
         assert err.splitlines() == expected + [f"{n_pass}/{len(report)} checks passed"]
 
-    @pytest.mark.parametrize("args", [("--dmax", "33")])
-    def test_bad_input_rejected_before_any_check(self, capsys, args):
-        code, out, err = run(capsys, "verify", *args)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("usage error:") and "[pass]" not in err
-
-    def test_fd_step_is_no_option(self, capsys):
-        # the oracle step is fixed: every tolerance is calibrated at oracle.DEFAULT_FD_STEP
-        code, out, err = run(capsys, "verify", "--fd-step", "1e-4")
-        assert code == 2
-        assert out == ""
-        assert "unrecognized arguments: --fd-step" in err and "[pass]" not in err
-
     def test_failed_run_keeps_the_previous_report(self, tmp_path, capsys, monkeypatch):
         report_path = tmp_path / "report.json"
         report_path.write_text("old")
@@ -369,26 +340,6 @@ class TestVerify:
         assert err.startswith("error:") and "[pass]" not in err and "[FAIL]" not in err
 
 
-@pytest.mark.parametrize(
-    "argv,text",
-    [
-        (("compute",), "machine = pure\ndmaxx = 3\n"),
-        (("figure", "2"), "tol_sld_residual = 1\n"),
-        # a loosened tolerance would report the self-test fault as a pass
-        (("verify", "--mutate"), "tol_scaling_form_uqcm = 1.0\n"),
-        (("verify",), "fd_step = 1e-4\n"),
-    ],
-    ids=["compute-dmaxx", "figure-tol", "verify-tol", "verify-fd-step"],
-)
-def test_unknown_config_key_is_usage_error(tmp_path, capsys, argv, text):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(text)
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert "name no option" in err and "[pass]" not in err and "[FAIL]" not in err
-
-
 @pytest.mark.parametrize("argv", [("compute", "--machine", "pure", "--dmax", "3"), ("verify", "--dmax", "2")])
 @pytest.mark.parametrize("from_file", [False, True])
 def test_negative_seed_is_usage_error(tmp_path, capsys, argv, from_file):
@@ -398,10 +349,6 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv, from_file):
     assert code == 2
     assert out == ""
     assert "--seed must be a non-negative integer" in err
-
-
-def test_version_flag(capsys):
-    assert main(["--version"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -527,14 +474,6 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["phaseclone", *argv])
     assert main() == 0
     assert capsys.readouterr().out == run(capsys, *argv)[1]
-
-
-def test_unknown_option_names_its_subcommand(capsys):
-    code, out, err = run(capsys, "compute", "--bogus")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage: phaseclone compute [-h]")
-    assert err.endswith("\nphaseclone compute: error: unrecognized arguments: --bogus\n")
 
 
 USAGE = "usage: phaseclone [-h] [--version] {compute,figure,verify} ...\n"

@@ -87,6 +87,9 @@ def test_a_list_is_a_column_and_a_0d_array_is_one_d():
         assert bits(outputs(fn(np.array(5)))) == bits(outputs(fn(5)))
         with pytest.raises(ValueError, match="dimension must be an integer"):
             fn(2**64)
+    # so is eta: a list of them runs as the column it spells
+    for fn, d, eta in ((total_variance_bound, 5, [0.5]), (qfim_shrink_entries, np.arange(2, 4), [0.5, 0.6])):
+        assert bits(outputs(fn(d, eta))) == bits(outputs(fn(d, np.array(eta))))
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,16 @@ class TestPhaseVector:
         with pytest.raises(ValueError):
             PhaseVector(2, [np.nan])
 
+    @pytest.mark.parametrize(
+        "phases",
+        [[1 + 1j, 0], np.array([1 + 1j, 0]), [True, False], np.array([0.1, 0.2], dtype=object)],
+        ids=["complex-list", "complex-array", "bool", "object"],
+    )
+    def test_rejects_non_real_phases(self, phases):
+        # a complex array's imaginary part would be dropped with only a warning, and a bool read as 0 or 1
+        with pytest.raises(ValueError, match="phases must be real numbers"):
+            PhaseVector(3, phases)
+
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             PhaseVector(1, [])
