@@ -39,7 +39,7 @@ SLD_SUPPORT_TOL = 1e-12
 
 
 def _check_step(h: float) -> None:
-    if np.asarray(h).dtype.kind not in "iuf" or not (np.isfinite(h) and h > 0):
+    if np.ndim(h) != 0 or np.asarray(h).dtype.kind not in "iuf" or not (np.isfinite(h) and h > 0):
         raise ValueError(f"step must be a finite positive real number, got {h!r}")
     if 1.0 / (2.0 * float(h)) == np.inf:  # Python floats overflow to inf without a warning
         raise ValueError(f"step {h} is too small: 1/(2h) overflows")

@@ -7,13 +7,17 @@ information matrices, variance-bound identities, attainability, and the
 finite-difference oracle comparisons.  Each check reports its worst observed
 error against a fixed tolerance.  TOLERANCES declares every check, in run
 order, with that tolerance; it is the one list of check names, and no
-argument or config key changes a tolerance or the oracle's step.  Checks that
-share a quantity share its draws: one oracle.sld_pass per (d, channel) draw
-stack feeds the oracle attainability, QFIM-agreement and SLD-residual checks.
+argument or config key changes a tolerance or the oracle's step.  The checks
+run in BLOCKS, each block on its own random stream seeded by the seed and the
+block's name, so one block's draws never move another block's errors.  Checks
+that share a quantity share its draws, in one block: one oracle.sld_pass per
+(d, channel) draw stack feeds the oracle attainability, QFIM-agreement and
+SLD-residual checks.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,61 +116,33 @@ def check_arguments(dmax_full: int) -> None:
         raise ValueError(f"dmax is limited to {DMAX_FULL_LIMIT}, to bound verify's run time; got {dmax_full}")
 
 
-def run_verification(
-    dmax_full: int = 8, seed: int = DEFAULT_SEED, mutate: bool = False, progress=None
-) -> list[CheckResult]:
-    """Run the whole suite and return one CheckResult per check.
-
-    dmax_full (2..DMAX_FULL_LIMIT) is the largest d of the traced-cloner,
-    attainability and oracle blocks.  With mutate=True a deliberate error is
-    injected into the shrinking factor used by the scaling-form check, which
-    must then fail; this validates that the harness can detect a wrong channel.
-    Every check runs at its TOLERANCES entry and the oracle at its default
-    step; progress sees each result as it is added.  A dmax_full that
-    check_arguments rejects raises ValueError before any check.
-    """
-    check_arguments(dmax_full)
-    rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-
-    def add(name: str, *errs: float) -> None:
-        # one scalar error per draw; the worst of them, at least 0, and NaN if
-        # any is NaN (max() keeps whichever of a NaN and a number comes first)
-        err = float("nan") if np.isnan(errs).any() else max(0.0, *errs)
-        res = CheckResult(name, float(err), TOLERANCES[name])
-        results.append(res)
-        if progress is not None:
-            progress(res)
-
-    full_dims = list(range(2, dmax_full + 1))
-
-    # --- state and basis construction ---------------------------------
+def states_and_bases(rng, dmax_full, mutate):
     errs = []
     for d in range(2, 17):
         b = states.complement_basis(PhaseVector.random(d, rng, 100))
         errs.append(np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(d)).max())
-    add("complement_basis_orthonormality", *errs)
+    yield "complement_basis_orthonormality", errs
 
     errs = []
     for d in range(2, 17):
         p = PhaseVector.random(d, rng, 10)
         gen = states.phase_shift_unitary(p) @ states.equatorial_state(PhaseVector.zero(d))
         errs.append(np.abs(states.equatorial_state(p) - gen).max())
-    add("phase_shift_generates_state", *errs)
+    yield "phase_shift_generates_state", errs
 
     errs = []
     for d in (2, 3, 5, 8):
         p = PhaseVector.random(d, rng)
         fd = oracle._central_differences(states.equatorial_state, p, 1e-5)
         errs.append(np.abs(states.basis_derivatives(p)[:, 0] - fd).max())
-    add("state_derivative_finite_difference", *errs)
+    yield "state_derivative_finite_difference", errs
 
     errs = []
     for d in (2, 3, 4, 6):
         p = PhaseVector.random(d, rng)
         fd = oracle._central_differences(states.complement_basis, p, 1e-5)
         errs.append(np.abs(states.basis_derivatives(p) - fd).max())
-    add("basis_derivative_finite_difference", *errs)
+    yield "basis_derivative_finite_difference", errs
 
     errs = []
     fns = (states.equatorial_state, states.complement_basis, channels.ParamChannel("shrink", 0.7).density)
@@ -174,15 +150,16 @@ def run_verification(
         p = PhaseVector.random(d, rng)
         q = PhaseVector(d, p.phases + 2 * np.pi)  # every phase shifted by one period
         errs += [np.abs(fn(p) - fn(q)).max() for fn in fns]
-    add("gauge_period_invariance", *errs)
+    yield "gauge_period_invariance", errs
 
-    # --- cloning channels ----------------------------------------------
+
+def cloning_channels(rng, dmax_full, mutate):
     # density is the partial trace of each cloner isometry; each draw is
     # traced once and feeds both checks
     fidelity = {}
     for ch in (UQCM, PQCM):
         errs, fid = [], []
-        for d in full_dims:
+        for d in range(2, dmax_full + 1):
             eta = ch.shrinking_factor(d)
             fault = 1e-3 if mutate and ch is UQCM else 0.0  # only the scaling form must catch it
             p = PhaseVector.random(d, rng, 20)
@@ -191,22 +168,23 @@ def run_verification(
             psi = states.equatorial_state(p)
             fids = (psi.conj()[:, None, :] @ rho @ psi[:, :, None])[:, 0, 0].real
             fid += [fids.max() - fids.min(), np.abs(fids - (eta + (1 - eta) / d)).max()]
-        add(f"scaling_form_{ch.kind}", *errs)
+        yield f"scaling_form_{ch.kind}", errs
         fidelity[ch.kind] = fid
     for kind, fid in fidelity.items():
-        add(f"fidelity_phase_independence_{kind}", *fid)
+        yield f"fidelity_phase_independence_{kind}", fid
 
-    add("eta_uqcm_large_d_limit", abs(channels.eta_uqcm(100) - 0.5))
-    add("eta_pqcm_large_d_limit", abs(channels.eta_pqcm(100) - 0.5))
-    add("eta_gap_large_d", channels.eta_pqcm(100) - channels.eta_uqcm(100))
+    yield "eta_uqcm_large_d_limit", [abs(channels.eta_uqcm(100) - 0.5)]
+    yield "eta_pqcm_large_d_limit", [abs(channels.eta_pqcm(100) - 0.5)]
+    yield "eta_gap_large_d", [channels.eta_pqcm(100) - channels.eta_uqcm(100)]
 
-    # --- closed forms vs the spectral route ------------------------------
+
+def closed_vs_spectral(rng, dmax_full, mutate):
     for ch in (UQCM, PQCM, SHRINK):
         errs = []
         for d in range(2, 11):
             sd = qfim.spectral_output(PhaseVector.random(d, rng), ch.shrinking_factor(d))
             errs.append(np.abs(qfim.qfim_from_spectral(sd) - qfim.closed_qfim(ch, d)).max())
-        add(f"spectral_vs_closed_{ch.kind}", *errs)
+        yield f"spectral_vs_closed_{ch.kind}", errs
 
     # the [0, 0] entries of the two spectral sums for the universal cloner; the raw
     # weight gives the symmetric second sum, as |<psi_m|d_1 psi_n>| is symmetric in n, m
@@ -220,20 +198,19 @@ def run_verification(
             abs(second - second_closed),
             abs((first - second) - qfim.qfim_uqcm_entries(d)[0]),
         ]
-    add("uqcm_diagonal_term_sums", *errs)
+    yield "uqcm_diagonal_term_sums", errs
 
-    add(
-        "telescoping_sum_identity",
-        *(abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d)) for d in range(2, 65)),
-    )
+    yield "telescoping_sum_identity", [
+        abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d)) for d in range(2, 65)
+    ]
 
-    # the closed-form sweeps evaluate each closed form once on a column of d
+    # the closed-form sweep evaluates each closed form once on a column of d
     d64 = np.arange(2, 65)
     errs = []
     for ch in CHANNELS:
         fdiag, foff = qfim.closed_entries(ch, d64)
         errs.extend(np.abs(fdiag + (d64 - 1) * foff))
-    add("diag_offdiag_relation", *errs)
+    yield "diag_offdiag_relation", errs
 
     errs = []
     for d in (3, 5):
@@ -241,32 +218,35 @@ def run_verification(
         ref = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng), eta))
         f = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng, 9), eta))
         errs.append(np.abs(f - ref).max())
-    add("qfim_phase_independence", *errs)
+    yield "qfim_phase_independence", errs
 
-    # --- orderings and inequalities --------------------------------------
+
+def orderings(rng, dmax_full, mutate):
     # each gap matrix has the entry differences of the two closed forms
+    d64 = np.arange(2, 65)
     gap_diag, gap_off = np.subtract(qfim.qfim_pqcm_entries(d64), qfim.qfim_uqcm_entries(d64))
-    errs = [-np.linalg.eigvalsh(qfim._from_entries(gd, go, d))[0] for d, gd, go in zip(d64, gap_diag, gap_off)]
-    add("pqcm_minus_uqcm_psd", *errs)
+    yield "pqcm_minus_uqcm_psd", [
+        -np.linalg.eigvalsh(qfim._from_entries(gd, go, d))[0] for d, gd, go in zip(d64, gap_diag, gap_off)
+    ]
 
     d1000 = np.arange(2, 1001)
-    add("pqcm_diagonal_dominates", *(qfim.qfim_uqcm_entries(d1000)[0] - qfim.qfim_pqcm_entries(d1000)[0]))
+    yield "pqcm_diagonal_dominates", qfim.qfim_uqcm_entries(d1000)[0] - qfim.qfim_pqcm_entries(d1000)[0]
 
     bound = channels.eta_uqcm(d64) * qfim.qfim_pure_entries(d64)[0]
-    add("information_shrinks_under_cloning", *(qfim.qfim_uqcm_entries(d64)[0] - bound))
+    yield "information_shrinks_under_cloning", qfim.qfim_uqcm_entries(d64)[0] - bound
 
     for ch in (UQCM, PQCM):
         fs = qfim.qfim_shrink_entries(d64, ch.shrinking_factor(d64))
-        errs = np.abs(np.subtract(qfim.closed_entries(ch, d64), fs))
-        add(f"{ch.kind}_matches_generic_shrink", *errs.ravel())
+        yield f"{ch.kind}_matches_generic_shrink", np.abs(np.subtract(qfim.closed_entries(ch, d64), fs)).ravel()
 
     errs = []
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         errs.append(-np.diff(qfim.qfim_shrink_entries(d, etas)[0]).min())
-    add("qfim_monotone_in_eta", *errs)
+    yield "qfim_monotone_in_eta", errs
 
-    # --- variance bounds --------------------------------------------------
+
+def variance_bounds(rng, dmax_full, mutate):
     # each closed form once on the flattened (d, eta) column; one inv call on a (5, d-1, d-1) stack per d
     d32 = np.arange(2, 33)
     etas = np.array([np.full(31, 0.3), np.full(31, 0.5), channels.eta_uqcm(d32), channels.eta_pqcm(d32), np.ones(31)])
@@ -276,28 +256,29 @@ def run_verification(
     for d, fd, fo, b in zip(d32.tolist(), *(c.reshape(31, 5) for c in (fdiag, foff, bound))):
         dense = np.trace(np.linalg.inv(qfim._from_entries(fd, fo, d)), axis1=-2, axis2=-1)
         errs.extend(np.abs(b - dense))
-    add("variance_trace_inverse", *errs)
+    yield "variance_trace_inverse", errs
 
-    add("variance_pure_closed_form", *np.abs(crb.total_variance_bound(d64, 1.0) - d64 * (d64 - 1) / 2.0))
+    d64 = np.arange(2, 65)
+    yield "variance_pure_closed_form", np.abs(crb.total_variance_bound(d64, 1.0) - d64 * (d64 - 1) / 2.0)
 
     d20 = np.arange(2, 21)
     e_in = crb.total_variance_bound(d20, 1.0)
     e_u = crb.total_variance_bound(d20, channels.eta_uqcm(d20))
     e_p = crb.total_variance_bound(d20, channels.eta_pqcm(d20))
-    add("variance_ordering", *(e_in - e_p), *(e_p - e_u))
+    yield "variance_ordering", [*(e_in - e_p), *(e_p - e_u)]
 
     errs = []
     for d in (2, 4, 8):
         etas = np.linspace(0.1, 1.0, 10)
         errs.append(np.diff(crb.total_variance_bound(d, etas)).max())
-    add("variance_monotone_in_eta", *errs)
+    yield "variance_monotone_in_eta", errs
 
     errs = []
     for d in range(2, 17):
         inv_eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(qfim.closed_qfim(PURE, d))))
         expect = np.sort(np.concatenate((np.full(d - 2, d / 4.0), [d * d / 4.0])))
         errs.append(np.abs(inv_eigs - expect).max())
-    add("pure_inverse_eigenvalues", *errs)
+    yield "pure_inverse_eigenvalues", errs
 
     # each closed form once per cloner on d = 3..32; one eigvalsh call on the (UQCM, PQCM) pair per d
     d3 = np.arange(3, 33)
@@ -307,7 +288,7 @@ def run_verification(
     for d, (fdiag, foff), (lam1, lam2) in zip(d3.tolist(), entries.T, lams.T):
         structured = np.sort(np.column_stack((lam1, np.repeat(lam2[:, None], d - 2, axis=1))))
         errs.extend(np.abs(structured - np.linalg.eigvalsh(qfim._from_entries(fdiag, foff, d))).max(axis=1))
-    add("structured_vs_dense_eigenvalues", *errs)
+    yield "structured_vs_dense_eigenvalues", errs
 
     errs = []
     for d in range(2, 11):
@@ -315,9 +296,10 @@ def run_verification(
             p = PhaseVector.random(d, rng)
             rho = qfim.reconstruct_density(qfim.spectral_output(p, eta))
             errs.append(np.abs(rho - channels.shrink_output(p, eta)).max())
-    add("spectral_reconstruction", *errs)
+    yield "spectral_reconstruction", errs
 
-    # --- attainability and the finite-difference oracle ------------------
+
+def attainability_and_oracle(rng, dmax_full, mutate):
     # one oracle pass per (d, channel) draw stack feeds every oracle check: its
     # Im G against zero and the closed attainability matrix, its QFIM against
     # the closed form, and its SLDs against the equation that defines them
@@ -334,7 +316,7 @@ def run_verification(
 
     # one closed matrix per draw, against zero, its raw-weight form and the oracle
     err_closed, err_forms, err_num, err_agree = [], [], [], []
-    for d in full_dims:
+    for d in range(2, dmax_full + 1):
         for ch in (PURE, UQCM, PQCM):
             p = PhaseVector.random(d, rng, 10)
             sd = qfim.spectral_output(p, ch.shrinking_factor(d))
@@ -345,15 +327,15 @@ def run_verification(
             num = oracle_pass(ch, p).attainability
             err_num.append(np.abs(num).max())
             err_agree.append(np.abs(num - a).max())
-    add("attainability_closed_zero", *err_closed)
-    add("attainability_weight_forms_agree", *err_forms)
-    add("attainability_numeric_zero", *err_num)
-    add("attainability_paths_agree", *err_agree)
+    yield "attainability_closed_zero", err_closed
+    yield "attainability_weight_forms_agree", err_forms
+    yield "attainability_numeric_zero", err_num
+    yield "attainability_paths_agree", err_agree
 
-    for d in full_dims:
+    for d in range(2, dmax_full + 1):
         oracle_pass(SHRINK, PhaseVector.random(d, rng, 5))
     for ch in CHANNELS:
-        add(f"oracle_agreement_{ch.kind}", *agreement[ch.kind])
+        yield f"oracle_agreement_{ch.kind}", agreement[ch.kind]
 
     errs = []
     for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5)):
@@ -361,8 +343,40 @@ def run_verification(
         coarse = oracle.qfim_numeric(ch, p, 1e-4)
         fine = oracle.qfim_numeric(ch, p, 5e-5)
         errs.append(np.abs(coarse - fine).max())
-    add("oracle_step_robustness", *errs)
+    yield "oracle_step_robustness", errs
 
-    add("sld_residual", *residual)
+    yield "sld_residual", residual
 
+
+# in TOLERANCES order; a block takes (rng, dmax_full, mutate), yields (name, errors) for
+# the checks it owns and reads nothing another sets.  Its rng is default_rng([seed, crc32
+# of its name]), not of its place here, so no block's draws move when another is added
+BLOCKS = (states_and_bases, cloning_channels, closed_vs_spectral, orderings, variance_bounds, attainability_and_oracle)
+
+
+def run_verification(
+    dmax_full: int = 8, seed: int = DEFAULT_SEED, mutate: bool = False, progress=None
+) -> list[CheckResult]:
+    """Run every block of BLOCKS and return one CheckResult per check.
+
+    dmax_full (2..DMAX_FULL_LIMIT) is the largest d of the traced-cloner,
+    attainability and oracle blocks.  With mutate=True a deliberate error is
+    injected into the shrinking factor used by the scaling-form check, which
+    must then fail; this validates that the harness can detect a wrong channel.
+    Every check runs at its TOLERANCES entry and the oracle at its default
+    step; progress sees each result as it is added.  A dmax_full that
+    check_arguments rejects raises ValueError before any check.
+    """
+    check_arguments(dmax_full)
+    results: list[CheckResult] = []
+    for block in BLOCKS:
+        rng = np.random.default_rng([seed, zlib.crc32(block.__name__.encode())])
+        for name, errs in block(rng, dmax_full, mutate):
+            # the worst error, at least 0, and NaN if any is NaN (max() keeps
+            # whichever of a NaN and a number comes first)
+            err = float("nan") if np.isnan(errs).any() else max(0.0, *errs)
+            res = CheckResult(name, float(err), TOLERANCES[name])
+            results.append(res)
+            if progress is not None:
+                progress(res)
     return results

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -33,6 +35,13 @@ def parse_error(command, message):
     return f"{cli.build_parser().commands[command].format_usage()}phaseclone {command}: error: {message}\n"
 
 
+def flag_error(argv):
+    """argparse's stderr for a bad command line, in this Python's wording (that of a choices error varies)."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv.split())
+    return err.getvalue()
+
+
 # (id, argv, config text or bytes or None, exit code, stdout, stderr): main on the argv, plus --config
 # <file> holding any config (<config> in stderr), returns the code and writes exactly this stdout and stderr.
 CASES = [
@@ -44,6 +53,26 @@ CASES = [
      "usage error: --dmin/--dmax must satisfy 2 <= dmin <= dmax\n"),
     ("compute-without-machine", "compute", None, 2, "",
      "usage error: --machine is required (pure, uqcm, pqcm, or shrink)\n"),
+    ("compute-uqcm-qubit-row", "compute --machine uqcm --dmin 2 --dmax 2", None, 0,
+     f"# seed={DEFAULT_SEED}\nd,eta,f_diag,f_offdiag,lambda1,lambda2,total_variance_min,attainable\n"
+     "2,0.666666666667,0.444444444444,-0.444444444444,0.444444444444,nan,2.25,true\n", ""),
+    ("compute-pure-d4", "compute --machine pure --dmin 4 --dmax 4", None, 0,
+     f"# seed={DEFAULT_SEED}\nd,eta,f_diag,f_offdiag,lambda1,lambda2,total_variance_min,attainable\n"
+     "4,1,0.75,-0.25,0.25,1,6,true\n", ""),
+    ("compute-json-shrink", "compute --machine shrink --eta 0.5 --dmin 3 --dmax 3 --format json", None, 0,
+     json.dumps({"seed": DEFAULT_SEED, "rows": [{"d": 3, "eta": 0.5, "f_diag": 0.26666666666666666,
+     "f_offdiag": -0.13333333333333333, "lambda1": 0.13333333333333333, "lambda2": 0.4, "total_variance_min": 10.0,
+     "attainable": True}]}, indent=2) + "\n", ""),
+    ("compute-negative-seed", "compute --machine pure --dmax 3 --seed -1", None, 2, "",
+     "usage error: --seed must be a non-negative integer\n"),
+    ("compute-negative-seed-key", "compute --machine pure --dmax 3", "seed = -1\n", 2, "",
+     "usage error: --seed must be a non-negative integer\n"),
+    # a config value is checked as its flag is
+    ("compute-dmax-key-not-int", "compute --machine uqcm", "dmax = abc\n", 2, "",
+     parse_error("compute", "argument --dmax: invalid int value: 'abc'")),
+    ("compute-eta-key-not-float", "compute", "machine = shrink\neta = x\n", 2, "",
+     parse_error("compute", "argument --eta: invalid float value: 'x'")),
+    ("compute-unknown-machine-key", "compute", "machine = bogus\n", 2, "", flag_error("compute --machine bogus")),
     # no second eigenvalue exists at d=2: null keeps the JSON strict
     ("compute-json-d2", "compute --machine pure --dmin 2 --dmax 2 --format json", None, 0, json.dumps({
         "seed": DEFAULT_SEED, "rows": [{"d": 2, "eta": 1.0, "f_diag": 1.0, "f_offdiag": -1.0, "lambda1": 1.0,
@@ -73,8 +102,16 @@ CASES = [
      "error: [Errno 2] No such file or directory: '/nonexistent-dir/fig.csv'\n"),
     ("figure-tol-key", "figure 2", "tol_sld_residual = 1\n", 2, "",
      "usage error: config keys name no option of figure: tol_sld_residual\n"),
+    ("figure-dmax-key-not-int", "figure 2", "dmax = 1e3\n", 2, "",
+     parse_error("figure", "argument --dmax: invalid int value: '1e3'")),
     ("verify-dmax-33", "verify --dmax 33", None, 2, "",
      "usage error: dmax is limited to 32, to bound verify's run time; got 33\n"),
+    ("verify-negative-seed", "verify --dmax 2 --seed -1", None, 2, "",
+     "usage error: --seed must be a non-negative integer\n"),
+    ("verify-negative-seed-key", "verify --dmax 2", "seed = -1\n", 2, "",
+     "usage error: --seed must be a non-negative integer\n"),
+    ("verify-dmax-key-not-int", "verify", "dmax = 2.5\n", 2, "",
+     parse_error("verify", "argument --dmax: invalid int value: '2.5'")),
     # the oracle step is fixed: every tolerance is calibrated at oracle.DEFAULT_FD_STEP
     ("verify-fd-step-flag", "verify --fd-step 1e-4", None, 2, "",
      parse_error("verify", "unrecognized arguments: --fd-step 1e-4")),
@@ -97,20 +134,6 @@ def test_cli_case(tmp_path, capsys, argv, config, code, stdout, stderr):
 
 
 class TestCompute:
-    def test_uqcm_qubit_row(self, capsys):
-        code, out, _ = run(capsys, "compute", "--machine", "uqcm", "--dmin", "2", "--dmax", "2")
-        assert code == 0
-        header, rows = parse_csv(out)
-        row = dict(zip(header, rows[0]))
-        assert float(row["f_diag"]) == pytest.approx(4 / 9, abs=1e-12)
-        assert row["attainable"] == "true"
-
-    def test_pure_d4_total_variance(self, capsys):
-        code, out, _ = run(capsys, "compute", "--machine", "pure", "--dmin", "4", "--dmax", "4")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert float(rows[0][6]) == 6.0
-
     @pytest.mark.parametrize(
         "machine,eta", [("pure", None), ("uqcm", None), ("pqcm", None), ("shrink", 0.4)]
     )
@@ -154,19 +177,6 @@ class TestCompute:
         assert f1.read_bytes() == f2.read_bytes()
         assert b"# seed=777" in f1.read_bytes()
         assert f1.read_bytes().count(b"\r") == 0
-
-    def test_json_format(self, capsys):
-        code, out, _ = run(
-            capsys, "compute", "--machine", "shrink", "--eta", "0.5",
-            "--dmin", "3", "--dmax", "3", "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        row = payload["rows"][0]
-        assert row["d"] == 3
-        assert row["eta"] == 0.5
-        assert row["attainable"] is True
-        assert row["f_diag"] == pytest.approx(4 * 2 * 0.25 / (3 * 2.5))
 
     def test_smallest_accepted_eta(self, capsys):
         # the boundary is |F_off(d=8)| = 4 eta^2/(8 (2 + 6 eta)) at the smallest
@@ -220,14 +230,6 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert err == run(capsys, *argv, "--format", "xml")[2]
-
-    def test_unknown_machine_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("machine = bogus\n")
-        code, out, err = run(capsys, "compute", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == run(capsys, "compute", "--machine", "bogus")[2]
 
     def test_config_file_is_read_as_utf8_in_any_locale(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -338,36 +340,6 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "[pass]" not in err and "[FAIL]" not in err
-
-
-@pytest.mark.parametrize("argv", [("compute", "--machine", "pure", "--dmax", "3"), ("verify", "--dmax", "2")])
-@pytest.mark.parametrize("from_file", [False, True])
-def test_negative_seed_is_usage_error(tmp_path, capsys, argv, from_file):
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("seed = -1\n")
-    code, out, err = run(capsys, *argv, *(("--config", str(cfg)) if from_file else ("--seed", "-1")))
-    assert code == 2
-    assert out == ""
-    assert "--seed must be a non-negative integer" in err
-
-
-@pytest.mark.parametrize(
-    "argv,text,option",
-    [
-        (("compute", "--machine", "uqcm"), "dmax = abc\n", "--dmax"),
-        (("compute",), "machine = shrink\neta = x\n", "--eta"),
-        (("figure", "2"), "dmax = 1e3\n", "--dmax"),
-        (("verify",), "dmax = 2.5\n", "--dmax"),
-    ],
-    ids=["compute-dmax", "compute-eta", "figure-dmax", "verify-dmax"],
-)
-def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv, text, option):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert option in err
 
 
 @pytest.mark.parametrize(

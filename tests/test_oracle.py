@@ -143,10 +143,14 @@ class TestRhoDerivative:
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(2), 1, h=0.0)
 
     @pytest.mark.parametrize(
-        "h", [float("nan"), float("inf"), -float("inf"), "1e-5", pytest.param(1e-5j, id="1e-05j"), None, True]
+        "h",
+        [
+            float("nan"), float("inf"), -float("inf"), "1e-5", pytest.param(1e-5j, id="1e-05j"), None, True,
+            pytest.param([1e-5], id="list"), pytest.param(np.array([1e-5]), id="array"),
+        ],
     )
     def test_rejects_non_finite_step(self, h):
-        # a string, complex or None step is no number, and True is no step of 1
+        # a string, complex or None step is no number, True is no step of 1, and a list or array is not one step
         with pytest.raises(ValueError, match="step"):
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
 

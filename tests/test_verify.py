@@ -3,14 +3,15 @@
 import ast
 import importlib.util
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaseclone import crb, oracle, qfim
+from phaseclone import crb, oracle, qfim, verify
 from phaseclone.cli import main
-from phaseclone.verify import DMAX_FULL_LIMIT, TOLERANCES, run_verification
+from phaseclone.verify import DEFAULT_SEED, DMAX_FULL_LIMIT, TOLERANCES, run_verification
 
 
 def test_report_lists_every_declared_check_in_order(verify_results):
@@ -20,6 +21,23 @@ def test_report_lists_every_declared_check_in_order(verify_results):
 @pytest.mark.parametrize("name", TOLERANCES)
 def test_check_passes(check, name):
     check(name)
+
+
+def test_blocks_draw_from_streams_of_their_own(monkeypatch, verify_results):
+    """Leaving any one block out moves no other check's error by a bit, and a block
+    called alone on default_rng([seed, crc32 of its name]) gives its suite values."""
+    suite = {r.name: r.max_error for r in verify_results}
+    blocks = verify.BLOCKS
+    for left_out in blocks:
+        monkeypatch.setattr(verify, "BLOCKS", tuple(b for b in blocks if b is not left_out))
+        rest = run_verification(dmax_full=8)
+        assert 0 < len(rest) < len(suite)
+        for r in rest:
+            assert np.array_equal(r.max_error, suite[r.name], equal_nan=True), (left_out.__name__, r.name)
+    rng = np.random.default_rng([DEFAULT_SEED, zlib.crc32(b"attainability_and_oracle")])
+    alone = {name: max(0.0, *errs) for name, errs in verify.attainability_and_oracle(rng, 8, False)}
+    assert len(alone) == 10
+    assert alone == {name: suite[name] for name in alone}
 
 
 def test_undeclared_check_is_an_error(monkeypatch):
