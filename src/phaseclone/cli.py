@@ -66,6 +66,11 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _check_out(out: str | None) -> None:
+    if out is not None:  # "a": an existing file keeps its text if the run fails
+        open(out, "a").close()
+
+
 def _dim_column(dmin: int, dmax: int) -> np.ndarray:
     if dmax > CLOSED_FORM_DMAX:  # checked before the column is built
         raise UsageError(f"--dmax must not exceed {CLOSED_FORM_DMAX}")
@@ -100,6 +105,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         var_min = total_variance_bound(dims, eta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_out(args.out)
     lam1, lam2 = qfim_eigenvalues(dims, fdiag, foff)
 
     header = [
@@ -125,6 +131,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.dmax < 3:
         raise UsageError("--dmax must be at least 3 for figure data")
     dims = _dim_column(2, args.dmax)
+    _check_out(args.out)
     if args.which == 1:
         header = ["d", "f_in_diag", "scaled_bound", "f_out_diag"]
         f_in = qfim_pure_entries(dims)[0]
@@ -150,8 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_seed(args.seed)
-    if args.out is not None:  # an unwritable --out fails before the first check
-        open(args.out, "a").close()  # "a": a failed run keeps the old report
+    _check_out(args.out)  # before the first check; a failed run keeps the old report
 
     def progress(res: CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"

@@ -30,6 +30,13 @@ def _check_dim(d: int) -> int:
     return int(d)
 
 
+def _check_count(n: int, what: str) -> int:
+    """Return n as a Python int, after rejecting a bool, a non-integer or n < 0."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 def _check_dims(d: int | np.ndarray, dmax: int | None = None) -> float | np.ndarray:
     """d as float64, after rejecting anything but one integer or a 1-D integer array
     (a 0-d column), and any d < 2 or d > dmax: the closed forms run one numpy path,
@@ -103,12 +110,13 @@ class PhaseVector:
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseVector":
-        return cls(dim, np.zeros(dim - 1))
+        return cls(dim, np.zeros(_check_dim(dim) - 1))
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator, k: int | None = None) -> "PhaseVector":
         """Uniform phases; with k, a (k, dim-1) stack from the stream of k single draws."""
-        return cls(dim, rng.uniform(0.0, TWO_PI, size=(dim - 1,) if k is None else (k, dim - 1)))
+        n = _check_dim(dim) - 1
+        return cls(dim, rng.uniform(0.0, TWO_PI, size=(n,) if k is None else (_check_count(k, "stack size k"), n)))
 
     @property
     def full_phases(self) -> np.ndarray:

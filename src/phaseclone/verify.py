@@ -364,10 +364,11 @@ def run_verification(
     injected into the shrinking factor used by the scaling-form check, which
     must then fail; this validates that the harness can detect a wrong channel.
     Every check runs at its TOLERANCES entry and the oracle at its default
-    step; progress sees each result as it is added.  A dmax_full that
-    check_arguments rejects raises ValueError before any check.
+    step; progress sees each result as it is added.  A bad seed, or a
+    dmax_full that check_arguments rejects, raises ValueError before any check.
     """
     check_arguments(dmax_full)
+    states._check_count(seed, "seed")
     results: list[CheckResult] = []
     for block in BLOCKS:
         rng = np.random.default_rng([seed, zlib.crc32(block.__name__.encode())])

@@ -93,13 +93,6 @@ class TestShrinkingFactors:
         for d in range(2, 1001):
             assert eta_pqcm(d) > eta_uqcm(d)
 
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            eta_uqcm(1)
-        with pytest.raises(ValueError):
-            eta_pqcm(0)
-
-
 class TestShrinkOutput:
     def test_eta_one_is_projector(self):
         p = PhaseVector.random(4, np.random.default_rng(0))
@@ -118,26 +111,6 @@ class TestShrinkOutput:
         lam = np.sort(np.linalg.eigvalsh(rho))[::-1]
         expect = np.concatenate(([eta + (1 - eta) / d], np.full(d - 1, (1 - eta) / d)))
         assert_allclose(lam, expect, atol=1e-12)
-
-    def test_eta_domain(self):
-        p = PhaseVector.zero(2)
-        with pytest.raises(ValueError):
-            shrink_output(p, 0.0)
-        with pytest.raises(ValueError):
-            shrink_output(p, 1.2)
-        # a bool or complex eta is not a real number, though it compares as one or fails to
-        for eta in (True, 0.5 + 0j):
-            with pytest.raises(ValueError, match="real number"):
-                shrink_output(p, eta)
-            with pytest.raises(ValueError, match="real number"):
-                ParamChannel("shrink", eta)
-
-    @pytest.mark.parametrize("eta", [[0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]]], ids=["3", "2", "1x1"])
-    def test_eta_array_rejected(self, eta):
-        # one output per point takes one eta; an array broadcast into a wrong matrix
-        with pytest.raises(ValueError, match="one eta"):
-            shrink_output(PhaseVector.zero(3), np.array(eta))
-
 
 class TestFullCloners:
     @pytest.mark.parametrize("d", range(2, 9))
@@ -286,13 +259,6 @@ class TestReduceFirstQudit:
             rho = reduce_first_qudit(psi)
             validate_density_matrix(rho)
 
-    def test_rejects_non_cube_length(self):
-        with pytest.raises(ValueError):
-            reduce_first_qudit(np.zeros(100, dtype=complex))
-        with pytest.raises(ValueError):
-            reduce_first_qudit(np.zeros(1, dtype=complex))
-
-
 class TestCloningModel:
     """The machine model shared by the CLI, verify and the oracle (ParamChannel)."""
 
@@ -305,9 +271,8 @@ class TestCloningModel:
     @pytest.mark.parametrize("kind", MACHINES)
     @pytest.mark.parametrize("d", [1, 0, 2.0, "x"])
     def test_shrinking_factor_rejects_a_bad_dimension(self, kind, d):
-        with pytest.raises(ValueError, match="dimension must be an integer"):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
             ParamChannel(kind, 0.4 if kind == "shrink" else None).shrinking_factor(d)
-
 
 class TestValidateDensityMatrix:
     def test_rejects_non_hermitian(self):

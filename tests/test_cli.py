@@ -92,6 +92,8 @@ CASES = [
     ("compute-unknown-key", "compute", "machine = pure\ndmaxx = 3\n", 2, "",
      "usage error: config keys name no option of compute: dmaxx\n"),
     ("compute-bogus", "compute --bogus", None, 2, "", parse_error("compute", "unrecognized arguments: --bogus")),
+    ("compute-unwritable-out", "compute --machine uqcm --dmax 4 --out /nonexistent-dir/out.csv", None, 1, "",
+     "error: [Errno 2] No such file or directory: '/nonexistent-dir/out.csv'\n"),
     ("figure-2-qubit-values", "figure 2 --dmax 3", None, 0,
      "d,f_uqcm_diag,f_pqcm_diag\n2,0.444444444444,0.5\n3,0.396825396825,0.414178541679\n", ""),
     ("figure-dmax-2", "figure 2 --dmax 2", None, 2, "", "usage error: --dmax must be at least 3 for figure data\n"),
@@ -131,6 +133,15 @@ def test_cli_case(tmp_path, capsys, argv, config, code, stdout, stderr):
         cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv += ["--config", str(cfg)]
     assert run(capsys, *argv) == (code, stdout, stderr.replace("<config>", str(cfg)))
+
+
+@pytest.mark.parametrize("argv", ["compute --machine pqcm --format json", "compute --machine uqcm", "figure 1"])
+def test_unwritable_out_fails_before_any_row_is_formatted(tmp_path, capsys, monkeypatch, argv):
+    # at d = 10^6 the rows take seconds to format, so the path is checked first
+    monkeypatch.setattr(cli, "_rows", lambda columns: pytest.fail("a row was formatted"))
+    out = tmp_path / "missing" / "f.csv"
+    expected = f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert run(capsys, *argv.split(), "--out", str(out)) == (1, "", expected)
 
 
 class TestCompute:

@@ -70,15 +70,6 @@ def test_column_equals_scalar_calls_bit_for_bit(name):
         assert bits(column) == bits([s[k] for s in scalars]), f"output {k}"
 
 
-@pytest.mark.parametrize(
-    "dims", [np.array([2.0, 3.0]), np.array([[2, 3]]), np.array([], dtype=int), np.array([3, 1])],
-    ids=["float", "2-D", "empty", "below-2"],
-)
-def test_bad_column_rejected(dims):
-    with pytest.raises(ValueError, match="dimension"):
-        qfim_uqcm_entries(dims)
-
-
 def test_a_list_is_a_column_and_a_0d_array_is_one_d():
     # d is read through np.asarray: a list of integers runs as the column it spells,
     # a 0-d integer array as its one d, and an integer past uint64 is no integer dtype
@@ -90,17 +81,6 @@ def test_a_list_is_a_column_and_a_0d_array_is_one_d():
     # so is eta: a list of them runs as the column it spells
     for fn, d, eta in ((total_variance_bound, 5, [0.5]), (qfim_shrink_entries, np.arange(2, 4), [0.5, 0.6])):
         assert bits(outputs(fn(d, eta))) == bits(outputs(fn(d, np.array(eta))))
-
-
-@pytest.mark.parametrize(
-    "call",
-    [lambda: total_variance_bound(5, np.array([])), lambda: qfim_shrink_entries(np.arange(2, 5), np.array([]))],
-    ids=["total_variance_bound", "qfim_shrink_entries"],
-)
-def test_empty_eta_array_rejected(call):
-    # numpy's min() of an empty array would raise its own "zero-size array" error
-    with pytest.raises(ValueError, match="eta must hold at least one value"):
-        call()
 
 
 def outcome(fn, d, eta):

@@ -60,19 +60,6 @@ class _ConstantChannel:
         return np.broadcast_to(self.rho, p.phases.shape[:-1] + self.rho.shape)
 
 
-class _OffSupportChannel:
-    """rho = |0><0| at phases (0.5, 1.0); d_rho/d phi_1 couples |0> and |1>,
-    d_rho/d phi_2 = diag(0, 1, -1) lies entirely off the support."""
-
-    def density(self, p):
-        x, y = p.phases[..., 0] - 0.5, p.phases[..., 1] - 1.0
-        rho = np.zeros(p.phases.shape[:-1] + (3, 3), dtype=complex)
-        rho[..., 0, 0] = 1.0
-        rho[..., 1, 1], rho[..., 2, 2] = y, -y
-        rho[..., 0, 1] = rho[..., 1, 0] = x
-        return rho
-
-
 def central_difference_reference(fn, p, mu, h):
     """One central difference per call, two single-point evaluations of fn:
     the reference that the stacked oracle must reproduce bit for bit."""
@@ -139,34 +126,8 @@ class TestRhoDerivative:
             assert abs(np.trace(d_rho)) < 1e-10
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step must be a finite positive real number"):
             rho_derivative(ParamChannel("pure"), PhaseVector.zero(2), 1, h=0.0)
-
-    @pytest.mark.parametrize(
-        "h",
-        [
-            float("nan"), float("inf"), -float("inf"), "1e-5", pytest.param(1e-5j, id="1e-05j"), None, True,
-            pytest.param([1e-5], id="list"), pytest.param(np.array([1e-5]), id="array"),
-        ],
-    )
-    def test_rejects_non_finite_step(self, h):
-        # a string, complex or None step is no number, True is no step of 1, and a list or array is not one step
-        with pytest.raises(ValueError, match="step"):
-            rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
-
-    @pytest.mark.parametrize("h", [1e-320, np.float64(5e-324)])
-    def test_rejects_a_step_whose_reciprocal_overflows(self, h):
-        # 1/(2h) is inf; the check itself must raise no numpy overflow warning
-        with pytest.raises(ValueError, match="too small"):
-            rho_derivative(ParamChannel("pure"), PhaseVector.zero(3), 1, h=h)
-
-    @pytest.mark.parametrize("mu", [0, -1, 4, 1.5])
-    def test_rejects_parameter_index_outside_range(self, mu):
-        # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError
-        p = PhaseVector.random(4, np.random.default_rng(9))
-        with pytest.raises(IndexError, match=r"parameter index must be in 1\.\.d-1"):
-            rho_derivative(ParamChannel("uqcm"), p, mu)
-
 
 class TestSldSolve:
     def test_pure_state_doubles_the_derivative(self):
@@ -215,13 +176,6 @@ class TestSldSolve:
         assert np.abs(sld_solve(rho, np.stack([on, on]))).max() > 0
         with pytest.raises(ValueError, match="support"):
             sld_solve(rho, np.stack([on, off]))
-
-    def test_inconsistent_input_raises(self):
-        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        d_rho = np.diag([0.0, 1.0, -1.0]).astype(complex)  # lives entirely off support
-        with pytest.raises(ValueError):
-            sld_solve(rho, d_rho)
-
 
 class TestStacks:
     """A (k, d-1) stack of phase points gives the per-point results bit for bit."""
@@ -280,9 +234,8 @@ class TestSldPass:
         assert sp.rho.flags.owndata and sp.rho.shape == (3, 6, 6)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="step"):
+        with pytest.raises(ValueError, match="step must be a finite positive real number"):
             sld_pass(ParamChannel("pure"), PhaseVector.zero(3), 0.0)
-
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), d=st.integers(2, 8), k=st.integers(1, 4), kind=st.sampled_from(KINDS))
@@ -324,13 +277,6 @@ class TestQfimNumeric:
         assert np.array_equal(f, f.T)
 
 
-@pytest.mark.parametrize("fn", [qfim_numeric, attainability_numeric])
-def test_off_support_derivative_raises(fn):
-    p = PhaseVector(3, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="support"):
-        fn(_OffSupportChannel(), p)
-
-
 class TestAttainabilityNumeric:
     def test_antisymmetry(self):
         p = PhaseVector.random(4, np.random.default_rng(10))
@@ -344,18 +290,6 @@ class TestParamChannel:
 
         p = PhaseVector.random(3, np.random.default_rng(11))
         assert_allclose(ParamChannel("shrink", 0.7).density(p), shrink_output(p, 0.7))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParamChannel("nope")
-        with pytest.raises(ValueError):
-            ParamChannel("shrink")
-        with pytest.raises(ValueError):
-            ParamChannel("shrink", 1.3)
-        with pytest.raises(ValueError):
-            ParamChannel("uqcm", 0.5)
-        with pytest.raises(ValueError, match="one eta"):
-            ParamChannel("shrink", np.array([0.3, 0.5]))
 
     def test_cloners_never_use_the_scaling_form(self, monkeypatch):
         import phaseclone.channels as channels

@@ -8,8 +8,6 @@ from test_stacks import check_stack
 
 from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.qfim import (
-    CLOSED_FORM_DMAX,
-    SpectralDecomposition,
     _spectral_terms,
     _support_blocks,
     closed_entries,
@@ -56,42 +54,8 @@ class TestShrinkClosed:
         slopes = (diags[2:] - diags[:-2]) / (etas[2:] - etas[:-2])
         assert np.all(slopes > 0)
 
-    def test_eta_domain(self):
-        with pytest.raises(ValueError):
-            qfim_shrink_entries(3, 0.0)
-        with pytest.raises(ValueError):
-            qfim_shrink_entries(3, 1.5)
-        # an eta that is not a real number is a ValueError, not a TypeError from the range test
-        for call in (
-            lambda: total_variance_bound(5, "0.5"),
-            lambda: total_variance_bound(5, None),
-            lambda: qfim_shrink_entries(3, 0.5 + 0j),
-            lambda: ParamChannel("shrink", True),
-        ):
-            with pytest.raises(ValueError, match="real number"):
-                call()
-        # an integer eta is a real number
+    def test_an_integer_eta_is_a_real_number(self):
         assert qfim_shrink_entries(3, 1) == qfim_shrink_entries(3, 1.0)
-
-    @pytest.mark.parametrize("eta", [1e-160, 1e-170, 5e-324])
-    def test_underflowing_eta_rejected(self, eta):
-        # |F_off(3)| = 4 eta^2/(3 (2 + eta)) is subnormal or zero
-        for route in (
-            lambda: qfim_shrink_entries(3, eta),
-            lambda: closed_qfim(ParamChannel("shrink", eta), 3),
-            lambda: total_variance_bound(3, eta),
-        ):
-            with pytest.raises(ValueError, match="too small"):
-                route()
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            qfim_shrink_entries(CLOSED_FORM_DMAX + 1, 0.5)
-
-    def test_closed_qfim_rejects_a_column(self):
-        # the entry forms take a column of d; the (d-1, d-1) matrix takes one d
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
-            closed_qfim(UQCM, np.arange(2, 5))
 
 
 class TestClonerClosedForms:
@@ -148,16 +112,6 @@ class TestSpectralRoute:
         p = PhaseVector.random(d, np.random.default_rng(1))
         f = qfim_from_spectral(spectral_output(p, 1.0))
         assert np.abs(f - closed_qfim(PURE, d)).max() < 1e-12
-
-    def test_empty_support_raises(self):
-        sd = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            qfim_from_spectral(sd)
-
-    @pytest.mark.parametrize("eta", [[0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]]], ids=["3", "2", "1x1"])
-    def test_eta_array_rejected(self, eta):
-        with pytest.raises(ValueError, match="one eta"):
-            spectral_output(PhaseVector.zero(3), np.array(eta))
 
     @pytest.mark.parametrize("d", range(2, 10))
     @pytest.mark.parametrize("eta", [1.0, 0.4], ids=["support1", "supportd"])

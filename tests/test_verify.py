@@ -11,7 +11,7 @@ import pytest
 
 from phaseclone import crb, oracle, qfim, verify
 from phaseclone.cli import main
-from phaseclone.verify import DEFAULT_SEED, DMAX_FULL_LIMIT, TOLERANCES, run_verification
+from phaseclone.verify import DEFAULT_SEED, TOLERANCES, run_verification
 
 
 def test_report_lists_every_declared_check_in_order(verify_results):
@@ -52,19 +52,15 @@ def test_undeclared_check_is_an_error(monkeypatch):
         {"dmax_full": 1},
         {"dmax_full": 33},
         {"dmax_full": 8.5},
+        {"seed": True},
     ],
-    ids=["dmax1", "dmax33", "dmax-float"],
+    ids=["dmax1", "dmax33", "dmax-float", "seed-bool"],
 )
 def test_bad_arguments_rejected_before_any_check(kwargs):
     seen = []
     with pytest.raises(ValueError):
         run_verification(progress=seen.append, **kwargs)
     assert seen == []
-
-
-def test_dmax_error_names_the_bound():
-    with pytest.raises(ValueError, match=f"limited to {DMAX_FULL_LIMIT}"):
-        run_verification(dmax_full=DMAX_FULL_LIMIT + 1)
 
 
 SLD_PASS = oracle.sld_pass
