@@ -4,51 +4,38 @@ and total-variance lower bounds.
 The simultaneous bound for all phases is attainable exactly when the
 commutator-trace matrix
 
-    L_mn = Im Tr(rho L_m L_n)
-         = sum_k 4 lam_k Im<d_m psi_k|d_n psi_k>
-         - sum_{k,l} (8 lam_k lam_l (lam_k-lam_l)/(lam_k+lam_l)^2)
-                     Im <d_m psi_k|psi_l><psi_l|d_n psi_k>
+    A_mn = Im Tr(rho L_m L_n) = Im G_mn
+         = sum_{i,j} (2 (lam_i - lam_j)^3/(lam_i + lam_j)^2) Im (P_m)_ij (P_n)_ji
 
-vanishes; for the equatorial family it does, entrywise, because every inner
-product entering it is real.  As in qfim, the sums run over the support
-lam_k > 0.  The classical (eigenvalue-derivative) term of the QFIM is zero
-for this family, and being real it never enters this matrix anyway.
+vanishes, in the notation of qfim: only the antisymmetric part of G's weight
+enters.  For the equatorial family it does vanish, entrywise: the output is
+U(phi) applied to a real matrix, so in a real eigenbasis rotated by U(phi)
+every (P_m)_ij is real.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qfim import SpectralDecomposition, _check_shrink_args, _merge_last_two, _spectral_terms
+from .qfim import SpectralDecomposition, _check_shrink_args, _gram
 from .states import _check_dims
-
-
-def _imag_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Im sum_j conj(x[..., m, j]) w[j] x[..., n, j] over the two trailing axes of x, as
-    M - M^T with M = (Re x * w) @ (Im x)^T: exactly antisymmetric, zero diagonal."""
-    m = _merge_last_two(x.real * w) @ _merge_last_two(x.imag).swapaxes(-1, -2)
-    return m - m.swapaxes(-1, -2)
 
 
 def attainability_closed(sd: SpectralDecomposition) -> np.ndarray:
     """Imaginary parts of the commutator traces, as a real antisymmetric matrix.
 
     The bound for simultaneous estimation is attainable iff every entry
-    vanishes.  The sums use the eigenvector derivatives sd carries, and a
-    stack of decompositions gives a stack of matrices.
+    vanishes.  Taken as Im(G - G^T)/2, exactly antisymmetric with a zero
+    diagonal; a stack of decompositions gives a stack of matrices.
     """
-    ls, dsup, g = sd._blocks
-    out = 4.0 * _imag_form(dsup, ls[:, None])
-    w = 8.0 * np.outer(ls, ls) * (ls[:, None] - ls[None, :]) / (ls[:, None] + ls[None, :]) ** 2
-    out -= _imag_form(g.conj(), w)
-    return out
+    g = _gram(sd)
+    return (g - g.swapaxes(-1, -2)).imag / 2.0
 
 
 def _attainability_raw_weight(sd: SpectralDecomposition) -> np.ndarray:
-    # Im G with the unsymmetrized weight 16 lam_k^2 lam_l/(lam_k+lam_l)^2; equal to
-    # attainability_closed after the antisymmetric-sum identity
-    first, second = _spectral_terms(sd)
-    return (first - second).imag
+    # Im G from the antisymmetric weight 2(lam_i - lam_j)^3/(lam_i + lam_j)^2 alone;
+    # equal to attainability_closed by the antisymmetric-sum identity
+    return _gram(sd, lambda li, lj, r: 2.0 * (li - lj) * r * r).imag
 
 
 def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:

@@ -80,7 +80,7 @@ def rho_derivative(
     Row mu - 1 of the central differences for every phase.  A test reference,
     kept for the benchmark tracer: the program takes density differences from sld_pass.
     """
-    if not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
+    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
     return _central_differences(channel.density, p, h)[..., mu - 1, :, :]
 
@@ -155,6 +155,8 @@ def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) 
 
     G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, one matrix product per point.
     """
+    if not callable(getattr(channel, "density", None)):  # a ParamChannel, or any family with a density
+        raise ValueError(f"expected a ParamChannel or an object with a density method, got {channel!r}")
     rho, drho = _stencil(channel.density, p, h, centre=True)
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)

@@ -4,43 +4,37 @@ For the equatorial family every information matrix produced here has constant
 diagonal entries, constant off-diagonal entries, and the two are locked
 together by F_diag = -(d-1) * F_offdiag.  The module provides the closed
 forms for the pure input, the generic shrinking channel, and both cloning
-machines, together with the spectral-decomposition route that rebuilds the
-same matrices from eigenvector derivatives,
+machines, together with the spectral route that rebuilds the same matrices
+from one eigen-decomposition of any density matrix of a phase-covariant
+family rho(phi) = U(phi) rho_0 U(phi)^dagger, U = exp(i sum_m phi_m P_m),
+P_m = |m><m|.  There d_m rho = i[P_m, rho], and in the eigenbasis of rho
 
-    F_mn = sum_i 4 lam_i Re<d_m psi_i|d_n psi_i>
-         - sum_{i,j} (8 lam_i lam_j/(lam_i+lam_j))
-                     Re <d_m psi_i|psi_j><psi_j|d_n psi_i>,
+    G_mn = Tr(rho L_m L_n) = sum_{i,j} w_ij (P_m)_ij (P_n)_ji,
+    w_ij = 4 lam_i ((lam_i - lam_j)/(lam_i + lam_j))^2,
 
-with every sum restricted to the support lam_i > 0 of the density matrix
 (the unitary-parametrisation form; Liu, Yuan, Lu, Wang, J. Phys. A 53,
-023001 (2020)).  The classical term sum_i (d_m lam_i)(d_n lam_i)/lam_i is
-zero for this family: the eigenvalues of a shrinking-channel output carry
-no phase dependence.  The overlaps <d_m psi_i|psi_j> are one matmul per
-decomposition, computed once and read by the QFIM and by both forms of the
-attainability matrix in crb.
+023001 (2020)).  The QFIM is Re(G + G^T)/2 and the attainability matrix in
+crb is Im G.  As w_ij <= 4 lam_i for any lam >= 0, no support cut or
+eigenvalue grouping is needed: a rounding-sized eigenvalue carries a
+rounding-sized weight.  Only a pair whose lam_i + lam_j is below eigh's
+rounding floor gets w_ij = 0: both are rounding of a zero eigenvalue.  The
+route never sees eta; for the two cloners it reads the traced cloner output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .states import (
-    PhaseVector,
-    _check_dim,
-    _check_dims,
-    _check_eta,
-    _check_one_eta,
-    _derivatives_of_basis,
-    complement_basis,
-)
+from .channels import ParamChannel
+from .states import _check_dim, _check_dims, _check_eta
 
 # polynomial numerators stay well inside float range up to here
 CLOSED_FORM_DMAX = 10**6
 
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> tuple:
@@ -105,8 +99,10 @@ def qfim_pqcm_entries(d: int | np.ndarray) -> tuple:
     return fdiag, -fdiag / (d - 1)
 
 
-def closed_entries(channel, d: int | np.ndarray) -> tuple:
+def closed_entries(channel: ParamChannel, d: int | np.ndarray) -> tuple:
     """Closed-form (diagonal, off-diagonal) QFIM entries for a ParamChannel at one d or a column of d."""
+    if not isinstance(channel, ParamChannel):
+        raise ValueError(f"expected a ParamChannel, got {channel!r}")
     if channel.kind == "pure":
         return qfim_pure_entries(d)
     if channel.kind == "uqcm":
@@ -116,7 +112,7 @@ def closed_entries(channel, d: int | np.ndarray) -> tuple:
     return qfim_shrink_entries(d, channel.eta)
 
 
-def closed_qfim(channel, d: int) -> np.ndarray:
+def closed_qfim(channel: ParamChannel, d: int) -> np.ndarray:
     """Closed-form (d-1, d-1) QFIM of a ParamChannel at one integer dimension d; independent
     of the phases.  Unlike the entry forms it takes no column of d: the matrix size is d-1."""
     d = _check_dim(d)
@@ -135,65 +131,33 @@ def _from_entries(fdiag, foff, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-decomposition of a density matrix restricted to what the
-    information formulas need.
-
-    eigenvalues are stored in descending order; eigenvectors is a (d, d)
-    array whose row i is the eigenvector of eigenvalues[i], or a (k, d, d)
-    stack of them for a stack of phase points with the same eigenvalues.
-    derivatives has shape (nparams, d, d), derivatives[m, i] being the
-    derivative of eigenvector i with respect to parameter m, or
-    (k, nparams, d, d) for a stack.
-    """
+    """Eigen-decomposition of a density matrix, or of each of a stack: eigenvalues (..., d), ascending
+    and clipped at 0, and eigenvectors (..., d, d), column i that of eigenvalues[..., i], as eigh gives them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    derivatives: np.ndarray
-
-    @cached_property
-    def _blocks(self):
-        """_support_blocks(self), contracted once however many routes read them."""
-        return _support_blocks(self)
 
 
-def spectral_output(p: PhaseVector, eta: float) -> SpectralDecomposition:
-    """Spectral decomposition of the shrinking-channel output, with the
-    eigenvector derivatives of states.basis_derivatives(p), taken from the
-    one complement basis it builds.
-
-    The equatorial state itself is an eigenvector with eigenvalue
-    eta + (1-eta)/d, and each complement-basis vector carries (1-eta)/d,
-    exactly 0 at eta = 1.  A stack of phase points gives a stack of
-    eigenvector sets, all with the one eigenvalue set of the one eta.
-    """
-    _check_one_eta(eta)
-    d = p.dim
-    lam = np.concatenate(([eta + (1.0 - eta) / d], np.full(d - 1, (1.0 - eta) / d)))
-    basis = complement_basis(p)
-    return SpectralDecomposition(lam, basis, _derivatives_of_basis(basis))
+def spectral_output(rho: np.ndarray) -> SpectralDecomposition:
+    """One np.linalg.eigh of a (d, d) density matrix, d >= 2, or of each of a stack of them;
+    negative eigenvalues are rounding, clipped to 0.  A non-numeric or non-square array,
+    a non-finite entry, or a matrix with no positive eigenvalue raises ValueError."""
+    rho = np.asarray(rho)
+    if rho.dtype.kind not in "iufc" or rho.ndim < 2 or not rho.shape[-1] == rho.shape[-2] >= 2:
+        raise ValueError(f"density matrix must be a numeric (..., d, d) array with d >= 2, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must have finite entries")
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.maximum(lam, 0.0)
+    if not lam.any(axis=-1).all():
+        raise ValueError("density matrix has empty support")
+    return SpectralDecomposition(lam, vecs)
 
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
     """Rebuild sum_i lam_i |psi_i><psi_i| from a spectral decomposition, per point of a stack."""
     v = sd.eigenvectors
-    return (v.swapaxes(-1, -2) * sd.eigenvalues) @ v.conj()
-
-
-def _support_blocks(sd: SpectralDecomposition):
-    """Support eigenvalues ls, their eigenvector derivatives dsup (..., nparams, r, d)
-    and the overlaps g[..., m, i, j] = <d_m psi_i|psi_j> over the support lam > 0.
-
-    g is one matmul per point: the nparams * r rows of conj(dsup) against the r
-    support eigenvectors.  Read it through sd._blocks, which computes it once.
-    """
-    lam = sd.eigenvalues
-    sup = np.flatnonzero(lam > 0)
-    if sup.size == 0:
-        raise ValueError("density matrix has empty support")
-    dsup = np.asarray(sd.derivatives)[..., sup, :]
-    rows = dsup.shape[:-3] + (dsup.shape[-3] * sup.size, dsup.shape[-1])
-    g = dsup.conj().reshape(rows) @ sd.eigenvectors[..., sup, :].swapaxes(-1, -2)
-    return lam[sup], dsup, g.reshape(dsup.shape[:-1] + (sup.size,))
+    return (v * sd.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _merge_last_two(x: np.ndarray) -> np.ndarray:
@@ -201,31 +165,26 @@ def _merge_last_two(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
-def _spectral_terms(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex sums of the spectral route, G = first - second, over the support:
-
-        first[..., m, n]  = sum_i 4 lam_i <d_m psi_i|d_n psi_i>
-        second[..., m, n] = sum_{i,j} (16 lam_i^2 lam_j/(lam_i+lam_j)^2)
-                            <d_m psi_i|psi_j><psi_j|d_n psi_i>
-
-    G = Tr(rho L_m L_n) as in the oracle: the QFIM is Re(G + G^T)/2 and the
-    attainability matrix Im G.
-    """
-    ls, dsup, g = sd._blocks
-    weighted = _merge_last_two(dsup.conj() * ls[:, None])
-    first = 4.0 * (weighted @ _merge_last_two(dsup).swapaxes(-1, -2))
-    w = 16.0 * np.outer(ls**2, ls) / (ls[:, None] + ls[None, :]) ** 2
-    second = _merge_last_two(g * w) @ _merge_last_two(g.conj()).swapaxes(-1, -2)
-    return first, second
+def _gram(sd: SpectralDecomposition, weight=lambda li, lj, r: 4.0 * li * r * r) -> np.ndarray:
+    """sum_ij w_ij (P_m)_ij (P_n)_ji for m, n = 1..d-1 with (P_m)_ij = <psi_i|m><m|psi_j>, per
+    point, as one (d-1, d^2) weighted matmul; w = weight(l_i, l_j, r_ij), an array over (i, j),
+    by default that of G = Tr(rho L_m L_n).  r_ij = (l_i - l_j)/(l_i + l_j), and 0 where
+    l_i + l_j <= d eps max(l), eigh's rounding floor as in np.linalg.matrix_rank: there both
+    eigenvalues are rounding of a zero, and r would be noise of size 1."""
+    if not isinstance(sd, SpectralDecomposition):
+        raise ValueError(f"expected a SpectralDecomposition, got {sd!r}")
+    lam = sd.eigenvalues
+    li, lj = lam[..., :, None], lam[..., None, :]
+    s = li + lj
+    floor = lam.shape[-1] * _EPS * lam.max(axis=-1)[..., None, None]
+    r = np.divide(li - lj, s, out=np.zeros(s.shape), where=s > floor)
+    w = _merge_last_two(weight(li, lj, r))
+    v = sd.eigenvectors[..., 1:, :]  # v[..., m-1, i] = <m|psi_i>
+    p = _merge_last_two(v.conj()[..., :, None] * v[..., None, :])
+    return (p * w[..., None, :]) @ p.conj().swapaxes(-1, -2)
 
 
 def qfim_from_spectral(sd: SpectralDecomposition) -> np.ndarray:
-    """QFIM from a spectral decomposition and the eigenvector derivatives it carries.
-
-    A stack of decompositions gives a (k, nparams, nparams) stack.  The
-    eigenvalues carry no phase dependence, so there is no classical term.
-    All sums run over the support only.
-    """
-    first, second = _spectral_terms(sd)
-    g = first - second
+    """QFIM Re(G + G^T)/2 from a spectral decomposition, or a (k, d-1, d-1) stack of them."""
+    g = _gram(sd)
     return (g + g.swapaxes(-1, -2)).real / 2.0

@@ -116,6 +116,8 @@ class PhaseVector:
     def random(cls, dim: int, rng: np.random.Generator, k: int | None = None) -> "PhaseVector":
         """Uniform phases; with k, a (k, dim-1) stack from the stream of k single draws."""
         n = _check_dim(dim) - 1
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
         return cls(dim, rng.uniform(0.0, TWO_PI, size=(n,) if k is None else (_check_count(k, "stack size k"), n)))
 
     @property
@@ -124,8 +126,14 @@ class PhaseVector:
         return np.concatenate((np.zeros(self.phases.shape[:-1] + (1,)), self.phases), axis=-1)
 
 
+def _check_point(p: PhaseVector) -> None:
+    if not isinstance(p, PhaseVector):
+        raise ValueError(f"expected a PhaseVector, got {p!r}")
+
+
 def equatorial_state(p: PhaseVector) -> np.ndarray:
     """Amplitude vector (1/sqrt(d)) * exp(i*phi_j), j = 0..d-1, one row per point of a stack."""
+    _check_point(p)
     return np.exp(1j * p.full_phases) / np.sqrt(p.dim)
 
 
@@ -134,6 +142,7 @@ def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
 
     Applied to the zero-phase reference state it generates equatorial_state(p).
     """
+    _check_point(p)
     return np.exp(1j * p.full_phases)[..., :, None] * np.eye(p.dim)
 
 
@@ -161,8 +170,11 @@ def complement_basis(p: PhaseVector) -> np.ndarray:
     with chi_n = (-e^{-i phi_n} |0> + |n>)/sqrt(2).  It is built in one step
     as e^{-i phi_n} U(phi) applied to the real Helmert row (-1/sqrt(n(n+1))
     on slots 0..n-1, sqrt(n/(n+1)) on slot n).  The phase-free rows are
-    cached per d; each call applies only the phases.
+    cached per d; each call applies only the phases.  No program path calls
+    it (the spectral route takes eigh's eigenvectors): verify's basis checks
+    and the benchmark tracer keep it.
     """
+    _check_point(p)
     e = np.exp(1j * p.full_phases)
     return _helmert_rows(p.dim) * (e.conj()[..., :, None] * e[..., None, :])
 
@@ -174,15 +186,11 @@ def basis_derivatives(p: PhaseVector) -> np.ndarray:
     to phi_mu, i (P_mu - delta_{mu n}) |psi_n> by the generator identity;
     exact up to rounding, with no finite differences involved.  Row
     [mu-1, 0] is the derivative of the state, i e^{i phi_mu}/sqrt(d) |mu>.
+    Kept, like complement_basis, for verify's basis checks and the tracer.
     """
-    return _derivatives_of_basis(complement_basis(p))
-
-
-def _derivatives_of_basis(basis: np.ndarray) -> np.ndarray:
-    """basis_derivatives from a complement_basis already built, for callers that need both."""
-    d = basis.shape[-1]
-    mu = np.arange(1, d)[:, None, None]
-    k = np.arange(d)
+    basis = complement_basis(p)
+    mu = np.arange(1, p.dim)[:, None, None]
+    k = np.arange(p.dim)
     # entries [mu-1, n, k] = delta_{k mu} - delta_{n mu}
     weights = (k == mu).astype(float) - (k[:, None] == mu)
     return 1j * weights * basis[..., None, :, :]

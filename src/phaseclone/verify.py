@@ -37,6 +37,9 @@ PQCM = channels.ParamChannel("pqcm")
 SHRINK = channels.ParamChannel("shrink", 0.4)
 CHANNELS = (PURE, UQCM, PQCM, SHRINK)
 
+# qfim._gram weights of the two term sums of G, whose difference is G's own weight
+TERM_WEIGHTS = (lambda li, lj, r: 4.0 * li * np.ones_like(r), lambda li, lj, r: 4.0 * li * (1.0 - r * r))
+
 # every check in run order; an inequality check at 0.0 allows no violation
 TOLERANCES: dict[str, float] = {
     # state and basis construction
@@ -182,16 +185,16 @@ def closed_vs_spectral(rng, dmax_full, mutate):
     for ch in (UQCM, PQCM, SHRINK):
         errs = []
         for d in range(2, 11):
-            sd = qfim.spectral_output(PhaseVector.random(d, rng), ch.shrinking_factor(d))
+            sd = qfim.spectral_output(ch.density(PhaseVector.random(d, rng)))
             errs.append(np.abs(qfim.qfim_from_spectral(sd) - qfim.closed_qfim(ch, d)).max())
         yield f"spectral_vs_closed_{ch.kind}", errs
 
-    # the [0, 0] entries of the two spectral sums for the universal cloner; the raw
-    # weight gives the symmetric second sum, as |<psi_m|d_1 psi_n>| is symmetric in n, m
+    # G's weight 4 l_i r_ij^2 splits as 4 l_i - 16 l_i^2 l_j/(l_i+l_j)^2: the [0, 0] entries of
+    # the two sums for the traced universal cloner, the first being 4 rho_11 = 4/d
     errs = []
     for d in range(2, 13):
-        sd = qfim.spectral_output(PhaseVector.random(d, rng), channels.eta_uqcm(d))
-        first, second = (float(t[0, 0].real) for t in qfim._spectral_terms(sd))
+        sd = qfim.spectral_output(UQCM.density(PhaseVector.random(d, rng)))
+        first, second = (float(qfim._gram(sd, w)[0, 0].real) for w in TERM_WEIGHTS)
         second_closed = 2.0 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
         errs += [
             abs(first - 4.0 / d),
@@ -214,9 +217,8 @@ def closed_vs_spectral(rng, dmax_full, mutate):
 
     errs = []
     for d in (3, 5):
-        eta = channels.eta_uqcm(d)
-        ref = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng), eta))
-        f = qfim.qfim_from_spectral(qfim.spectral_output(PhaseVector.random(d, rng, 9), eta))
+        ref = qfim.qfim_from_spectral(qfim.spectral_output(UQCM.density(PhaseVector.random(d, rng))))
+        f = qfim.qfim_from_spectral(qfim.spectral_output(UQCM.density(PhaseVector.random(d, rng, 9))))
         errs.append(np.abs(f - ref).max())
     yield "qfim_phase_independence", errs
 
@@ -293,9 +295,8 @@ def variance_bounds(rng, dmax_full, mutate):
     errs = []
     for d in range(2, 11):
         for eta in (0.5, channels.eta_uqcm(d)):
-            p = PhaseVector.random(d, rng)
-            rho = qfim.reconstruct_density(qfim.spectral_output(p, eta))
-            errs.append(np.abs(rho - channels.shrink_output(p, eta)).max())
+            rho = channels.shrink_output(PhaseVector.random(d, rng), eta)
+            errs.append(np.abs(qfim.reconstruct_density(qfim.spectral_output(rho)) - rho).max())
     yield "spectral_reconstruction", errs
 
 
@@ -319,11 +320,10 @@ def attainability_and_oracle(rng, dmax_full, mutate):
     for d in range(2, dmax_full + 1):
         for ch in (PURE, UQCM, PQCM):
             p = PhaseVector.random(d, rng, 10)
-            sd = qfim.spectral_output(p, ch.shrinking_factor(d))
+            sd = qfim.spectral_output(ch.density(p))
             a = crb.attainability_closed(sd)
             err_closed.append(np.abs(a).max())
             err_forms.append(np.abs(a - crb._attainability_raw_weight(sd)).max())
-            del sd  # its derivatives and the overlaps it caches would stay alive through the oracle pass
             num = oracle_pass(ch, p).attainability
             err_num.append(np.abs(num).max())
             err_agree.append(np.abs(num - a).max())

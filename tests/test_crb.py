@@ -1,26 +1,28 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
+from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm, shrink_output
 from phaseclone.crb import (
     _attainability_raw_weight,
     attainability_closed,
     qfim_eigenvalues,
     total_variance_bound,
 )
-from phaseclone.oracle import sld_solve
+from phaseclone.oracle import sld_pass
 from phaseclone.qfim import (
-    SpectralDecomposition,
+    _gram,
     closed_entries,
     closed_qfim,
     qfim_from_spectral,
     qfim_shrink_entries,
     spectral_output,
 )
-from phaseclone.states import PhaseVector
+from phaseclone.states import PhaseVector, phase_shift_unitary
 from test_stacks import ROUTINES, check_stack
 
 
@@ -35,43 +37,36 @@ class TestAttainability:
     def test_pure_state_vanishes(self):
         # rank-1 support: only the state itself contributes
         p = PhaseVector.random(6, np.random.default_rng(0))
-        a = attainability_closed(spectral_output(p, 1.0))
+        a = attainability_closed(spectral_output(shrink_output(p, 1.0)))
         assert np.abs(a).max() < 1e-12
 
     def test_antisymmetry(self):
         p = PhaseVector.random(5, np.random.default_rng(1))
-        a = attainability_closed(spectral_output(p, 0.6))
+        a = attainability_closed(spectral_output(shrink_output(p, 0.6)))
         assert np.abs(a + a.T).max() < 1e-12
         assert np.all(np.diag(a) == 0.0)
 
-    @pytest.mark.parametrize("d,rank", [(2, 2), (3, 3), (4, 2), (5, 5)])
+    @pytest.mark.parametrize("d,rank", [(d, rank) for d in range(2, 7) for rank in range(1, d + 1)])
     def test_matches_the_oracle_where_it_is_not_zero(self, d, rank):
-        """rho(t) = U rho_0 U^dagger, U = exp(-i(t_1 H_1 + t_2 H_2)) with random
-        non-commuting H_m: at t = 0 the eigenvector derivatives are -i H_m v_i
-        exactly, and Im Tr(rho L_1 L_2) is not zero."""
-        rng = np.random.default_rng(d)
-        gens = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        gens = (gens + gens.conj().swapaxes(-1, -2)) / 2
-        lam = np.zeros(d)
-        lam[:rank] = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
-        lam /= lam.sum()
-        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-        sd = SpectralDecomposition(lam, q.T, -1j * (gens @ q).swapaxes(-1, -2))
-
-        def rho(t):
-            w, v = np.linalg.eigh(t[0] * gens[0] + t[1] * gens[1])
-            u = (v * np.exp(-1j * w)) @ v.conj().T
-            return u @ (q * lam) @ q.conj().T @ u.conj().T
-
-        h = 1e-5
-        drho = np.stack([(rho(h * e) - rho(-h * e)) / (2 * h) for e in np.eye(2)])
-        rho0 = rho(np.zeros(2))
-        slds = sld_solve(rho0, drho)
-        g = np.einsum("ab,mbc,nca->mn", rho0, slds, slds)
-        assert np.abs(g.imag).max() > 1e-3
-        assert_allclose(attainability_closed(sd), g.imag, rtol=0, atol=1e-7)
-        assert_allclose(_attainability_raw_weight(sd), g.imag, rtol=0, atol=1e-7)
-        assert_allclose(qfim_from_spectral(sd), g.real, rtol=0, atol=1e-7)
+        """The phase family rho(phi) = U(phi) rho_0 U(phi)^dagger of a random complex
+        rho_0 of the given rank, whose Im Tr(rho L_m L_n) is not zero: the whole
+        complex G of the spectral route, and its raw-weight form, against the oracle's
+        finite-difference pass on the same family."""
+        rng = np.random.default_rng(10 * d + rank)
+        x = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho0 = x @ x.conj().T / np.vdot(x, x).real
+        family = SimpleNamespace(
+            density=lambda p: phase_shift_unitary(p) @ rho0 @ phase_shift_unitary(p).conj().swapaxes(-1, -2)
+        )
+        p = PhaseVector.random(d, rng)
+        g = sld_pass(family, p).gram
+        if d > 2 and rank > 1:  # Im G is zero for one phase and for a pure rho_0
+            assert np.abs(g.imag).max() > 1e-2
+        sd = spectral_output(family.density(p))
+        assert_allclose(_gram(sd), g, rtol=0, atol=1e-9)
+        assert_allclose(attainability_closed(sd), g.imag, rtol=0, atol=1e-9)
+        assert_allclose(_attainability_raw_weight(sd), g.imag, rtol=0, atol=1e-9)
+        assert_allclose(qfim_from_spectral(sd), g.real, rtol=0, atol=1e-9)
 
 
 class TestStructuredEigenvalues:

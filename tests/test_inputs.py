@@ -13,9 +13,10 @@ import pytest
 
 import phaseclone
 from phaseclone import (
-    ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric, closed_qfim,
-    qfim_from_spectral, qfim_numeric, qfim_shrink_entries, qfim_uqcm_entries, run_verification, shrink_output,
-    sld_solve, spectral_output, total_variance_bound,
+    ParamChannel, PhaseVector, attainability_closed, attainability_numeric, basis_derivatives, closed_entries,
+    closed_qfim, complement_basis, equatorial_state, phase_shift_unitary, qfim_from_spectral, qfim_numeric,
+    qfim_shrink_entries, qfim_uqcm_entries, run_verification, shrink_output, sld_solve, spectral_output,
+    total_variance_bound,
 )
 from phaseclone.channels import reduce_first_qudit
 from phaseclone.oracle import rho_derivative
@@ -51,7 +52,7 @@ ARGS = {
     **dict.fromkeys(["qfim_shrink_entries", "total_variance_bound"], [dict(d=3, eta=0.4)]),
     "qfim_eigenvalues": [dict(d=3, fdiag=1.0, foff=-0.5)],
     **dict.fromkeys(["closed_entries", "closed_qfim"], [dict(channel=ch, d=3) for ch in KINDS]),
-    **dict.fromkeys(["shrink_output", "spectral_output"], [dict(p=P, eta=0.4)]),
+    "shrink_output": [dict(p=P, eta=0.4)],
     **dict.fromkeys(["qfim_numeric", "attainability_numeric"], [dict(channel=ch, p=P, h=1e-5) for ch in KINDS]),
     "run_verification": [dict(dmax_full=2, seed=0)],
 }
@@ -107,8 +108,9 @@ def off_support_density(p):
     return np.diag([1.0, 0, 0]) + x * np.array([[0, 1.0, 0], [1, 0, 0], [0, 0, 0]]) + y * np.diag([0, 1.0, -1])
 
 
-EMPTY_SUPPORT = SpectralDecomposition(np.zeros(3), np.eye(3, dtype=complex), np.zeros((2, 3, 3), dtype=complex))
+EMPTY_SUPPORT = np.zeros((3, 3))
 FINITE, ONE_ETA, DIM_MESSAGE = "phases must be finite", "expected one eta", DIM[0][0]
+DENSITY = r"density matrix must be a numeric \(\.\.\., d, d\) array with d >= 2"
 
 # (id, call, exception, message)
 CASES = [
@@ -125,8 +127,8 @@ CASES = [
        partial(PhaseVector, 3, np.where(np.arange(6).reshape(3, 2) == 2 * row + 1, bad, 0.0)), ValueError, FINITE)
       for bad in (nan, inf, -inf) for row in (0, 2)],
     # one output per point takes one eta: an array would broadcast into a wrong matrix
-    *[(f"{fn.__name__}-eta-array-{'x'.join(map(str, np.shape(eta)))}", partial(fn, P, np.array(eta)), ValueError,
-       ONE_ETA) for fn in (shrink_output, spectral_output) for eta in ([0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]])],
+    *[(f"shrink_output-eta-array-{'x'.join(map(str, np.shape(eta)))}", partial(shrink_output, P, np.array(eta)),
+       ValueError, ONE_ETA) for eta in ([0.2, 0.5, 0.9], [0.2, 0.5], [[0.5]])],
     ("ParamChannel-eta-array", partial(ParamChannel, "shrink", np.array([0.3, 0.5])), ValueError, ONE_ETA),
     ("ParamChannel-unknown-kind", partial(ParamChannel, "nope"), ValueError, "unknown channel kind 'nope'"),
     ("ParamChannel-shrink-without-eta", partial(ParamChannel, "shrink"), ValueError, "shrink channel requires eta"),
@@ -145,15 +147,36 @@ CASES = [
                          ("empty", np.array([], dtype=int)), ("below-2", np.array([3, 1]))]],
     # the entry forms take a column of d; the (d-1, d-1) matrix takes one d
     ("closed_qfim-column", partial(closed_qfim, KINDS[1], np.arange(2, 5)), ValueError, DIM_MESSAGE),
-    *[(f"{fn.__name__}-empty-support", partial(fn, EMPTY_SUPPORT), ValueError, "density matrix has empty support")
+    # the spectral route reads any density matrix, or a stack of them
+    *[(f"spectral_output-{kind}", partial(spectral_output, rho), ValueError, DENSITY)
+      for kind, rho in [("vector", np.ones(3)), ("non-square", np.ones((2, 3))), ("1x1", np.ones((1, 1))),
+                        ("string", "rho"), ("bool", np.eye(3, dtype=bool)), ("object", np.eye(3, dtype=object))]],
+    *[(f"spectral_output-{bad}-entry", partial(spectral_output, np.where(np.eye(3, dtype=bool), bad, 0.0)), ValueError,
+       "density matrix must have finite entries") for bad in (nan, inf)],
+    ("spectral_output-empty-support", partial(spectral_output, EMPTY_SUPPORT), ValueError,
+     "density matrix has empty support"),
+    ("spectral_output-empty-support-in-a-stack", partial(spectral_output, np.stack((np.eye(3), EMPTY_SUPPORT))),
+     ValueError, "density matrix has empty support"),
+    *[(f"{fn.__name__}-empty-support", lambda fn=fn: fn(spectral_output(EMPTY_SUPPORT)), ValueError,
+       "density matrix has empty support") for fn in (qfim_from_spectral, attainability_closed)],
+    # an object of the wrong type where a PhaseVector, ParamChannel or Generator belongs
+    *[(f"PhaseVector.random-rng-{rng!r}", partial(PhaseVector.random, 3, rng), ValueError,
+       "rng must be a numpy.random.Generator") for rng in (42, None)],
+    ("closed_entries-channel-str", partial(closed_entries, "uqcm", 3), ValueError, "expected a ParamChannel"),
+    *[(f"{fn.__name__}-matrix", partial(fn, np.eye(3)), ValueError, "expected a SpectralDecomposition")
       for fn in (qfim_from_spectral, attainability_closed)],
+    *[(f"{fn.__name__}-channel-str", partial(fn, "uqcm", PhaseVector.zero(3)), ValueError, "expected a ParamChannel")
+      for fn in (qfim_numeric, attainability_numeric)],
+    *[(f"{fn.__name__}-list", partial(fn, [0.1, 0.2]), ValueError, "expected a PhaseVector")
+      for fn in (equatorial_state, phase_shift_unitary, complement_basis, basis_derivatives, KINDS[1].density)],
+    ("shrink_output-list", partial(shrink_output, [0.1, 0.2], 0.4), ValueError, "expected a PhaseVector"),
     ("sld_solve-off-support", partial(sld_solve, np.diag([1.0, 0, 0]), np.diag([0, 1.0, -1])), ValueError,
      "no weight on the support"),
     *[(f"{fn.__name__}-off-support", partial(fn, SimpleNamespace(density=off_support_density), P), ValueError,
        "no weight on the support") for fn in (qfim_numeric, attainability_numeric)],
-    # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError
+    # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError; True is no index
     *[(f"rho_derivative-mu-{mu}", partial(rho_derivative, KINDS[1], PhaseVector.zero(4), mu), IndexError,
-       r"parameter index must be in 1\.\.d-1") for mu in (0, -1, 4, 1.5)],
+       r"parameter index must be in 1\.\.d-1") for mu in (0, -1, 4, 1.5, True)],
     ("run_verification-dmax-above-the-limit", partial(run_verification, DMAX_FULL_LIMIT + 1), ValueError,
      f"dmax is limited to {DMAX_FULL_LIMIT}, to bound verify's run time; got {DMAX_FULL_LIMIT + 1}"),
     *[(f"reduce_first_qudit-length-{n}", partial(reduce_first_qudit, np.zeros(n, dtype=complex)), ValueError,

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from strategies import phase
 from test_stacks import check_stack
 
 from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
+from phaseclone.oracle import _central_differences
 from phaseclone.qfim import (
-    _spectral_terms,
-    _support_blocks,
+    _gram,
     closed_entries,
     closed_qfim,
     qfim_from_spectral,
@@ -22,7 +24,8 @@ from phaseclone.qfim import (
 )
 from phaseclone.channels import shrink_output
 from phaseclone.crb import attainability_closed, total_variance_bound
-from phaseclone.states import PhaseVector, basis_derivatives, complement_basis
+from phaseclone.states import PhaseVector
+from phaseclone.verify import TERM_WEIGHTS
 
 PURE, UQCM, PQCM = ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm")
 
@@ -90,78 +93,93 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_reconstruction_of_a_stack(self, k):
         # at k = d = 4 a transposed (d, d, k) stack would broadcast into a wrong result
-        check_stack(lambda p: reconstruct_density(spectral_output(p, 0.6)), 4, ks=(k,))
+        check_stack(lambda p: reconstruct_density(spectral_output(shrink_output(p, 0.6))), 4, ks=(k,))
 
     @pytest.mark.parametrize("d,eta", [(2, 0.5), (4, 0.8), (7, 1.0)])
     def test_reconstruction(self, d, eta):
-        p = PhaseVector.random(d, np.random.default_rng(d))
-        sd = spectral_output(p, eta)
-        assert np.abs(reconstruct_density(sd) - shrink_output(p, eta)).max() < 1e-12
+        rho = shrink_output(PhaseVector.random(d, np.random.default_rng(d)), eta)
+        assert np.abs(reconstruct_density(spectral_output(rho)) - rho).max() < 1e-12
 
     def test_support_rank_pure(self):
-        # (1-eta)/d is exactly 0 at eta = 1: one nonzero eigenvalue
-        assert np.count_nonzero(spectral_output(PhaseVector.zero(5), 1.0).eigenvalues) == 1
+        # one eigenvalue 1; the other four are rounding, clipped at 0 from below
+        lam = spectral_output(shrink_output(PhaseVector.random(5, np.random.default_rng(5)), 1.0)).eigenvalues
+        assert lam.min() >= 0.0 and lam[:-1].max() < 1e-15
+        assert lam[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_uqcm_qutrit_eigenvalues(self):
-        sd = spectral_output(PhaseVector.zero(3), eta_uqcm(3))
-        assert_allclose(sd.eigenvalues, [0.75, 0.125, 0.125], atol=1e-15)
+        # of the traced cloner: (1-eta)/d twice, then eta + (1-eta)/d
+        sd = spectral_output(UQCM.density(PhaseVector.zero(3)))
+        assert_allclose(sd.eigenvalues, [0.125, 0.125, 0.75], atol=1e-15)
         assert np.all(sd.eigenvalues > 0)
 
     def test_rank_one_reduces_to_pure(self):
         d = 6
         p = PhaseVector.random(d, np.random.default_rng(1))
-        f = qfim_from_spectral(spectral_output(p, 1.0))
+        f = qfim_from_spectral(spectral_output(PURE.density(p)))
         assert np.abs(f - closed_qfim(PURE, d)).max() < 1e-12
 
     @pytest.mark.parametrize("d", range(2, 10))
     @pytest.mark.parametrize("eta", [1.0, 0.4], ids=["support1", "supportd"])
     @pytest.mark.parametrize("k", [None, 0, 1, 10])
     def test_support_overlaps_equal_the_contraction(self, d, eta, k):
-        """The one-matmul overlaps g[..., m, i, j] = <d_m psi_i|psi_j> against an einsum."""
-        sd = spectral_output(PhaseVector.random(d, np.random.default_rng(d), k), eta)
-        ls, dsup, g = _support_blocks(sd)
-        sup = np.flatnonzero(sd.eigenvalues > 0)
-        assert sup.size == (1 if eta == 1.0 else d)
-        ref = np.einsum("...mic,...jc->...mij", dsup.conj(), sd.eigenvectors[..., sup, :])
-        assert g.shape == ref.shape == dsup.shape[:-1] + (sup.size,)
+        """G's one weighted matmul over the overlaps (P_m)_ij = <psi_i|m><m|psi_j>
+        against an einsum of sum_ij w_ij (P_m)_ij (P_n)_ji, on a rank-1 and a
+        full-rank output; w_ij = 0 where l_i + l_j is below eigh's floor d eps max(l)."""
+        sd = spectral_output(shrink_output(PhaseVector.random(d, np.random.default_rng(d), k), eta))
+        lam, v = sd.eigenvalues, sd.eigenvectors
+        assert np.all(np.count_nonzero(lam > 1e-12, axis=-1) == (1 if eta == 1.0 else d))
+        li, lj = lam[..., :, None], lam[..., None, :]
+        floor = d * np.finfo(float).eps * lam.max(axis=-1)[..., None, None]
+        w = 4.0 * li * ((li - lj) / np.where(li + lj > floor, li + lj, np.inf)) ** 2
+        overlaps = np.einsum("...mi,...mj->...mij", v[..., 1:, :].conj(), v[..., 1:, :])
+        ref = np.einsum("...ij,...mij,...nji->...mn", w, overlaps, overlaps)
+        g = _gram(sd)
+        assert g.shape == ref.shape == lam.shape[:-1] + (d - 1, d - 1)
         assert_allclose(g, ref, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
     def test_stack_carries_its_derivatives(self, d):
-        # one complement basis serves the eigenvectors and their derivatives
+        """The decomposition of a stack carries each point's derivatives through the
+        generator identity d_m rho = i[P_m, rho]: on the rebuilt density they match
+        the central differences of the traced cloner."""
         stack = PhaseVector.random(d, np.random.default_rng(70 + d), 4)
-        sd = spectral_output(stack, 0.6)
-        assert sd.derivatives.shape == (4, d - 1, d, d)
-        assert np.array_equal(sd.eigenvectors, complement_basis(stack))
-        assert np.array_equal(sd.derivatives, basis_derivatives(stack))
+        rho = reconstruct_density(spectral_output(UQCM.density(stack)))
+        proj = np.eye(d)[1:, :, None] * np.eye(d)[1:, None, :]  # P_m = |m><m|, m = 1..d-1
+        generated = 1j * (proj @ rho[:, None] - rho[:, None] @ proj)
+        assert np.abs(generated - _central_differences(UQCM.density, stack, 1e-5)).max() < 1e-9
 
 
 class TestDiagonalTermSums:
     def test_qubit_values(self):
         # 4/d = 2 and 2(8+28+16+4)/(3*6*4) = 14/9; difference is the 4/9 diagonal
-        sd = spectral_output(PhaseVector.zero(2), eta_uqcm(2))
-        first, second = (float(t[0, 0].real) for t in _spectral_terms(sd))
+        sd = spectral_output(UQCM.density(PhaseVector.zero(2)))
+        first, second = (float(_gram(sd, w)[0, 0].real) for w in TERM_WEIGHTS)
         assert first == pytest.approx(2.0, abs=1e-12)
         assert second == pytest.approx(14 / 9, abs=1e-12)
         assert first - second == pytest.approx(4 / 9, abs=1e-12)
 
 
-# uniform, small, and within 1e-11 of 1, where (1-eta)/d is a tiny support eigenvalue
-_eta = st.one_of(
-    st.just(1.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-11, 1.0)
+# uniform, small, and within 1e-11 of 1, where (1-eta)/d is a tiny support eigenvalue;
+# or one of the traced cloners
+_channel = st.one_of(
+    st.sampled_from([UQCM, PQCM]),
+    st.builds(
+        partial(ParamChannel, "shrink"),
+        st.one_of(st.just(1.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-11, 1.0)),
+    ),
 )
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), d=st.integers(2, 64), eta=_eta)
-def test_spectral_route_property(data, d, eta):
+@given(data=st.data(), d=st.integers(2, 64), ch=_channel)
+def test_spectral_route_property(data, d, ch):
     p = PhaseVector(d, data.draw(st.lists(phase, min_size=d - 1, max_size=d - 1)))
-    sd = spectral_output(p, eta)
+    sd = spectral_output(ch.density(p))
     f = qfim_from_spectral(sd)
-    fdiag, foff = closed_entries(ParamChannel("shrink", eta), d)
+    fdiag, foff = closed_entries(ch, d)
     off = f[~np.eye(d - 1, dtype=bool)]
-    # rounding of the O(1/d) spectral terms; the support is lam > 0, so no
-    # eigenvalue is cut, however close eta is to 1
+    # rounding of the O(1/d) spectral terms; no eigenvalue is cut, however close
+    # eta is to 1: a rounding-sized eigenvalue carries a rounding-sized weight
     tol = 1e-14 + 1e-13 * fdiag
     assert np.all(np.abs(np.diag(f) - fdiag) <= tol)
     assert np.all(np.abs(off - foff) <= tol)

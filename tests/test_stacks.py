@@ -12,23 +12,25 @@ import pytest
 import phaseclone
 from phaseclone import (
     ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric,
-    basis_derivatives, complement_basis, crb, equatorial_state, eta_uqcm, oracle, phase_shift_unitary,
+    basis_derivatives, complement_basis, crb, equatorial_state, oracle, phase_shift_unitary,
     qfim_from_spectral, qfim_numeric, reconstruct_density, shrink_output, spectral_output,
 )
 
 KINDS = [ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm"), ParamChannel("shrink", 0.4)]
 
-ETAS = {"1.0": lambda d: 1.0, "0.3": lambda d: 0.3, "eta_uqcm": eta_uqcm}
+# the spectral route reads each channel's density: the pure input (eta = 1), a
+# shrinking output at eta = 0.3 and the traced universal cloner (eta = eta_uqcm)
+ETAS = {"1.0": ParamChannel("pure"), "0.3": ParamChannel("shrink", 0.3), "eta_uqcm": ParamChannel("uqcm")}
 
 
-def spectral(fn, eta):
-    return lambda p: fn(spectral_output(p, eta(p.dim)))
+def spectral(fn, ch):
+    return lambda p: fn(spectral_output(ch.density(p)))
 
 
 def spectral_fields(p):
-    """spectral_output's per-point fields; its eigenvalues are one set for the whole stack."""
-    sd = spectral_output(p, 0.3)
-    return sd.eigenvectors, sd.derivatives
+    """spectral_output's two fields, each per point."""
+    sd = spectral_output(ETAS["0.3"].density(p))
+    return sd.eigenvalues, sd.eigenvectors
 
 
 def sld_fields(ch):
@@ -52,9 +54,9 @@ ROUTINES = {
     },
     "spectral_output(0.3)": spectral_fields,
     **{
-        f"{fn.__name__}(spectral_output({e}))": spectral(fn, eta)
+        f"{fn.__name__}(spectral_output({e}))": spectral(fn, ch)
         for fn in (qfim_from_spectral, attainability_closed, crb._attainability_raw_weight, reconstruct_density)
-        for e, eta in ETAS.items()
+        for e, ch in ETAS.items()
     },
     **{f"qfim_numeric({ch.kind})": partial(qfim_numeric, ch) for ch in KINDS},
     **{f"attainability_numeric({ch.kind})": partial(attainability_numeric, ch) for ch in KINDS},

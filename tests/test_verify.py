@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseclone import crb, oracle, qfim, verify
+from phaseclone import channels, crb, oracle, qfim, verify
 from phaseclone.cli import main
 from phaseclone.verify import DEFAULT_SEED, TOLERANCES, run_verification
 
@@ -113,29 +113,26 @@ def test_one_oracle_pass_per_draw_stack(monkeypatch):
     assert seen == shared + robustness
 
 
-def test_one_overlap_contraction_per_decomposition(monkeypatch):
-    """Each spectral decomposition contracts its support overlaps once, however
-    many routes read them: the attainability block's closed and raw-weight
-    forms share one contraction per (d, channel) draw stack."""
-    blocks, closed = [], []
-    support_blocks, attainability_closed = qfim._support_blocks, crb.attainability_closed
+def test_spectral_checks_read_the_traced_cloner(monkeypatch):
+    """The spectral route decomposes each channel's density, for the cloners the
+    traced isometry: off-diagonal entries of the UQCM density off by a factor
+    1 + 1e-6 at d <= 10 fail the closed-form comparison, with no scaling form
+    between the two."""
+    density = channels.ParamChannel.density
 
-    def counting_blocks(sd):
-        blocks.append(sd)
-        return support_blocks(sd)
+    def faulty(self, p):
+        rho = density(self, p)
+        if self.kind != "uqcm" or p.dim > 10:
+            return rho
+        return np.where(np.eye(p.dim, dtype=bool), rho, rho * (1 + 1e-6))
 
-    def counting_closed(sd):
-        closed.append(sd)
-        return attainability_closed(sd)
-
-    for module in (qfim, crb):  # under every name a module holds it by
-        if getattr(module, "_support_blocks", None) is support_blocks:
-            monkeypatch.setattr(module, "_support_blocks", counting_blocks)
-    monkeypatch.setattr(crb, "attainability_closed", counting_closed)
-    assert all(r.passed for r in run_verification(dmax_full=4))
-    assert len(closed) == 9  # d in (2, 3, 4) x (pure, uqcm, pqcm)
-    assert len(set(map(id, blocks))) == len(blocks)
-    assert [sum(b is sd for b in blocks) for sd in closed] == [1] * 9
+    monkeypatch.setattr(channels.ParamChannel, "density", faulty)
+    assert [r.name for r in run_verification(dmax_full=2) if not r.passed] == [
+        "scaling_form_uqcm",
+        "fidelity_phase_independence_uqcm",
+        "spectral_vs_closed_uqcm",
+        "uqcm_diagonal_term_sums",
+    ]
 
 
 def _variance_off_at_one_point(fn):
