@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, _check_one_eta, equatorial_state
+from .states import PhaseVector, _check_dim, _check_dims, _check_one_eta, _check_point, equatorial_state
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
@@ -174,6 +174,7 @@ class ParamChannel:
         return np.full(np.shape(_check_dims(d)), eta)[()]
 
     def density(self, p: PhaseVector) -> np.ndarray:
+        _check_point(p)  # before p.dim is read
         if self.kind in ("uqcm", "pqcm"):
             return _first_clone(equatorial_state(p), *_isometry_amplitudes(self.kind, p.dim))
         return shrink_output(p, self.shrinking_factor(p.dim))

@@ -56,11 +56,11 @@ def total_variance_bound(d: int | np.ndarray, eta: float | np.ndarray) -> float 
 
     Pure closed form (d-1)[2+(d-2)eta]/(2 eta^2), the trace of the inverse
     QFIM.  The QFIM is symmetric under permutations of the phases, so each
-    per-parameter bound is this total over d-1.  The dense-inverse and
-    -2(d-1)/(d F_off) cross-checks live in verify (variance_trace_inverse)
-    and the tests, not here.  An eta whose QFIM entries underflow raises
-    ValueError, as in qfim_shrink_entries.  d and eta may be columns, as
-    there.
+    per-parameter bound is this total over d-1.  variance_trace_inverse in
+    verify checks it against 1/lam1 + (d-2)/lam2 from the QFIM's spectrum;
+    the dense-inverse and -2(d-1)/(d F_off) cross-checks live in the tests.
+    An eta whose QFIM entries underflow raises ValueError, as in
+    qfim_shrink_entries.  d and eta may be columns, as there.
     """
     d, eta = _check_shrink_args(d, eta)
     return (d - 1) * (2.0 + (d - 2) * eta) / (2.0 * (eta * eta))

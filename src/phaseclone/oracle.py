@@ -38,37 +38,39 @@ DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
 
 
-def _check_step(h: float) -> None:
+def _check_args(p: PhaseVector, h: float) -> None:
+    if not isinstance(p, PhaseVector):
+        raise ValueError(f"expected a PhaseVector, got {p!r}")
     if np.ndim(h) != 0 or np.asarray(h).dtype.kind not in "iuf" or not (np.isfinite(h) and h > 0):
         raise ValueError(f"step must be a finite positive real number, got {h!r}")
     if 1.0 / (2.0 * float(h)) == np.inf:  # Python floats overflow to inf without a warning
         raise ValueError(f"step {h} is too small: 1/(2h) overflows")
 
 
-def _stencil(fn, p: PhaseVector, h: float, centre: bool = False):
-    """fn at phi +- h e_mu for every mu, and at phi itself with centre, from
-    one call of fn on one stack of every point.
+def _stencil(fn, p: PhaseVector, h: float):
+    """fn at phi and at phi +- h e_mu for every mu, from one call of fn on one
+    stack of every point.
 
     fn is any function of the phases that maps a stack of points to a stack
-    of results.  Returns (fn(phi), or None without centre; the central
-    differences (fn(phi + h e_mu) - fn(phi - h e_mu)) / 2h stacked as
-    [..., mu-1] after the stack axes of p).  fn(phi) is copied out of the
-    stack of results, so the stack is freed on return.
+    of results.  Returns (fn(phi); the central differences (fn(phi + h e_mu)
+    - fn(phi - h e_mu)) / 2h stacked as [..., mu-1] after the stack axes of
+    p).  fn(phi) is copied out of the stack of results, so the stack is
+    freed on return.
     """
-    _check_step(h)
+    _check_args(p, h)
     shifts = h * np.eye(p.dim - 1)
     x = p.phases[..., None, :]
     shifted = np.stack((x + shifts, x - shifts))
-    centres = p.phases.reshape(-1, p.dim - 1) if centre else np.empty((0, p.dim - 1))
+    centres = p.phases.reshape(-1, p.dim - 1)
     out = fn(PhaseVector(p.dim, np.concatenate((centres, shifted.reshape(-1, p.dim - 1)))))
     n = len(centres)
-    at = out[:n].reshape(p.phases.shape[:-1] + out.shape[1:]).copy() if centre else None
+    at = out[:n].reshape(p.phases.shape[:-1] + out.shape[1:]).copy()
     out = out[n:].reshape(shifted.shape[:-1] + out.shape[1:])
     return at, (out[0] - out[1]) / (2.0 * h)
 
 
 def _central_differences(fn, p: PhaseVector, h: float) -> np.ndarray:
-    """The central differences of _stencil alone, with fn called on the shifted points only."""
+    """The central differences of _stencil alone."""
     return _stencil(fn, p, h)[1]
 
 
@@ -80,6 +82,7 @@ def rho_derivative(
     Row mu - 1 of the central differences for every phase.  A test reference,
     kept for the benchmark tracer: the program takes density differences from sld_pass.
     """
+    _check_args(p, h)
     if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or not 1 <= mu <= p.dim - 1:
         raise IndexError(f"parameter index must be in 1..d-1, got {mu} for d={p.dim}")
     return _central_differences(channel.density, p, h)[..., mu - 1, :, :]
@@ -157,7 +160,7 @@ def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) 
     """
     if not callable(getattr(channel, "density", None)):  # a ParamChannel, or any family with a density
         raise ValueError(f"expected a ParamChannel or an object with a density method, got {channel!r}")
-    rho, drho = _stencil(channel.density, p, h, centre=True)
+    rho, drho = _stencil(channel.density, p, h)
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too

@@ -156,6 +156,8 @@ def spectral_output(rho: np.ndarray) -> SpectralDecomposition:
 
 def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
     """Rebuild sum_i lam_i |psi_i><psi_i| from a spectral decomposition, per point of a stack."""
+    if not isinstance(sd, SpectralDecomposition):
+        raise ValueError(f"expected a SpectralDecomposition, got {sd!r}")
     v = sd.eigenvectors
     return (v * sd.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -181,7 +183,8 @@ def _gram(sd: SpectralDecomposition, weight=lambda li, lj, r: 4.0 * li * r * r) 
     w = _merge_last_two(weight(li, lj, r))
     v = sd.eigenvectors[..., 1:, :]  # v[..., m-1, i] = <m|psi_i>
     p = _merge_last_two(v.conj()[..., :, None] * v[..., None, :])
-    return (p * w[..., None, :]) @ p.conj().swapaxes(-1, -2)
+    pw = p * w[..., None, :]
+    return pw @ np.conjugate(p, out=p).swapaxes(-1, -2)  # in place: two (..., d-1, d^2) tensors, not three
 
 
 def qfim_from_spectral(sd: SpectralDecomposition) -> np.ndarray:

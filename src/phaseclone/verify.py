@@ -40,6 +40,8 @@ CHANNELS = (PURE, UQCM, PQCM, SHRINK)
 # qfim._gram weights of the two term sums of G, whose difference is G's own weight
 TERM_WEIGHTS = (lambda li, lj, r: 4.0 * li * np.ones_like(r), lambda li, lj, r: 4.0 * li * (1.0 - r * r))
 
+ETA_SWEEP = np.repeat([2, 4, 8], 10), np.tile(np.linspace(0.1, 1.0, 10), 3)  # (d, eta) of both *_monotone_in_eta
+
 # every check in run order; an inequality check at 0.0 allows no violation
 TOLERANCES: dict[str, float] = {
     # state and basis construction
@@ -223,13 +225,18 @@ def closed_vs_spectral(rng, dmax_full, mutate):
     yield "qfim_phase_independence", errs
 
 
+def _spectrum(d, fdiag, foff) -> tuple:
+    # eigenvalues of the (d-1, d-1) matrix with diagonal fdiag and off-diagonal foff, on columns:
+    # fdiag + (d-2) foff once, on the all-ones vector, and fdiag - foff d-2 times, NaN at d = 2,
+    # where there is no second; unlike crb.qfim_eigenvalues, no relation between the entries is assumed
+    return fdiag + (d - 2) * foff, np.where(d > 2, fdiag - foff, np.nan)
+
+
 def orderings(rng, dmax_full, mutate):
-    # each gap matrix has the entry differences of the two closed forms
+    # each gap matrix has the entry differences of the two closed forms; fmin skips d = 2's NaN
     d64 = np.arange(2, 65)
-    gap_diag, gap_off = np.subtract(qfim.qfim_pqcm_entries(d64), qfim.qfim_uqcm_entries(d64))
-    yield "pqcm_minus_uqcm_psd", [
-        -np.linalg.eigvalsh(qfim._from_entries(gd, go, d))[0] for d, gd, go in zip(d64, gap_diag, gap_off)
-    ]
+    gap = _spectrum(d64, *np.subtract(qfim.qfim_pqcm_entries(d64), qfim.qfim_uqcm_entries(d64)))
+    yield "pqcm_minus_uqcm_psd", -np.fmin(*gap)
 
     d1000 = np.arange(2, 1001)
     yield "pqcm_diagonal_dominates", qfim.qfim_uqcm_entries(d1000)[0] - qfim.qfim_pqcm_entries(d1000)[0]
@@ -241,46 +248,31 @@ def orderings(rng, dmax_full, mutate):
         fs = qfim.qfim_shrink_entries(d64, ch.shrinking_factor(d64))
         yield f"{ch.kind}_matches_generic_shrink", np.abs(np.subtract(qfim.closed_entries(ch, d64), fs)).ravel()
 
-    errs = []
-    for d in (2, 4, 8):
-        etas = np.linspace(0.1, 1.0, 10)
-        errs.append(-np.diff(qfim.qfim_shrink_entries(d, etas)[0]).min())
-    yield "qfim_monotone_in_eta", errs
+    yield "qfim_monotone_in_eta", -np.diff(qfim.qfim_shrink_entries(*ETA_SWEEP)[0].reshape(3, 10)).min(axis=1)
 
 
 def variance_bounds(rng, dmax_full, mutate):
-    # each closed form once on the flattened (d, eta) column; one inv call on a (5, d-1, d-1) stack per d
+    # each closed form once on the flattened (d, eta) column; the inverse's trace is 1/lam1 + (d-2)/lam2
     d32 = np.arange(2, 33)
     etas = np.array([np.full(31, 0.3), np.full(31, 0.5), channels.eta_uqcm(d32), channels.eta_pqcm(d32), np.ones(31)])
-    column = np.repeat(d32, 5), etas.T.ravel()  # five etas per d
-    (fdiag, foff), bound = qfim.qfim_shrink_entries(*column), crb.total_variance_bound(*column)
-    errs = []
-    for d, fd, fo, b in zip(d32.tolist(), *(c.reshape(31, 5) for c in (fdiag, foff, bound))):
-        dense = np.trace(np.linalg.inv(qfim._from_entries(fd, fo, d)), axis1=-2, axis2=-1)
-        errs.extend(np.abs(b - dense))
-    yield "variance_trace_inverse", errs
+    d5, eta5 = np.repeat(d32, 5), etas.T.ravel()  # five etas per d
+    lam1, lam2 = _spectrum(d5, *qfim.qfim_shrink_entries(d5, eta5))
+    trace = 1.0 / lam1 + np.where(d5 > 2, (d5 - 2) / lam2, 0.0)
+    yield "variance_trace_inverse", np.abs(crb.total_variance_bound(d5, eta5) - trace)
 
     d64 = np.arange(2, 65)
     yield "variance_pure_closed_form", np.abs(crb.total_variance_bound(d64, 1.0) - d64 * (d64 - 1) / 2.0)
 
     d20 = np.arange(2, 21)
-    e_in = crb.total_variance_bound(d20, 1.0)
-    e_u = crb.total_variance_bound(d20, channels.eta_uqcm(d20))
-    e_p = crb.total_variance_bound(d20, channels.eta_pqcm(d20))
+    e_in, e_u, e_p = (crb.total_variance_bound(d20, e) for e in (1.0, channels.eta_uqcm(d20), channels.eta_pqcm(d20)))
     yield "variance_ordering", [*(e_in - e_p), *(e_p - e_u)]
 
-    errs = []
-    for d in (2, 4, 8):
-        etas = np.linspace(0.1, 1.0, 10)
-        errs.append(np.diff(crb.total_variance_bound(d, etas)).max())
-    yield "variance_monotone_in_eta", errs
+    yield "variance_monotone_in_eta", np.diff(crb.total_variance_bound(*ETA_SWEEP).reshape(3, 10)).max(axis=1)
 
-    errs = []
-    for d in range(2, 17):
-        inv_eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(qfim.closed_qfim(PURE, d))))
-        expect = np.sort(np.concatenate((np.full(d - 2, d / 4.0), [d * d / 4.0])))
-        errs.append(np.abs(inv_eigs - expect).max())
-    yield "pure_inverse_eigenvalues", errs
+    # the pure input's inverse QFIM has eigenvalues d^2/4 once and d/4 d-2 times
+    d16 = np.arange(2, 17)
+    lam1, lam2 = _spectrum(d16, *qfim.qfim_pure_entries(d16))
+    yield "pure_inverse_eigenvalues", [*np.abs(1.0 / lam1 - d16 * d16 / 4.0), *np.abs(1.0 / lam2 - d16 / 4.0)[d16 > 2]]
 
     # each closed form once per cloner on d = 3..32; one eigvalsh call on the (UQCM, PQCM) pair per d
     d3 = np.arange(3, 33)

@@ -23,14 +23,6 @@ from phaseclone.qfim import (
     spectral_output,
 )
 from phaseclone.states import PhaseVector, phase_shift_unitary
-from test_stacks import ROUTINES, check_stack
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 9])
-def test_spectral_route_maps_a_stack(d):
-    for fn in (qfim_from_spectral, attainability_closed, _attainability_raw_weight):
-        for eta in ("1.0", "eta_uqcm", "0.3"):
-            check_stack(ROUTINES[f"{fn.__name__}(spectral_output({eta}))"], d, ks=(4,))
 
 
 class TestAttainability:

@@ -15,11 +15,11 @@ import phaseclone
 from phaseclone import (
     ParamChannel, PhaseVector, attainability_closed, attainability_numeric, basis_derivatives, closed_entries,
     closed_qfim, complement_basis, equatorial_state, phase_shift_unitary, qfim_from_spectral, qfim_numeric,
-    qfim_shrink_entries, qfim_uqcm_entries, run_verification, shrink_output, sld_solve, spectral_output,
-    total_variance_bound,
+    qfim_shrink_entries, qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve,
+    spectral_output, total_variance_bound,
 )
 from phaseclone.channels import reduce_first_qudit
-from phaseclone.oracle import rho_derivative
+from phaseclone.oracle import rho_derivative, sld_pass
 from phaseclone.qfim import CLOSED_FORM_DMAX
 from phaseclone.verify import DMAX_FULL_LIMIT
 
@@ -170,6 +170,13 @@ CASES = [
     *[(f"{fn.__name__}-list", partial(fn, [0.1, 0.2]), ValueError, "expected a PhaseVector")
       for fn in (equatorial_state, phase_shift_unitary, complement_basis, basis_derivatives, KINDS[1].density)],
     ("shrink_output-list", partial(shrink_output, [0.1, 0.2], 0.4), ValueError, "expected a PhaseVector"),
+    # the type is checked before p.dim or sd.eigenvectors is read
+    *[(f"density({ch.kind})-list", partial(ch.density, [0.1, 0.2]), ValueError, "expected a PhaseVector")
+      for ch in (KINDS[0], KINDS[3])],
+    *[(f"{fn.__name__}-list", partial(fn, KINDS[1], [0.1, 0.2]), ValueError, "expected a PhaseVector")
+      for fn in (sld_pass, qfim_numeric, attainability_numeric)],
+    ("rho_derivative-list", partial(rho_derivative, KINDS[1], [0.1, 0.2], 1), ValueError, "expected a PhaseVector"),
+    ("reconstruct_density-str", partial(reconstruct_density, "x"), ValueError, "expected a SpectralDecomposition"),
     ("sld_solve-off-support", partial(sld_solve, np.diag([1.0, 0, 0]), np.diag([0, 1.0, -1])), ValueError,
      "no weight on the support"),
     *[(f"{fn.__name__}-off-support", partial(fn, SimpleNamespace(density=off_support_density), P), ValueError,

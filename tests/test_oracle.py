@@ -1,5 +1,4 @@
 import ast
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
-from test_stacks import check_stack
 
 import phaseclone
 import phaseclone.oracle as oracle_module
@@ -176,25 +174,6 @@ class TestSldSolve:
         assert np.abs(sld_solve(rho, np.stack([on, on]))).max() > 0
         with pytest.raises(ValueError, match="support"):
             sld_solve(rho, np.stack([on, off]))
-
-class TestStacks:
-    """A (k, d-1) stack of phase points gives the per-point results bit for bit."""
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 8])
-    def test_qfim_and_attainability_numeric(self, d):
-        for kind in KINDS:
-            for fn in (qfim_numeric, attainability_numeric):
-                check_stack(partial(fn, channel(kind)), d, ks=(3,))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_empty_stack_gives_empty_matrices(self, kind):
-        for fn in (qfim_numeric, attainability_numeric):
-            check_stack(partial(fn, channel(kind)), 3, ks=())
-
-    @pytest.mark.parametrize("d", [2, 4, 7])
-    def test_central_differences(self, d):
-        for fn in [equatorial_state, complement_basis] + [channel(k).density for k in KINDS]:
-            check_stack(partial(_central_differences, fn, h=1e-5), d, ks=(4,))
 
 
 def two_call_gram(ch, p, h):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
-from test_stacks import check_stack
 
 from phaseclone.channels import ParamChannel, eta_pqcm, eta_uqcm
 from phaseclone.oracle import _central_differences
@@ -90,10 +90,17 @@ class TestClonerClosedForms:
 
 
 class TestSpectralRoute:
-    @pytest.mark.parametrize("k", [2, 4, 5])
-    def test_reconstruction_of_a_stack(self, k):
-        # at k = d = 4 a transposed (d, d, k) stack would broadcast into a wrong result
-        check_stack(lambda p: reconstruct_density(spectral_output(shrink_output(p, 0.6))), 4, ks=(k,))
+    def test_peak_memory_is_two_contraction_tensors(self):
+        # p, p * w and a conjugate copy of p are (10, 47, 48^2) complex tensors, 17 MB each;
+        # conjugating p in place after p * w holds two of them, not three
+        sd = spectral_output(UQCM.density(PhaseVector.random(48, np.random.default_rng(8), 10)))
+        tracemalloc.start()
+        try:
+            qfim_from_spectral(sd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (10 * 47 * 48**2 * 16)
 
     @pytest.mark.parametrize("d,eta", [(2, 0.5), (4, 0.8), (7, 1.0)])
     def test_reconstruction(self, d, eta):

@@ -49,8 +49,9 @@ ROUTINES = {
     "shrink_output(0.3)": partial(shrink_output, eta=0.3),
     **{f"density({ch.kind})": ch.density for ch in KINDS},
     **{
-        f"_central_differences(density({ch.kind}))": partial(oracle._central_differences, ch.density, h=1e-5)
-        for ch in KINDS
+        f"_central_differences({name})": partial(oracle._central_differences, fn, h=1e-5)
+        for name, fn in [("equatorial_state", equatorial_state), ("complement_basis", complement_basis)]
+        + [(f"density({ch.kind})", ch.density) for ch in KINDS]
     },
     "spectral_output(0.3)": spectral_fields,
     **{

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from strategies import phase
-from test_stacks import check_stack
 
 from phaseclone.oracle import _central_differences
 from phaseclone.states import (
@@ -44,14 +43,6 @@ class TestPhaseVector:
         stack = PhaseVector.random(5, np.random.default_rng(15), 6)
         assert stack.phases.shape == (6, 4)
         assert np.array_equal(stack.phases, np.stack(singles))
-
-    @pytest.mark.parametrize("d", [2, 4, 7])
-    def test_phase_shift_unitary_maps_a_stack(self, d):
-        check_stack(phase_shift_unitary, d, ks=(1, d - 1, 5))
-
-    @pytest.mark.parametrize("d", [2, 4, 7])
-    def test_basis_derivatives_of_a_stack_of_d_minus_1_points(self, d):
-        check_stack(basis_derivatives, d, ks=(d - 1,))
 
 
 class TestEquatorialState:

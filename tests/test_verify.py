@@ -156,14 +156,23 @@ def _pqcm_below_uqcm_at_d40(fn):
     return broken
 
 
+def _pure_off_diagonal_at_d9(fn):
+    def broken(d):
+        fdiag, foff = fn(d)
+        return fdiag, foff * np.where(np.asarray(d) == 9, 1 + 1e-9, 1.0)
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "module, name, fault, check",
     [
         (crb, "total_variance_bound", _variance_off_at_one_point, "variance_trace_inverse"),
         (crb, "qfim_eigenvalues", _lam2_off_at_d20, "structured_vs_dense_eigenvalues"),
         (qfim, "qfim_pqcm_entries", _pqcm_below_uqcm_at_d40, "pqcm_minus_uqcm_psd"),
+        (qfim, "qfim_pure_entries", _pure_off_diagonal_at_d9, "pure_inverse_eigenvalues"),
     ],
-    ids=["variance", "eigenvalues", "gap"],
+    ids=["variance", "eigenvalues", "gap", "pure-inverse"],
 )
 def test_stacked_check_keeps_every_point(monkeypatch, module, name, fault, check):
     """A check that stacks its (d, eta, channel) cases still fails when its subject
