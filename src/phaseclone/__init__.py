@@ -8,6 +8,9 @@ information matrix of the result in closed form, via a spectral
 decomposition, and via a definition-level finite-difference oracle.  It also
 evaluates Cramer-Rao total-variance bounds and the attainability matrix that
 certifies simultaneous estimation of all phases.
+
+The complement basis and its derivatives, the dense cloner outputs and
+oracle.rho_derivative are check references that no program path calls, not API.
 """
 
 from .channels import (
@@ -42,8 +45,6 @@ from .qfim import (
 )
 from .states import (
     PhaseVector,
-    basis_derivatives,
-    complement_basis,
     equatorial_state,
     phase_shift_unitary,
 )
@@ -60,10 +61,8 @@ __all__ = [
     "SpectralDecomposition",
     "attainability_closed",
     "attainability_numeric",
-    "basis_derivatives",
     "closed_entries",
     "closed_qfim",
-    "complement_basis",
     "equatorial_state",
     "eta_pqcm",
     "eta_uqcm",

@@ -46,9 +46,14 @@ def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:
     F_diag = -(d-1) F_off, lam1 is exactly -F_off, and that is what is
     returned: the sum cancels, losing up to 3e-10 relative at d ~ 10^6.  For
     d = 2 there is no second eigenvalue and lam2 is NaN.  d may be a 1-D
-    integer array with entry columns to match, giving two columns.
+    integer array with entry columns to match, giving two columns; entries
+    that are not real numbers of d's shape raise ValueError.
     """
-    return -foff, np.where(_check_dims(d) > 2, fdiag - foff, np.nan)[()]
+    d = _check_dims(d)
+    for f in (fdiag, foff):
+        if np.asarray(f).dtype.kind not in "iuf" or np.shape(f) != np.shape(d):
+            raise ValueError(f"QFIM entries must be real numbers of d's shape {np.shape(d)}, got {f!r}")
+    return -foff, np.where(d > 2, fdiag - foff, np.nan)[()]
 
 
 def total_variance_bound(d: int | np.ndarray, eta: float | np.ndarray) -> float | np.ndarray:

@@ -110,8 +110,20 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     drho is any stack that broadcasts against it, e.g. (k, 1, d, d) against
     (k, d-1, d, d); one eigendecomposition per rho serves every slice, and
     a slice with no weight on the support raises ValueError.  The right
-    products drho V and L~ V^dagger run on each point's merged rows.
+    products drho V and L~ V^dagger run on each point's merged rows.  A
+    non-numeric or non-square rho, or a non-numeric drho whose last axes are
+    not (d, d) or whose leading axes do not broadcast, raises ValueError; a
+    NaN is computed through, for verify to report.
     """
+    rho, drho = np.asarray(rho), np.asarray(drho)
+    if rho.dtype.kind not in "iufc" or rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"rho must be a numeric (..., d, d) array, got {rho.dtype} of shape {rho.shape}")
+    if drho.dtype.kind not in "iufc" or drho.shape[-2:] != rho.shape[-2:]:
+        raise ValueError(f"drho must be a numeric array of rho's (d, d) slices, got {drho.dtype} of shape {drho.shape}")
+    try:
+        np.broadcast_shapes(rho.shape[:-2], drho.shape[:-2])
+    except ValueError:
+        raise ValueError(f"drho's stack {drho.shape[:-2]} does not broadcast against rho's {rho.shape[:-2]}") from None
     lam, v = np.linalg.eigh(rho)
     vh = v.conj().swapaxes(-1, -2)
     dtil = vh @ _times_per_point(drho, v)

@@ -11,6 +11,9 @@ basis to the complement basis, |psi_n(phi)> = e^{-i phi_n} U(phi) |psi_n(0)>,
 so every phase derivative follows from the generator P_mu = |mu><mu|:
 d_mu |psi_n> = i (P_mu - delta_{mu n}) |psi_n> (the unitary-parametrisation
 form; Liu, Yuan, Lu, Wang, J. Phys. A 53, 023001 (2020)).
+
+The complement basis and its derivatives are check references outside the
+package API: verify and the tests call them, no program path does.
 """
 
 from __future__ import annotations

@@ -356,11 +356,16 @@ def run_verification(
     injected into the shrinking factor used by the scaling-form check, which
     must then fail; this validates that the harness can detect a wrong channel.
     Every check runs at its TOLERANCES entry and the oracle at its default
-    step; progress sees each result as it is added.  A bad seed, or a
+    step; progress sees each result as it is added.  A bad seed, a mutate
+    that is not a bool, a progress that is neither None nor callable, or a
     dmax_full that check_arguments rejects, raises ValueError before any check.
     """
     check_arguments(dmax_full)
     states._check_count(seed, "seed")
+    if not isinstance(mutate, bool):
+        raise ValueError(f"mutate must be a bool, got {mutate!r}")
+    if progress is not None and not callable(progress):
+        raise ValueError(f"progress must be None or callable, got {progress!r}")
     results: list[CheckResult] = []
     for block in BLOCKS:
         rng = np.random.default_rng([seed, zlib.crc32(block.__name__.encode())])

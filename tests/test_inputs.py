@@ -13,14 +13,15 @@ import pytest
 
 import phaseclone
 from phaseclone import (
-    ParamChannel, PhaseVector, attainability_closed, attainability_numeric, basis_derivatives, closed_entries,
-    closed_qfim, complement_basis, equatorial_state, phase_shift_unitary, qfim_from_spectral, qfim_numeric,
-    qfim_shrink_entries, qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve,
-    spectral_output, total_variance_bound,
+    ParamChannel, PhaseVector, attainability_closed, attainability_numeric, closed_entries, closed_qfim,
+    equatorial_state, phase_shift_unitary, qfim_eigenvalues, qfim_from_spectral, qfim_numeric, qfim_shrink_entries,
+    qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve, spectral_output,
+    total_variance_bound,
 )
 from phaseclone.channels import reduce_first_qudit
 from phaseclone.oracle import rho_derivative, sld_pass
 from phaseclone.qfim import CLOSED_FORM_DMAX
+from phaseclone.states import basis_derivatives, complement_basis
 from phaseclone.verify import DMAX_FULL_LIMIT
 
 # parameter name -> its rule, as (message, bad values) pairs
@@ -147,6 +148,11 @@ CASES = [
                          ("empty", np.array([], dtype=int)), ("below-2", np.array([3, 1]))]],
     # the entry forms take a column of d; the (d-1, d-1) matrix takes one d
     ("closed_qfim-column", partial(closed_qfim, KINDS[1], np.arange(2, 5)), ValueError, DIM_MESSAGE),
+    # the entries of a column of d are columns of the same shape
+    ("qfim_eigenvalues-entries-str", partial(qfim_eigenvalues, 3, "a", "b"), ValueError,
+     r"QFIM entries must be real numbers of d's shape \(\)"),
+    ("qfim_eigenvalues-scalar-entries-beside-a-column", partial(qfim_eigenvalues, np.arange(2, 5), 1.0, -0.5),
+     ValueError, r"QFIM entries must be real numbers of d's shape \(3,\)"),
     # the spectral route reads any density matrix, or a stack of them
     *[(f"spectral_output-{kind}", partial(spectral_output, rho), ValueError, DENSITY)
       for kind, rho in [("vector", np.ones(3)), ("non-square", np.ones((2, 3))), ("1x1", np.ones((1, 1))),
@@ -181,11 +187,23 @@ CASES = [
      "no weight on the support"),
     *[(f"{fn.__name__}-off-support", partial(fn, SimpleNamespace(density=off_support_density), P), ValueError,
        "no weight on the support") for fn in (qfim_numeric, attainability_numeric)],
+    # the solve's arguments, checked before eigh or a matmul reads them; a NaN is computed through
+    ("sld_solve-rho-string", partial(sld_solve, "x", np.eye(2)), ValueError, r"rho must be a numeric \(\.\.\., d, d\)"),
+    ("sld_solve-drho-none", partial(sld_solve, np.eye(2) / 2, None), ValueError, "drho must be a numeric array"),
+    ("sld_solve-drho-other-d", partial(sld_solve, np.eye(3) / 3, np.eye(2)), ValueError,
+     r"drho must be a numeric array of rho's \(d, d\) slices, got float64 of shape \(2, 2\)"),
+    ("sld_solve-stacks-do-not-broadcast", partial(sld_solve, np.stack([np.eye(2) / 2] * 3), np.zeros((2, 2, 2))),
+     ValueError, r"drho's stack \(2,\) does not broadcast against rho's \(3,\)"),
     # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError; True is no index
     *[(f"rho_derivative-mu-{mu}", partial(rho_derivative, KINDS[1], PhaseVector.zero(4), mu), IndexError,
        r"parameter index must be in 1\.\.d-1") for mu in (0, -1, 4, 1.5, True)],
     ("run_verification-dmax-above-the-limit", partial(run_verification, DMAX_FULL_LIMIT + 1), ValueError,
      f"dmax is limited to {DMAX_FULL_LIMIT}, to bound verify's run time; got {DMAX_FULL_LIMIT + 1}"),
+    # checked before any check runs, next to the seed
+    ("run_verification-progress-int", partial(run_verification, 2, progress=1), ValueError,
+     "progress must be None or callable, got 1"),
+    ("run_verification-mutate-str", partial(run_verification, 2, mutate="x"), ValueError,
+     "mutate must be a bool, got 'x'"),
     *[(f"reduce_first_qudit-length-{n}", partial(reduce_first_qudit, np.zeros(n, dtype=complex)), ValueError,
        f"state length {n} is not a qudit-cube") for n in (100, 1)],
 ]

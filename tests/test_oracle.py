@@ -166,6 +166,21 @@ class TestSldSolve:
             for mu in range(d - 1):
                 assert np.abs(got[mu] - sld_solve(rho, stack[mu])).max() <= 1e-15
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_density_stack_with_its_own_derivatives_matches_each_point(self, kind):
+        """A (k, d, d) stack of densities, each with its own (k, d, d) derivative,
+        takes _times_per_point's per-slice products: each slice equals its single
+        solve bit for bit."""
+        ch = channel(kind)
+        for d in (2, 3, 5):
+            p = PhaseVector.random(d, np.random.default_rng(d), 6)
+            rho = ch.density(p)
+            drho = _central_differences(ch.density, p, 1e-5)[:, d - 2]
+            got = sld_solve(rho, drho)
+            assert got.shape == rho.shape
+            for i in range(len(rho)):
+                assert np.array_equal(got[i], sld_solve(rho[i], drho[i]))
+
     def test_stack_raises_for_one_off_support_slice(self):
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         on = np.zeros((3, 3), dtype=complex)
@@ -298,30 +313,40 @@ def test_oracle_imports_no_fast_path():
     assert package_imports == {("channels", "ParamChannel"), ("states", "PhaseVector")}
 
 
-# the dense d^3 references and their module; the tests and the benchmark tracer use them
-DENSE_REFERENCES = {
-    "uqcm_full_output": "channels",
-    "pqcm_full_output": "channels",
-    "reduce_first_qudit": "channels",
-    "_tripartite": "channels",
-    "rho_derivative": "oracle",
-}
+# the check references, as (name, home module, the other src/ modules that may name it):
+# the dense d^3 cloner outputs and oracle.rho_derivative, the Helmert complement basis
+# and its derivatives, and the raw-weight attainability form.  verify, the tests and the
+# benchmark tracer call them; no program path does
+CHECK_REFERENCES = [
+    ("uqcm_full_output", "channels", ()),
+    ("pqcm_full_output", "channels", ()),
+    ("reduce_first_qudit", "channels", ()),
+    ("_tripartite", "channels", ()),
+    ("rho_derivative", "oracle", ()),
+    ("_helmert_rows", "states", ()),
+    ("complement_basis", "states", ("verify",)),
+    ("basis_derivatives", "states", ("verify",)),
+    ("_attainability_raw_weight", "crb", ("verify",)),
+]
 
 
-def test_no_program_path_reaches_the_dense_references():
-    """No module but its own names a dense reference, by name, attribute,
-    import or string, and the package does not export one."""
+def test_no_program_path_reaches_the_check_references():
+    """Each check reference is named in its home module, and in no other src/
+    module but those its entry allows, by definition, name, attribute, import or
+    string; the package does not export one."""
+    named = {}
     for path in Path(oracle_module.__file__).parent.glob("*.py"):
-        names = set()
+        names = named[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-        for name, home in DENSE_REFERENCES.items():
-            assert path.stem == home or name not in names, f"{path.name} references {name}"
-    assert not set(DENSE_REFERENCES) & set(phaseclone.__all__)
+    for name, home, allowed in CHECK_REFERENCES:
+        assert name in named[home], f"{name} is not in {home}"
+        assert [m for m, names in named.items() if name in names and m not in (home, *allowed)] == [], name
+    assert not {name for name, _, _ in CHECK_REFERENCES} & set(phaseclone.__all__)

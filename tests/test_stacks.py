@@ -11,10 +11,11 @@ import pytest
 
 import phaseclone
 from phaseclone import (
-    ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric,
-    basis_derivatives, complement_basis, crb, equatorial_state, oracle, phase_shift_unitary,
-    qfim_from_spectral, qfim_numeric, reconstruct_density, shrink_output, spectral_output,
+    ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric, crb,
+    equatorial_state, oracle, phase_shift_unitary, qfim_from_spectral, qfim_numeric, reconstruct_density,
+    shrink_output, spectral_output,
 )
+from phaseclone.states import basis_derivatives, complement_basis
 
 KINDS = [ParamChannel("pure"), ParamChannel("uqcm"), ParamChannel("pqcm"), ParamChannel("shrink", 0.4)]
 
