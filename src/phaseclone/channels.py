@@ -90,7 +90,7 @@ def _first_clone(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     rho = a[..., :, None] * a.conj()[..., None, :]
     rho *= w @ w.T
     weight = a.real**2 + a.imag**2
-    rho[..., range(d), range(d)] += off**2 * (weight.sum(axis=-1, keepdims=True) - weight)
+    rho.reshape(rho.shape[:-2] + (d * d,))[..., :: d + 1] += off**2 * (weight.sum(axis=-1, keepdims=True) - weight)
     return rho
 
 

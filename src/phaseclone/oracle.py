@@ -13,10 +13,11 @@ rho.  The solve's right products (drho V and L~ V^dagger, V the
 eigenvectors) run on each point's (d-1)*d merged rows, one matrix product
 per point.  sld_pass is the one evaluation: rho and all 2(d-1) shifted
 points come from one density call on a stack, and the defining traces
-G_mn = Tr(rho L_m L_n) for every pair (m, n) are one Gram product of the
-flattened rho L_m with the flattened transposes L_n^T.  Its views are the
-QFIM F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
-qfim_numeric and attainability_numeric return.  Every function takes one
+G_mn = Tr(rho L_m L_n) = Tr(L_m (L_n rho)) for every pair (m, n) are one
+Gram product of the flattened L_m with the flattened transposes
+(L_n rho)^T, every L_n rho from one merged-row product per point.  Its
+views are the QFIM F = Re(G + G^T)/2 and the attainability matrix
+A = Im G, which qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
 (k, ...) stack; each point of a stack gets the arithmetic of a single
 point, merged-row products of the same shapes included, so the results
@@ -55,14 +56,21 @@ def _stencil(fn, p: PhaseVector, h: float):
     of results.  Returns (fn(phi); the central differences (fn(phi + h e_mu)
     - fn(phi - h e_mu)) / 2h stacked as [..., mu-1] after the stack axes of
     p).  fn(phi) is copied out of the stack of results, so the stack is
-    freed on return.
+    freed on return.  A result that is not a numeric array with one leading
+    entry per point of the stack raises ValueError.
     """
     _check_args(p, h)
     shifts = h * np.eye(p.dim - 1)
     x = p.phases[..., None, :]
     shifted = np.stack((x + shifts, x - shifts))
     centres = p.phases.reshape(-1, p.dim - 1)
-    out = fn(PhaseVector(p.dim, np.concatenate((centres, shifted.reshape(-1, p.dim - 1)))))
+    points = np.concatenate((centres, shifted.reshape(-1, p.dim - 1)))
+    out = np.asarray(fn(PhaseVector(p.dim, points)))
+    if out.dtype.kind not in "iufc" or out.shape[:1] != points.shape[:1]:
+        raise ValueError(
+            f"the differentiated function must return a numeric array with one leading entry per point, "
+            f"{len(points)} here; got {out.dtype} of shape {out.shape}"
+        )
     n = len(centres)
     at = out[:n].reshape(p.phases.shape[:-1] + out.shape[1:]).copy()
     out = out[n:].reshape(shifted.shape[:-1] + out.shape[1:])
@@ -168,7 +176,8 @@ class SldPass:
 def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> SldPass:
     """rho, its central differences, their SLDs and G from one density call.
 
-    G_mn = Tr(rho L_m L_n) = sum_ab (rho L_m)_ab (L_n)_ba, one matrix product per point.
+    G_mn = Tr(L_m (L_n rho)) = sum_ab (L_m)_ab (L_n rho)_ba: L_n rho on each point's
+    merged rows, then one matrix product per point.
     """
     if not callable(getattr(channel, "density", None)):  # a ParamChannel, or any family with a density
         raise ValueError(f"expected a ParamChannel or an object with a density method, got {channel!r}")
@@ -176,7 +185,8 @@ def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) 
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too
-    gram = (rho_b @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    l_rho_t = _times_per_point(slds, rho_b).swapaxes(-1, -2)
+    gram = slds.reshape(flat) @ l_rho_t.reshape(flat).swapaxes(-1, -2)
     return SldPass(rho, drho, slds, gram)
 
 

@@ -137,16 +137,34 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __post_init__(self):
+        lam, vecs = np.asarray(self.eigenvalues), np.asarray(self.eigenvectors)
+        if lam.dtype.kind not in "iuf" or lam.ndim < 1:
+            raise ValueError(f"eigenvalues must be a real (..., d) array, got {lam.dtype} of shape {lam.shape}")
+        if vecs.dtype.kind not in "iufc" or vecs.shape != lam.shape + lam.shape[-1:]:
+            raise ValueError(
+                f"eigenvectors must be a numeric (..., d, d) array of the eigenvalues' stack and d, "
+                f"got {vecs.dtype} of shape {vecs.shape} for eigenvalues of shape {lam.shape}"
+            )
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvectors", vecs)
+
 
 def spectral_output(rho: np.ndarray) -> SpectralDecomposition:
     """One np.linalg.eigh of a (d, d) density matrix, d >= 2, or of each of a stack of them;
     negative eigenvalues are rounding, clipped to 0.  A non-numeric or non-square array,
-    a non-finite entry, or a matrix with no positive eigenvalue raises ValueError."""
+    a non-finite entry, a matrix that is not Hermitian up to rounding (eigh would read
+    its lower triangle alone), or a matrix with no positive eigenvalue raises ValueError."""
     rho = np.asarray(rho)
     if rho.dtype.kind not in "iufc" or rho.ndim < 2 or not rho.shape[-1] == rho.shape[-2] >= 2:
         raise ValueError(f"density matrix must be a numeric (..., d, d) array with d >= 2, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix must have finite entries")
+    # the asymmetry that rounding leaves in a product U rho_0 U^dagger stays below d eps max|rho|
+    # (dense random unitaries, d = 2..128); 8 times that is the bound
+    size = np.abs(rho).max(axis=(-2, -1))
+    if (np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 8 * rho.shape[-1] * _EPS * size).any():
+        raise ValueError("density matrix must be Hermitian")
     lam, vecs = np.linalg.eigh(rho)
     lam = np.maximum(lam, 0.0)
     if not lam.any(axis=-1).all():

@@ -15,8 +15,8 @@ import phaseclone
 from phaseclone import (
     ParamChannel, PhaseVector, attainability_closed, attainability_numeric, closed_entries, closed_qfim,
     equatorial_state, phase_shift_unitary, qfim_eigenvalues, qfim_from_spectral, qfim_numeric, qfim_shrink_entries,
-    qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve, spectral_output,
-    total_variance_bound,
+    SpectralDecomposition, qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve,
+    spectral_output, total_variance_bound,
 )
 from phaseclone.channels import reduce_first_qudit
 from phaseclone.oracle import rho_derivative, sld_pass
@@ -159,6 +159,10 @@ CASES = [
                         ("string", "rho"), ("bool", np.eye(3, dtype=bool)), ("object", np.eye(3, dtype=object))]],
     *[(f"spectral_output-{bad}-entry", partial(spectral_output, np.where(np.eye(3, dtype=bool), bad, 0.0)), ValueError,
        "density matrix must have finite entries") for bad in (nan, inf)],
+    # eigh would read the lower triangle alone, [[1, 0], [0, 0]] here
+    *[(f"spectral_output-not-hermitian-{kind}", partial(spectral_output, rho), ValueError,
+       "density matrix must be Hermitian") for kind, rho in [("upper", np.array([[1.0, 1.0], [0.0, 0.0]])),
+       ("in-a-stack", np.stack((np.eye(3) / 3, np.eye(3) / 3 + 1e-6j * np.triu(np.ones((3, 3)), 1))))]],
     ("spectral_output-empty-support", partial(spectral_output, EMPTY_SUPPORT), ValueError,
      "density matrix has empty support"),
     ("spectral_output-empty-support-in-a-stack", partial(spectral_output, np.stack((np.eye(3), EMPTY_SUPPORT))),
@@ -183,6 +187,23 @@ CASES = [
       for fn in (sld_pass, qfim_numeric, attainability_numeric)],
     ("rho_derivative-list", partial(rho_derivative, KINDS[1], [0.1, 0.2], 1), ValueError, "expected a PhaseVector"),
     ("reconstruct_density-str", partial(reconstruct_density, "x"), ValueError, "expected a SpectralDecomposition"),
+    # a decomposition's fields are checked when it is built, before any routine reads them
+    *[(f"SpectralDecomposition-{kind}", partial(SpectralDecomposition, lam, vecs), ValueError, message)
+      for kind, lam, vecs, message in [
+          ("strings", "a", "b", r"eigenvalues must be a real \(\.\.\., d\) array"),
+          ("complex-eigenvalues", np.ones(3) + 0j, np.eye(3), r"eigenvalues must be a real \(\.\.\., d\) array"),
+          ("bool-eigenvalues", np.ones(3, dtype=bool), np.eye(3), r"eigenvalues must be a real \(\.\.\., d\) array"),
+          ("string-eigenvectors", np.ones(3), "b", r"eigenvectors must be a numeric \(\.\.\., d, d\) array"),
+          ("other-d", np.ones(3), np.eye(2), r"eigenvectors must be a numeric \(\.\.\., d, d\) array"),
+          ("non-square", np.ones(3), np.ones((3, 2)), r"eigenvectors must be a numeric \(\.\.\., d, d\) array"),
+          ("other-stack", np.ones((2, 3)), np.stack([np.eye(3)] * 4), r"eigenvectors must be a numeric"),
+      ]],
+    # the oracle reads what any density returns: a numeric array, one entry per point of its stencil
+    *[(f"{fn.__name__}-density-{kind}", partial(fn, SimpleNamespace(density=density), P, *extra), ValueError,
+       r"must return a numeric array with one leading entry per point, 5 here")
+      for kind, density in [("str", lambda p: "rho"), ("too-few-points", lambda p: np.zeros((2, 3, 3))),
+                            ("object", lambda p: np.zeros((len(p.phases), 3, 3), dtype=object))]
+      for fn, extra in [(sld_pass, ()), (qfim_numeric, ()), (attainability_numeric, ()), (rho_derivative, (1,))]],
     ("sld_solve-off-support", partial(sld_solve, np.diag([1.0, 0, 0]), np.diag([0, 1.0, -1])), ValueError,
      "no weight on the support"),
     *[(f"{fn.__name__}-off-support", partial(fn, SimpleNamespace(density=off_support_density), P), ValueError,

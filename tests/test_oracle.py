@@ -192,12 +192,14 @@ class TestSldSolve:
 
 
 def two_call_gram(ch, p, h):
-    """G = Tr(rho L_m L_n) with rho and the shifted points from two density calls:
+    """G = Tr(L_m (L_n rho)) with rho and the shifted points from two density calls:
     the reference that the one-call pass must reproduce bit for bit."""
-    rho = ch.density(p)[..., None, :, :]
-    slds = sld_solve(rho, _central_differences(ch.density, p, h))
-    flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)
-    return (rho @ slds).reshape(flat) @ slds.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    rho = ch.density(p)
+    slds = sld_solve(rho[..., None, :, :], _central_differences(ch.density, p, h))
+    d = p.dim
+    l_rho = (slds.reshape(slds.shape[:-3] + ((d - 1) * d, d)) @ rho).reshape(slds.shape)  # each point's merged rows
+    flat = slds.shape[:-2] + (d * d,)
+    return slds.reshape(flat) @ l_rho.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
 
 
 class TestSldPass:

@@ -193,19 +193,34 @@ def test_report_passes_the_benchmark_check(capsys):
 
 
 @pytest.mark.parametrize(
-    "scale, failing",
+    "fault, failing",
     [
-        (1e-6, ["sld_residual"]),
-        (1e-4, [f"oracle_agreement_{kind}" for kind in ("pure", "uqcm", "pqcm", "shrink")] + ["sld_residual"]),
+        (lambda l: l * (1 + 1e-6), ["sld_residual"]),
+        (lambda l: l * (1 + 1e-4), [f"oracle_agreement_{kind}" for kind in ("pure", "uqcm", "pqcm", "shrink")]
+         + ["sld_residual"]),
+        (lambda l: l + 1e-6j * np.eye(l.shape[-1]), ["sld_residual"]),
     ],
-    ids=["1e-6", "1e-4"],
+    ids=["1e-6", "1e-4", "anti-hermitian-1e-6j"],
 )
-def test_shared_pass_still_guards_the_solver(monkeypatch, scale, failing):
-    """A solver off by a factor 1 + scale fails the SLD residual at 1e-6, and
-    the closed-form agreement too at 1e-4 (G moves by 2 scale F, and F <= 1)."""
+def test_shared_pass_still_guards_the_solver(monkeypatch, fault, failing):
+    """A solver off by a factor 1 + 1e-6 fails the SLD residual, and the closed-form
+    agreement too at 1 + 1e-4 (G moves by 2e-4 F, and F <= 1).  An anti-Hermitian
+    part i eps I leaves L rho + (L rho)^dagger as it was, but not L rho + rho L:
+    the residual meets both sides."""
     solve = oracle.sld_solve
-    monkeypatch.setattr(oracle, "sld_solve", lambda rho, drho: solve(rho, drho) * (1 + scale))
+    monkeypatch.setattr(oracle, "sld_solve", lambda rho, drho: fault(solve(rho, drho)))
     assert [r.name for r in run_verification(dmax_full=4) if not r.passed] == failing
+
+
+def test_spectral_route_runs_once_per_stack(monkeypatch):
+    """Each spectral check decomposes all of its draws at one d as one stack: 9 d
+    of closed_vs_spectral, 11 term-sum draws, 2 phase-independence stacks, 7 d of
+    the attainability block and 9 d of spectral_reconstruction."""
+    calls = []
+    spectral_output = qfim.spectral_output
+    monkeypatch.setattr(qfim, "spectral_output", lambda rho: calls.append(rho.shape) or spectral_output(rho))
+    assert all(r.passed for r in run_verification(dmax_full=8))
+    assert len(calls) == 38
 
 
 def test_broken_off_diagonal_entry_is_caught(monkeypatch):
