@@ -184,7 +184,7 @@ def cloning_channels(rng, dmax_full, mutate):
 
 
 def closed_vs_spectral(rng, dmax_full, mutate):
-    # drawn channel-major, then one (channel, d, d) stack per d through the spectral route
+    # drawn channel-major, so that each seed keeps its draws; then one (channel, d, d) stack per d
     cases = (UQCM, PQCM, SHRINK)
     draws = [[PhaseVector.random(d, rng) for d in range(2, 11)] for _ in cases]
     errs = {ch.kind: [] for ch in cases}
@@ -288,7 +288,6 @@ def variance_bounds(rng, dmax_full, mutate):
         errs.extend(np.abs(structured - np.linalg.eigvalsh(qfim._from_entries(fdiag, foff, d))).max(axis=1))
     yield "structured_vs_dense_eigenvalues", errs
 
-    # both etas of a d in one stack
     errs = []
     for d in range(2, 11):
         rho = np.stack([channels.shrink_output(PhaseVector.random(d, rng), eta) for eta in (0.5, channels.eta_uqcm(d))])
