@@ -40,7 +40,6 @@ from .qfim import (
     qfim_pure_entries,
     qfim_shrink_entries,
     qfim_uqcm_entries,
-    reconstruct_density,
     spectral_output,
 )
 from .states import (
@@ -74,7 +73,6 @@ __all__ = [
     "qfim_pure_entries",
     "qfim_shrink_entries",
     "qfim_uqcm_entries",
-    "reconstruct_density",
     "run_verification",
     "shrink_output",
     "sld_solve",

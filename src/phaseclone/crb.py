@@ -4,13 +4,11 @@ and total-variance lower bounds.
 The simultaneous bound for all phases is attainable exactly when the
 commutator-trace matrix
 
-    A_mn = Im Tr(rho L_m L_n) = Im G_mn
-         = sum_{i,j} (2 (lam_i - lam_j)^3/(lam_i + lam_j)^2) Im (P_m)_ij (P_n)_ji
+    A_mn = Im Tr(rho L_m L_n) = Im G_mn = Im (G_mn - G_nm)/2
 
-vanishes, in the notation of qfim: only the antisymmetric part of G's weight
-enters.  For the equatorial family it does vanish, entrywise: the output is
-U(phi) applied to a real matrix, so in a real eigenbasis rotated by U(phi)
-every (P_m)_ij is real.
+vanishes, in the notation of qfim.  For the equatorial family it does
+vanish, entrywise: the output is U(phi) applied to a real matrix, so in a
+real eigenbasis rotated by U(phi) every (P_m)_ij is real.
 """
 
 from __future__ import annotations
@@ -32,12 +30,6 @@ def attainability_closed(sd: SpectralDecomposition) -> np.ndarray:
     return (g - g.swapaxes(-1, -2)).imag / 2.0
 
 
-def _attainability_raw_weight(sd: SpectralDecomposition) -> np.ndarray:
-    # Im G from the antisymmetric weight 2(lam_i - lam_j)^3/(lam_i + lam_j)^2 alone;
-    # equal to attainability_closed by the antisymmetric-sum identity
-    return _gram(sd, lambda li, lj, r: 2.0 * (li - lj) * r * r).imag
-
-
 def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:
     """Eigenvalues of the equatorial-structure QFIM with entries (fdiag, foff).
 
@@ -47,12 +39,15 @@ def qfim_eigenvalues(d: int | np.ndarray, fdiag, foff) -> tuple:
     returned: the sum cancels, losing up to 3e-10 relative at d ~ 10^6.  For
     d = 2 there is no second eigenvalue and lam2 is NaN.  d may be a 1-D
     integer array with entry columns to match, giving two columns; entries
-    that are not real numbers of d's shape raise ValueError.
+    that are not real numbers of d's shape raise ValueError.  The entries are
+    read as float64, so a list runs as the column it spells and one d gives
+    numpy floats.
     """
     d = _check_dims(d)
     for f in (fdiag, foff):
         if np.asarray(f).dtype.kind not in "iuf" or np.shape(f) != np.shape(d):
             raise ValueError(f"QFIM entries must be real numbers of d's shape {np.shape(d)}, got {f!r}")
+    fdiag, foff = (np.asarray(f, dtype=float)[()] for f in (fdiag, foff))
     return -foff, np.where(d > 2, fdiag - foff, np.nan)[()]
 
 

@@ -114,14 +114,18 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     In the eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) wherever the
     denominator exceeds SLD_SUPPORT_TOL; kernel-kernel entries are set to zero
     (any completion solves the defining equation there, and the information
-    traces are insensitive to that block).  rho has shape (..., d, d) and
+    traces are insensitive to that block).  One path serves every rank: for a
+    full-rank rho the mask is all true, so the masked divide is the plain one
+    and the support guard cannot fire.  rho has shape (..., d, d) and
     drho is any stack that broadcasts against it, e.g. (k, 1, d, d) against
     (k, d-1, d, d); one eigendecomposition per rho serves every slice, and
     a slice with no weight on the support raises ValueError.  The right
     products drho V and L~ V^dagger run on each point's merged rows.  A
-    non-numeric or non-square rho, or a non-numeric drho whose last axes are
-    not (d, d) or whose leading axes do not broadcast, raises ValueError; a
-    NaN is computed through, for verify to report.
+    non-numeric or non-square rho, a rho that is not Hermitian up to rounding
+    (|rho - rho^dagger| <= 8 d eps max|rho| per matrix, as in the spectral
+    route; eigh would read its lower triangle alone), or a non-numeric drho
+    whose last axes are not (d, d) or whose leading axes do not broadcast,
+    raises ValueError; a NaN is computed through, for verify to report.
     """
     rho, drho = np.asarray(rho), np.asarray(drho)
     if rho.dtype.kind not in "iufc" or rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -132,13 +136,15 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
         np.broadcast_shapes(rho.shape[:-2], drho.shape[:-2])
     except ValueError:
         raise ValueError(f"drho's stack {drho.shape[:-2]} does not broadcast against rho's {rho.shape[:-2]}") from None
+    size = np.abs(rho).max(axis=(-2, -1), initial=0.0)  # initial: a d = 0 rho has nothing to compare
+    asymmetry = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (asymmetry > 8 * rho.shape[-1] * np.finfo(float).eps * size).any():
+        raise ValueError("rho must be Hermitian")
     lam, v = np.linalg.eigh(rho)
     vh = v.conj().swapaxes(-1, -2)
     dtil = vh @ _times_per_point(drho, v)
     denom = lam[..., :, None] + lam[..., None, :]
     solvable = denom > SLD_SUPPORT_TOL
-    if solvable.all():  # rho of full rank: no kernel block to guard or to zero
-        return v @ _times_per_point(2.0 * dtil / denom, vh)
     # squared Frobenius norms: no weight on the support means |on| < 1e-14 |total|
     mag = dtil.real**2 + dtil.imag**2
     total = mag.sum(axis=(-2, -1))

@@ -19,6 +19,8 @@ eigenvalue grouping is needed: a rounding-sized eigenvalue carries a
 rounding-sized weight.  Only a pair whose lam_i + lam_j is below eigh's
 rounding floor gets w_ij = 0: both are rounding of a zero eigenvalue.  The
 route never sees eta; for the two cloners it reads the traced cloner output.
+Its check-only forms, the rebuilt V diag(lam) V^dagger and the raw weight of
+Im G alone, live in verify.
 """
 
 from __future__ import annotations
@@ -170,14 +172,6 @@ def spectral_output(rho: np.ndarray) -> SpectralDecomposition:
     if not lam.any(axis=-1).all():
         raise ValueError("density matrix has empty support")
     return SpectralDecomposition(lam, vecs)
-
-
-def reconstruct_density(sd: SpectralDecomposition) -> np.ndarray:
-    """Rebuild sum_i lam_i |psi_i><psi_i| from a spectral decomposition, per point of a stack."""
-    if not isinstance(sd, SpectralDecomposition):
-        raise ValueError(f"expected a SpectralDecomposition, got {sd!r}")
-    v = sd.eigenvectors
-    return (v * sd.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _merge_last_two(x: np.ndarray) -> np.ndarray:

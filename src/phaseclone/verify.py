@@ -40,6 +40,10 @@ CHANNELS = (PURE, UQCM, PQCM, SHRINK)
 # qfim._gram weights of the two term sums of G, whose difference is G's own weight
 TERM_WEIGHTS = (lambda li, lj, r: 4.0 * li * np.ones_like(r), lambda li, lj, r: 4.0 * li * (1.0 - r * r))
 
+# the antisymmetric part of G's weight, 2 (l_i - l_j) r_ij^2 = 2 (l_i - l_j)^3/(l_i + l_j)^2: the
+# symmetric part drops out of Im G, so this weight alone gives the attainability matrix again
+RAW_WEIGHT = lambda li, lj, r: 2.0 * (li - lj) * r * r
+
 ETA_SWEEP = np.repeat([2, 4, 8], 10), np.tile(np.linspace(0.1, 1.0, 10), 3)  # (d, eta) of both *_monotone_in_eta
 
 # every check in run order; an inequality check at 0.0 allows no violation
@@ -291,7 +295,9 @@ def variance_bounds(rng, dmax_full, mutate):
     errs = []
     for d in range(2, 11):
         rho = np.stack([channels.shrink_output(PhaseVector.random(d, rng), eta) for eta in (0.5, channels.eta_uqcm(d))])
-        errs.append(np.abs(qfim.reconstruct_density(qfim.spectral_output(rho)) - rho).max())
+        sd = qfim.spectral_output(rho)
+        v = sd.eigenvectors
+        errs.append(np.abs((v * sd.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2) - rho).max())
     yield "spectral_reconstruction", errs
 
 
@@ -322,7 +328,7 @@ def attainability_and_oracle(rng, dmax_full, mutate):
         sd = qfim.spectral_output(np.stack([ch.density(p) for ch, p in zip(cases, points)]))
         closed = crb.attainability_closed(sd)
         err_closed.append(np.abs(closed).max())
-        err_forms.append(np.abs(closed - crb._attainability_raw_weight(sd)).max())
+        err_forms.append(np.abs(closed - qfim._gram(sd, RAW_WEIGHT).imag).max())
         for ch, p, a in zip(cases, points, closed):
             num = oracle_pass(ch, p).attainability
             err_num.append(np.abs(num).max())

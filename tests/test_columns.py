@@ -81,6 +81,10 @@ def test_a_list_is_a_column_and_a_0d_array_is_one_d():
     # so is eta: a list of them runs as the column it spells
     for fn, d, eta in ((total_variance_bound, 5, [0.5]), (qfim_shrink_entries, np.arange(2, 4), [0.5, 0.6])):
         assert bits(outputs(fn(d, eta))) == bits(outputs(fn(d, np.array(eta))))
+    # and so are qfim_eigenvalues' entries, read as float64: one d gives numpy floats
+    column = np.arange(2, 4), np.array([1.0, 2.0]), np.array([-1.0, -1.0])
+    assert bits(qfim_eigenvalues([2, 3], [1.0, 2.0], [-1.0, -1.0])) == bits(qfim_eigenvalues(*column))
+    assert all(type(x) is np.float64 for x in qfim_eigenvalues(3, 1, -1))
 
 
 def outcome(fn, d, eta):

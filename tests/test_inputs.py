@@ -15,7 +15,7 @@ import phaseclone
 from phaseclone import (
     ParamChannel, PhaseVector, attainability_closed, attainability_numeric, closed_entries, closed_qfim,
     equatorial_state, phase_shift_unitary, qfim_eigenvalues, qfim_from_spectral, qfim_numeric, qfim_shrink_entries,
-    SpectralDecomposition, qfim_uqcm_entries, reconstruct_density, run_verification, shrink_output, sld_solve,
+    SpectralDecomposition, qfim_uqcm_entries, run_verification, shrink_output, sld_solve,
     spectral_output, total_variance_bound,
 )
 from phaseclone.channels import reduce_first_qudit
@@ -109,6 +109,14 @@ def off_support_density(p):
     return np.diag([1.0, 0, 0]) + x * np.array([[0, 1.0, 0], [1, 0, 0], [0, 0, 0]]) + y * np.diag([0, 1.0, -1])
 
 
+def upper_triangular_density(p):
+    """[[0.6, 0.3 e^{i phi}], [0, 0.4]]: eigh would read diag(0.6, 0.4), which has no phase."""
+    out = np.zeros(p.phases.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = 0.6, 0.4
+    out[..., 0, 1] = 0.3 * np.exp(1j * p.phases[..., 0])
+    return out
+
+
 EMPTY_SUPPORT = np.zeros((3, 3))
 FINITE, ONE_ETA, DIM_MESSAGE = "phases must be finite", "expected one eta", DIM[0][0]
 DENSITY = r"density matrix must be a numeric \(\.\.\., d, d\) array with d >= 2"
@@ -186,7 +194,6 @@ CASES = [
     *[(f"{fn.__name__}-list", partial(fn, KINDS[1], [0.1, 0.2]), ValueError, "expected a PhaseVector")
       for fn in (sld_pass, qfim_numeric, attainability_numeric)],
     ("rho_derivative-list", partial(rho_derivative, KINDS[1], [0.1, 0.2], 1), ValueError, "expected a PhaseVector"),
-    ("reconstruct_density-str", partial(reconstruct_density, "x"), ValueError, "expected a SpectralDecomposition"),
     # a decomposition's fields are checked when it is built, before any routine reads them
     *[(f"SpectralDecomposition-{kind}", partial(SpectralDecomposition, lam, vecs), ValueError, message)
       for kind, lam, vecs, message in [
@@ -215,6 +222,14 @@ CASES = [
      r"drho must be a numeric array of rho's \(d, d\) slices, got float64 of shape \(2, 2\)"),
     ("sld_solve-stacks-do-not-broadcast", partial(sld_solve, np.stack([np.eye(2) / 2] * 3), np.zeros((2, 2, 2))),
      ValueError, r"drho's stack \(2,\) does not broadcast against rho's \(3,\)"),
+    # as in the spectral route: eigh would read the lower triangle alone, diag(0.5, 0.5) here
+    ("sld_solve-not-hermitian", partial(sld_solve, [[0.5, 0.5], [0, 0.5]], [[0, 1], [1, 0]]), ValueError,
+     "rho must be Hermitian"),
+    ("sld_solve-not-hermitian-in-a-stack",
+     partial(sld_solve, np.stack((np.eye(3) / 3, np.eye(3) / 3 + 1e-6j * np.triu(np.ones((3, 3)), 1), np.eye(3) / 3)),
+             np.zeros((3, 3))), ValueError, "rho must be Hermitian"),
+    ("qfim_numeric-not-hermitian", partial(qfim_numeric, SimpleNamespace(density=upper_triangular_density),
+                                           PhaseVector(2, [0.5])), ValueError, "rho must be Hermitian"),
     # mu = 0 would otherwise shift phi_{d-1}; mu = d would hit a bare numpy IndexError; True is no index
     *[(f"rho_derivative-mu-{mu}", partial(rho_derivative, KINDS[1], PhaseVector.zero(4), mu), IndexError,
        r"parameter index must be in 1\.\.d-1") for mu in (0, -1, 4, 1.5, True)],

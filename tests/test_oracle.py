@@ -11,8 +11,10 @@ from strategies import phase
 import phaseclone
 import phaseclone.oracle as oracle_module
 from phaseclone.oracle import (
+    SLD_SUPPORT_TOL,
     ParamChannel,
     _central_differences,
+    _times_per_point,
     attainability_numeric,
     qfim_numeric,
     rho_derivative,
@@ -181,6 +183,24 @@ class TestSldSolve:
             for i in range(len(rho)):
                 assert np.array_equal(got[i], sld_solve(rho[i], drho[i]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_full_rank_solve_is_the_plain_quotient(self, scale):
+        """For full-rank densities the one guarded path gives the bits of the plain
+        expression V (2 dtil / (lam_i + lam_j)) V^dagger, and never raises: a stack of
+        densities, each with its own central differences, scaled far down and far up."""
+        for kind in ("uqcm", "pqcm", "shrink"):
+            ch = channel(kind)
+            for d in range(2, 10):
+                p = PhaseVector.random(d, np.random.default_rng(d), 4)
+                rho = ch.density(p)[:, None]
+                drho = scale * _central_differences(ch.density, p, 1e-5)
+                lam, v = np.linalg.eigh(rho)
+                vh = v.conj().swapaxes(-1, -2)
+                dtil = vh @ _times_per_point(drho, v)
+                denom = lam[..., :, None] + lam[..., None, :]
+                assert (denom > SLD_SUPPORT_TOL).all(), (kind, d)
+                assert np.array_equal(sld_solve(rho, drho), v @ _times_per_point(2 * dtil / denom, vh)), (kind, d)
+
     def test_stack_raises_for_one_off_support_slice(self):
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         on = np.zeros((3, 3), dtype=complex)
@@ -317,8 +337,8 @@ def test_oracle_imports_no_fast_path():
 
 # the check references, as (name, home module, the other src/ modules that may name it):
 # the dense d^3 cloner outputs and oracle.rho_derivative, the Helmert complement basis
-# and its derivatives, and the raw-weight attainability form.  verify, the tests and the
-# benchmark tracer call them; no program path does
+# and its derivatives, and verify's raw weight of the attainability matrix.  verify, the
+# tests and the benchmark tracer call them; no program path does
 CHECK_REFERENCES = [
     ("uqcm_full_output", "channels", ()),
     ("pqcm_full_output", "channels", ()),
@@ -328,7 +348,7 @@ CHECK_REFERENCES = [
     ("_helmert_rows", "states", ()),
     ("complement_basis", "states", ("verify",)),
     ("basis_derivatives", "states", ("verify",)),
-    ("_attainability_raw_weight", "crb", ("verify",)),
+    ("RAW_WEIGHT", "verify", ()),
 ]
 
 

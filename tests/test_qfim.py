@@ -19,7 +19,6 @@ from phaseclone.qfim import (
     qfim_pure_entries,
     qfim_shrink_entries,
     qfim_uqcm_entries,
-    reconstruct_density,
     spectral_output,
 )
 from phaseclone.channels import shrink_output
@@ -104,8 +103,11 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("d,eta", [(2, 0.5), (4, 0.8), (7, 1.0)])
     def test_reconstruction(self, d, eta):
+        # V diag(lam) V^dagger gives rho back, the rank-1 output (eta = 1) with its clipped eigenvalues included
         rho = shrink_output(PhaseVector.random(d, np.random.default_rng(d)), eta)
-        assert np.abs(reconstruct_density(spectral_output(rho)) - rho).max() < 1e-12
+        sd = spectral_output(rho)
+        v = sd.eigenvectors
+        assert np.abs((v * sd.eigenvalues[None, :]) @ v.conj().T - rho).max() < 1e-12
 
     def test_support_rank_pure(self):
         # one eigenvalue 1; the other four are rounding, clipped at 0 from below
@@ -150,7 +152,9 @@ class TestSpectralRoute:
         generator identity d_m rho = i[P_m, rho]: on the rebuilt density they match
         the central differences of the traced cloner."""
         stack = PhaseVector.random(d, np.random.default_rng(70 + d), 4)
-        rho = reconstruct_density(spectral_output(UQCM.density(stack)))
+        sd = spectral_output(UQCM.density(stack))
+        v = sd.eigenvectors
+        rho = (v * sd.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
         proj = np.eye(d)[1:, :, None] * np.eye(d)[1:, None, :]  # P_m = |m><m|, m = 1..d-1
         generated = 1j * (proj @ rho[:, None] - rho[:, None] @ proj)
         assert np.abs(generated - _central_differences(UQCM.density, stack, 1e-5)).max() < 1e-9

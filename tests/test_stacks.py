@@ -11,9 +11,8 @@ import pytest
 
 import phaseclone
 from phaseclone import (
-    ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric, crb,
-    equatorial_state, oracle, phase_shift_unitary, qfim_from_spectral, qfim_numeric, reconstruct_density,
-    shrink_output, spectral_output,
+    ParamChannel, PhaseVector, SpectralDecomposition, attainability_closed, attainability_numeric, equatorial_state,
+    oracle, phase_shift_unitary, qfim_from_spectral, qfim_numeric, shrink_output, spectral_output,
 )
 from phaseclone.states import basis_derivatives, complement_basis
 
@@ -57,7 +56,7 @@ ROUTINES = {
     "spectral_output(0.3)": spectral_fields,
     **{
         f"{fn.__name__}(spectral_output({e}))": spectral(fn, ch)
-        for fn in (qfim_from_spectral, attainability_closed, crb._attainability_raw_weight, reconstruct_density)
+        for fn in (qfim_from_spectral, attainability_closed)
         for e, ch in ETAS.items()
     },
     **{f"qfim_numeric({ch.kind})": partial(qfim_numeric, ch) for ch in KINDS},
