@@ -11,6 +11,8 @@ certifies simultaneous estimation of all phases.
 
 The complement basis and its derivatives, the dense cloner outputs and
 oracle.rho_derivative are check references that no program path calls, not API.
+The verification suite and the finite-difference oracle load on first use of
+one of their names, so the closed forms import without them.
 """
 
 from .channels import (
@@ -24,12 +26,6 @@ from .crb import (
     attainability_closed,
     qfim_eigenvalues,
     total_variance_bound,
-)
-from .oracle import (
-    DEFAULT_FD_STEP,
-    attainability_numeric,
-    qfim_numeric,
-    sld_solve,
 )
 from .qfim import (
     SpectralDecomposition,
@@ -47,7 +43,6 @@ from .states import (
     equatorial_state,
     phase_shift_unitary,
 )
-from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"
 
@@ -79,3 +74,15 @@ __all__ = [
     "spectral_output",
     "total_variance_bound",
 ]
+
+# names whose submodule is imported on their first use (PEP 562)
+_LAZY = {"CheckResult": "verify", "run_verification": "verify", "DEFAULT_FD_STEP": "oracle",
+         "attainability_numeric": "oracle", "qfim_numeric": "oracle", "sld_solve": "oracle"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

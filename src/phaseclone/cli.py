@@ -22,6 +22,8 @@ own flags, and the whole line is parsed again on the same parser.  So each
 value is checked as its flag is, and explicit flags win.  A key that names no
 option of the subcommand is a usage error.  verify's tolerances
 and oracle step are fixed in the verify module; no key or flag sets them.
+verify (with the oracle) and json are imported by the commands that use
+them, so compute and figure start with the closed forms alone.
 compute and figure call each closed form once, on the whole column of
 dimensions, and write each CSV row from one %-template.  CSV output uses a
 header row, 12 significant digits, and LF line endings, so fixed inputs give
@@ -31,7 +33,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -41,7 +42,7 @@ from . import __version__
 from .channels import MACHINES, ParamChannel, eta_pqcm, eta_uqcm
 from .crb import qfim_eigenvalues, total_variance_bound
 from .qfim import CLOSED_FORM_DMAX, closed_entries, qfim_pqcm_entries, qfim_pure_entries, qfim_uqcm_entries
-from .verify import DEFAULT_SEED, DMAX_FULL_LIMIT, CheckResult, check_arguments, run_verification
+from .states import DEFAULT_SEED, DMAX_FULL_LIMIT
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -116,6 +117,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # verify's spectral and oracle checks carry the numerical evidence
     columns = (dims, eta, fdiag, foff, lam1, lam2, var_min)
     if args.fmt == "json":
+        import json
         rows = [  # NaN (lambda2 at d = 2) -> null keeps the output strict JSON
             {**{k: None if v != v else v for k, v in zip(header, row)}, "attainable": True}
             for row in _rows(columns)
@@ -152,21 +154,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from . import verify  # looked up at each call: a wrapper bound on the module is reached
     try:
-        check_arguments(args.dmax)
+        verify.check_arguments(args.dmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_seed(args.seed)
     _check_out(args.out)  # before the first check; a failed run keeps the old report
 
-    def progress(res: CheckResult) -> None:
+    def progress(res: verify.CheckResult) -> None:
         mark = "pass" if res.passed else "FAIL"
         print(
             f"[{mark}] {res.name}: max_error={res.max_error:.3e} tolerance={res.tolerance:.1e}",
             file=sys.stderr,
         )
 
-    results = run_verification(dmax_full=args.dmax, seed=args.seed, mutate=args.mutate, progress=progress)
+    results = verify.run_verification(dmax_full=args.dmax, seed=args.seed, mutate=args.mutate, progress=progress)
     report = [r.as_dict() for r in results]
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     n_fail = sum(not r.passed for r in results)

@@ -116,16 +116,17 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     (any completion solves the defining equation there, and the information
     traces are insensitive to that block).  One path serves every rank: for a
     full-rank rho the mask is all true, so the masked divide is the plain one
-    and the support guard cannot fire.  rho has shape (..., d, d) and
-    drho is any stack that broadcasts against it, e.g. (k, 1, d, d) against
-    (k, d-1, d, d); one eigendecomposition per rho serves every slice, and
-    a slice with no weight on the support raises ValueError.  The right
-    products drho V and L~ V^dagger run on each point's merged rows.  A
-    non-numeric or non-square rho, a rho that is not Hermitian up to rounding
-    (|rho - rho^dagger| <= 8 d eps max|rho| per matrix, as in the spectral
-    route; eigh would read its lower triangle alone), or a non-numeric drho
-    whose last axes are not (d, d) or whose leading axes do not broadcast,
-    raises ValueError; a NaN is computed through, for verify to report.
+    and the support guard, which cannot fire, is skipped.  rho has shape
+    (..., d, d) and drho is any stack that broadcasts against it, e.g.
+    (k, 1, d, d) against (k, d-1, d, d); one eigendecomposition per rho
+    serves every slice, and a slice with no weight on the support raises
+    ValueError.  The right products drho V and L~ V^dagger run on each
+    point's merged rows.  A non-numeric or non-square rho, a rho that is not
+    Hermitian up to rounding (|rho - rho^dagger| <= 8 d eps max|rho| per
+    matrix, as in the spectral route; eigh would read its lower triangle
+    alone), or a non-numeric drho whose last axes are not (d, d) or whose
+    leading axes do not broadcast, raises ValueError; a NaN in either
+    triangle of rho, or in drho, gives NaN SLDs, for verify to report.
     """
     rho, drho = np.asarray(rho), np.asarray(drho)
     if rho.dtype.kind not in "iufc" or rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -141,16 +142,18 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     if (asymmetry > 8 * rho.shape[-1] * np.finfo(float).eps * size).any():
         raise ValueError("rho must be Hermitian")
     lam, v = np.linalg.eigh(rho)
+    v[np.isnan(asymmetry)] = np.nan  # eigh skips a NaN in the upper triangle; it reaches every SLD of its rho
     vh = v.conj().swapaxes(-1, -2)
     dtil = vh @ _times_per_point(drho, v)
     denom = lam[..., :, None] + lam[..., None, :]
     solvable = denom > SLD_SUPPORT_TOL
-    # squared Frobenius norms: no weight on the support means |on| < 1e-14 |total|
-    mag = dtil.real**2 + dtil.imag**2
-    total = mag.sum(axis=(-2, -1))
-    on_support = np.where(solvable, mag, 0.0).sum(axis=(-2, -1))
-    if np.any((total > 1e-20) & (on_support < 1e-28 * total)):
-        raise ValueError("derivative has no weight on the support of rho")
+    if not solvable.all():  # with every pair solvable, every slice has weight on the support
+        # squared Frobenius norms: no weight on the support means |on| < 1e-14 |total|
+        mag = dtil.real**2 + dtil.imag**2
+        total = mag.sum(axis=(-2, -1))
+        on_support = np.where(solvable, mag, 0.0).sum(axis=(-2, -1))
+        if np.any((total > 1e-20) & (on_support < 1e-28 * total)):
+            raise ValueError("derivative has no weight on the support of rho")
     ltil = np.divide(2.0 * dtil, denom, out=np.zeros_like(dtil), where=solvable)
     return v @ _times_per_point(ltil, vh)
 

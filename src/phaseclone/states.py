@@ -25,6 +25,12 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# verify's default seed and largest dmax_full, here so that the command-line parser reads them
+# without importing verify: its traced-cloner, attainability and oracle blocks run every d up to
+# DMAX_FULL_LIMIT, and take 2-3 s at 32 on a 2-vCPU host; the library itself has no cap
+DEFAULT_SEED = 12345
+DMAX_FULL_LIMIT = 32
+
 
 def _check_dim(d: int) -> int:
     """Return d as a Python int, after rejecting a non-integer or d < 2."""

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, crb, oracle, qfim, states
-from .states import PhaseVector
-
-DEFAULT_SEED = 12345
-
-# largest dmax_full: the traced-cloner, attainability and oracle blocks run every
-# d up to it, and take 2-3 s at 32 on a 2-vCPU host; the library itself has no cap
-DMAX_FULL_LIMIT = 32
+from .states import DEFAULT_SEED, DMAX_FULL_LIMIT, PhaseVector
 
 PURE = channels.ParamChannel("pure")
 UQCM = channels.ParamChannel("uqcm")

@@ -339,7 +339,7 @@ class TestVerify:
         def fail(**kw):
             raise RuntimeError("numerical failure")
 
-        monkeypatch.setattr(cli, "run_verification", fail)
+        monkeypatch.setattr("phaseclone.verify.run_verification", fail)
         code, out, err = run(capsys, "verify", "--dmax", "2", "--out", str(report_path))
         assert code == 1
         assert err == "error: numerical failure\n"
@@ -379,7 +379,7 @@ def test_verify_defaults_after_a_config_call(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("dmax = 2\nseed = 3\n")
     calls = []
-    monkeypatch.setattr("phaseclone.cli.run_verification", lambda **kw: calls.append(kw) or [])
+    monkeypatch.setattr("phaseclone.verify.run_verification", lambda **kw: calls.append(kw) or [])
     assert main(["verify", "--config", str(cfg)]) == 0
     assert main(["verify"]) == 0
     assert [(c["dmax_full"], c["seed"]) for c in calls] == [(2, 3), (8, DEFAULT_SEED)]
@@ -388,7 +388,7 @@ def test_verify_defaults_after_a_config_call(tmp_path, capsys, monkeypatch):
 def test_plain_calls_build_the_parser_once(tmp_path, capsys, monkeypatch):
     """main builds its parser on the first call of a process; later calls,
     --config calls among them, only read it."""
-    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    monkeypatch.setattr("phaseclone.verify.run_verification", lambda **kw: [])
     build, builds = cli.build_parser, []
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
     cli._shared_parser.cache_clear()
@@ -403,7 +403,7 @@ def test_plain_calls_build_the_parser_once(tmp_path, capsys, monkeypatch):
 def test_config_call_leaves_the_shared_parser_alone(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dmax = 3\nseed = 9\n")
-    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    monkeypatch.setattr("phaseclone.verify.run_verification", lambda **kw: [])
     shared = cli._shared_parser()
     assert main(["compute", "--machine", "uqcm", "--config", str(cfg)]) == 0
     assert main(["verify", "--config", str(cfg)]) == 0
@@ -441,7 +441,7 @@ def test_threads_share_the_parser_safely(tmp_path):
 
 def test_command_argv_never_reaches_the_top_level_parser(capsys, monkeypatch):
     """A command line is parsed once, by its subcommand's parser alone."""
-    monkeypatch.setattr(cli, "run_verification", lambda **kw: [])
+    monkeypatch.setattr("phaseclone.verify.run_verification", lambda **kw: [])
     shared, calls = cli._shared_parser(), []
     parse = shared.parse_known_args
     monkeypatch.setattr(shared, "parse_known_args", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
@@ -504,3 +504,32 @@ def test_shipped_output_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# run in a fresh interpreter: compute and figure, then verify, then every name of the package
+FRESH_IMPORT = """
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+before = set(sys.modules)
+import phaseclone, phaseclone.cli as cli
+later = {"phaseclone.verify", "phaseclone.oracle", "json"} - before
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    assert cli.main(["compute", "--machine", "uqcm", "--dmax", "4"]) == 0
+    assert cli.main(["figure", "1", "--dmax", "4"]) == 0
+    assert later.isdisjoint(sys.modules), sorted(later & set(sys.modules))
+    assert cli.main(["verify", "--dmax", "2"]) == 0
+assert later <= set(sys.modules)
+names = {}
+exec("from phaseclone import *", names)
+assert [n for n in phaseclone.__all__ if names[n] is not getattr(phaseclone, n)] == []
+assert sorted(set(names) - {"__builtins__"}) == sorted(phaseclone.__all__) and len(phaseclone.__all__) == 26
+"""
+
+
+def test_closed_form_commands_load_only_the_closed_form_layers():
+    """compute and figure import neither the verification suite, nor the oracle, nor
+    json; verify loads them on its first call, and every name of __all__ resolves."""
+    src = os.path.dirname(os.path.dirname(phaseclone.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

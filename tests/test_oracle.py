@@ -210,6 +210,22 @@ class TestSldSolve:
         with pytest.raises(ValueError, match="support"):
             sld_solve(rho, np.stack([on, off]))
 
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    @pytest.mark.parametrize("where", ["rho-upper", "rho-lower", "drho"])
+    def test_nan_is_computed_through(self, where, rank):
+        """A NaN in either triangle of rho, or in drho, gives NaN SLDs at its point:
+        not zeros (eigh reads the lower triangle alone) and not a support error.
+        The other point of the stack keeps its own solve's bits."""
+        rho = np.stack([np.eye(3) / 3 if rank == "full" else np.diag([1.0, 0.0, 0.0])] * 2)
+        drho = np.zeros((2, 3, 3))
+        drho[:, 0, 1] = drho[:, 1, 0] = 1.0
+        bad = {"rho-upper": (rho, 0, 1), "rho-lower": (rho, 1, 0), "drho": (drho, 1, 2)}
+        array, i, j = bad[where]
+        array[1, i, j] = np.nan
+        got = sld_solve(rho, drho)
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[0], sld_solve(rho[0], drho[0]))
+
 
 def two_call_gram(ch, p, h):
     """G = Tr(L_m (L_n rho)) with rho and the shifted points from two density calls:
