@@ -11,17 +11,21 @@ phase, and the symmetric-logarithmic-derivative equation
 solved for the whole (d-1, d, d) stack of derivatives in one eigenbasis of
 rho.  The solve's right products (drho V and L~ V^dagger, V the
 eigenvectors) run on each point's (d-1)*d merged rows, one matrix product
-per point.  sld_pass is the one evaluation: rho and all 2(d-1) shifted
-points come from one density call on a stack, and the defining traces
-G_mn = Tr(rho L_m L_n) = Tr(L_m (L_n rho)) for every pair (m, n) are one
-Gram product of the flattened L_m with the flattened transposes
-(L_n rho)^T, every L_n rho from one merged-row product per point.  Its
-views are the QFIM F = Re(G + G^T)/2 and the attainability matrix
-A = Im G, which qfim_numeric and attainability_numeric return.  Every function takes one
+per point.  sld_pass is the one evaluation, in two halves.  Its stencil,
+_stencil, takes rho and all 2(d-1) shifted points from one density call
+on a stack.  Its solve, solve_pass, takes that rho and its differences and
+forms the SLDs and the defining traces G_mn = Tr(rho L_m L_n) =
+Tr(L_m (L_n rho)) for every pair (m, n): one Gram product of the
+flattened L_m with the flattened transposes (L_n rho)^T, every L_n rho
+from one merged-row product per point.  Its views are the QFIM
+F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
+qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
 (k, ...) stack; each point of a stack gets the arithmetic of a single
 point, merged-row products of the same shapes included, so the results
-agree bit for bit.  This module imports only ParamChannel and
+agree bit for bit.  The same holds across stencils: those of several
+channels or steps, concatenated along the stack axis, take one solve_pass
+and give each its own pass's bits.  This module imports only ParamChannel and
 PhaseVector, none of the closed forms or generator helpers, so agreement
 between the two paths is a genuine check.
 """
@@ -154,8 +158,10 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
         on_support = np.where(solvable, mag, 0.0).sum(axis=(-2, -1))
         if np.any((total > 1e-20) & (on_support < 1e-28 * total)):
             raise ValueError("derivative has no weight on the support of rho")
-    ltil = np.divide(2.0 * dtil, denom, out=np.zeros_like(dtil), where=solvable)
-    return v @ _times_per_point(ltil, vh)
+        np.copyto(dtil, 0.0, where=~solvable)
+    dtil *= 2.0
+    np.divide(dtil, denom, out=dtil, where=solvable)  # the quotient in place, and then the SLDs
+    return np.matmul(v, _times_per_point(dtil, vh), out=dtil)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +189,22 @@ class SldPass:
 
 
 def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> SldPass:
-    """rho, its central differences, their SLDs and G from one density call.
-
-    G_mn = Tr(L_m (L_n rho)) = sum_ab (L_m)_ab (L_n rho)_ba: L_n rho on each point's
-    merged rows, then one matrix product per point.
-    """
+    """rho, its central differences, their SLDs and G from one density call:
+    solve_pass on the stencil of channel.density at p."""
     if not callable(getattr(channel, "density", None)):  # a ParamChannel, or any family with a density
         raise ValueError(f"expected a ParamChannel or an object with a density method, got {channel!r}")
-    rho, drho = _stencil(channel.density, p, h)
+    return solve_pass(*_stencil(channel.density, p, h))
+
+
+def solve_pass(rho: np.ndarray, drho: np.ndarray) -> SldPass:
+    """The pass of a stencil: rho (..., d, d) and its central differences
+    drho (..., d-1, d, d), as _stencil returns them, with their SLDs and G.
+
+    G_mn = Tr(L_m (L_n rho)) = sum_ab (L_m)_ab (L_n rho)_ba: L_n rho on each point's
+    merged rows, then one matrix product per point.  Each point of the stack gets a
+    single point's arithmetic, so the stencils of several channels or steps,
+    concatenated along the stack axis, solve together to the bits of their own passes.
+    """
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too

@@ -10,9 +10,12 @@ order, with that tolerance; it is the one list of check names, and no
 argument or config key changes a tolerance or the oracle's step.  The checks
 run in BLOCKS, each block on its own random stream seeded by the seed and the
 block's name, so one block's draws never move another block's errors.  Checks
-that share a quantity share its draws, in one block: one oracle.sld_pass per
-(d, channel) draw stack feeds the oracle attainability, QFIM-agreement and
-SLD-residual checks.
+that share a quantity share its draws, in one block: at each d the stencils of
+the four channels' draw stacks take one oracle.solve_pass, whose merged
+derivatives stay within ORACLE_SOLVE_BYTES (a larger d splits the stacks into
+more solves), and it feeds the oracle attainability, QFIM-agreement and
+SLD-residual checks; the step-robustness check solves each point's two steps
+together.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class CheckResult:
         return {
             "name": self.name,
             "pass": self.passed,
-            "max_error": None if np.isnan(self.max_error) else float(self.max_error),  # strict JSON
+            "max_error": float(self.max_error) if np.isfinite(self.max_error) else None,  # strict JSON
             "tolerance": float(self.tolerance),
         }
 
@@ -295,53 +298,100 @@ def variance_bounds(rng, dmax_full, mutate):
     yield "spectral_reconstruction", errs
 
 
+# bytes of the merged drho of one oracle solve: consecutive draw stacks solve together while
+# their (k, d-1, d, d) complex drho fits, and a stack larger than this solves alone
+ORACLE_SOLVE_BYTES = 1 << 20
+
+
+def _grouped_solves(stacks, read) -> list:
+    """read(merged pass, [each stack's pass]) for each group of consecutive (channel,
+    points, step) stacks, in order.  A group is one oracle.solve_pass on its stacks'
+    concatenated stencils, whose drho stays within ORACLE_SOLVE_BYTES.  Groups are sized
+    from the shapes before any stencil is built, and a group's arrays are freed once
+    read returns, so one group's stencils are alive at a time.  A stack's pass holds its
+    own stencil's rho and its rows of the merged drho, SLDs and G: the bits of its own
+    oracle.sld_pass."""
+    groups, size = [], 0
+    for ch, p, h in stacks:
+        nbytes = len(p.phases) * (p.dim - 1) * p.dim**2 * np.dtype(complex).itemsize
+        if groups and size + nbytes <= ORACLE_SOLVE_BYTES:
+            groups[-1].append((ch, p, h))
+            size += nbytes
+        else:
+            groups.append([(ch, p, h)])
+            size = nbytes
+    return [read(*_solve_group(group)) for group in groups]
+
+
+def _solve_group(group):
+    # the merged pass of one group, and each stack's rows of it
+    rhos, drhos = zip(*(oracle._stencil(ch.density, p, h) for ch, p, h in group))
+    sp = oracle.solve_pass(np.concatenate(rhos), np.concatenate(drhos))
+    rows = np.cumsum([0] + [len(rho) for rho in rhos]).tolist()
+    return sp, [
+        oracle.SldPass(rho, sp.drho[a:b], sp.slds[a:b], sp.gram[a:b]) for rho, a, b in zip(rhos, rows, rows[1:])
+    ]
+
+
+def _sld_residual(sp: oracle.SldPass) -> float:
+    # |drho - (rho L + L rho)/2| per SLD, formed in place; both products on merged rows:
+    # L rho, and rho L = (L^T rho^T)^T with rho^T = conj(rho), which reads only rho's
+    # Hermiticity, so a non-Hermitian L still meets both sides
+    rho = sp.rho[:, None]
+    r = oracle._times_per_point(sp.slds, rho)
+    r += oracle._times_per_point(sp.slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
+    r *= 0.5
+    np.subtract(sp.drho, r, out=r)
+    return np.linalg.norm(r, axis=(-2, -1)).max()
+
+
 def attainability_and_oracle(rng, dmax_full, mutate):
-    # one oracle pass per (d, channel) draw stack feeds every oracle check: its
-    # Im G against zero and the closed attainability matrix, its QFIM against
-    # the closed form, and its SLDs against the equation that defines them
+    # every draw first, in the order of the checks that read them: the pure, uqcm and pqcm
+    # 10-draw stacks per d, the shrink 5-draw stacks, then the step-robustness points
+    dims = range(2, dmax_full + 1)
+    draws = {d: [PhaseVector.random(d, rng, 10) for _ in range(3)] for d in dims}
+    for d in dims:
+        draws[d].append(PhaseVector.random(d, rng, 5))
+    steps = [(ch, PhaseVector.random(d, rng, 1)) for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5))]
+
+    # one solve per d feeds every oracle check: its Im G against zero and the closed
+    # attainability matrix, its QFIM against the closed form, and its SLDs against the
+    # equation that defines them.  Each cloner stack's closed matrix reads the centre rho
+    # of its stencil, and is compared with zero, its raw-weight form and the oracle
     agreement = {ch.kind: [] for ch in CHANNELS}
-    residual = []
+    residual, err_closed, err_forms, err_num, err_agree = [], [], [], [], []
 
-    def oracle_pass(ch: channels.ParamChannel, p: PhaseVector) -> oracle.SldPass:
-        sp = oracle.sld_pass(ch, p)
-        agreement[ch.kind].append(np.abs(sp.qfim - qfim.closed_qfim(ch, p.dim)).max())
-        # both products on merged rows: L rho, and rho L = (L^T rho^T)^T with rho^T = conj(rho),
-        # which reads only rho's Hermiticity, so a non-Hermitian L still meets both sides
-        rho = sp.rho[:, None]
-        l_rho = oracle._times_per_point(sp.slds, rho)
-        rho_l = oracle._times_per_point(sp.slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
-        residual.append(np.linalg.norm(sp.drho - 0.5 * (rho_l + l_rho), axis=(-2, -1)).max())
-        return sp
+    def read(sp, parts):  # one residual per solve; each stack's rho, QFIM and Im G
+        residual.append(_sld_residual(sp))
+        return [(part.rho, part.qfim, part.attainability) for part in parts]
 
-    # one closed matrix per draw, against zero, its raw-weight form and the oracle;
-    # the closed side reads one (channel, draw) stack per d
-    cases = (PURE, UQCM, PQCM)
-    err_closed, err_forms, err_num, err_agree = [], [], [], []
-    for d in range(2, dmax_full + 1):
-        points = [PhaseVector.random(d, rng, 10) for _ in cases]
-        sd = qfim.spectral_output(np.stack([ch.density(p) for ch, p in zip(cases, points)]))
+    def check_at(d):  # its arrays are freed on return, before the next d's stencils are built
+        stacks = [(ch, p, oracle.DEFAULT_FD_STEP) for ch, p in zip(CHANNELS, draws[d])]
+        passes = [part for group in _grouped_solves(stacks, read) for part in group]
+        for ch, (_, f, _) in zip(CHANNELS, passes):
+            agreement[ch.kind].append(np.abs(f - qfim.closed_qfim(ch, d)).max())
+        cloners = passes[:3]  # pure, uqcm, pqcm
+        sd = qfim.spectral_output(np.stack([rho for rho, _, _ in cloners]))
         closed = crb.attainability_closed(sd)
         err_closed.append(np.abs(closed).max())
         err_forms.append(np.abs(closed - qfim._gram(sd, RAW_WEIGHT).imag).max())
-        for ch, p, a in zip(cases, points, closed):
-            num = oracle_pass(ch, p).attainability
+        for (_, _, num), a in zip(cloners, closed):
             err_num.append(np.abs(num).max())
             err_agree.append(np.abs(num - a).max())
+
+    for d in dims:
+        check_at(d)
     yield "attainability_closed_zero", err_closed
     yield "attainability_weight_forms_agree", err_forms
     yield "attainability_numeric_zero", err_num
     yield "attainability_paths_agree", err_agree
-
-    for d in range(2, dmax_full + 1):
-        oracle_pass(SHRINK, PhaseVector.random(d, rng, 5))
     for ch in CHANNELS:
         yield f"oracle_agreement_{ch.kind}", agreement[ch.kind]
 
+    # each point's coarse and fine stencils solve together
     errs = []
-    for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5)):
-        p = PhaseVector.random(d, rng)
-        coarse = oracle.qfim_numeric(ch, p, 1e-4)
-        fine = oracle.qfim_numeric(ch, p, 5e-5)
+    for ch, p in steps:
+        [(coarse, fine)] = _grouped_solves([(ch, p, 1e-4), (ch, p, 5e-5)], lambda sp, parts: [x.qfim for x in parts])
         errs.append(np.abs(coarse - fine).max())
     yield "oracle_step_robustness", errs
 

@@ -1,6 +1,7 @@
 """Every check of the built-in suite, run by name at its declared tolerance."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import zlib
@@ -11,6 +12,7 @@ import pytest
 
 from phaseclone import channels, crb, oracle, qfim, verify
 from phaseclone.cli import main
+from phaseclone.states import PhaseVector
 from phaseclone.verify import DEFAULT_SEED, TOLERANCES, run_verification
 
 
@@ -63,54 +65,114 @@ def test_bad_arguments_rejected_before_any_check(kwargs):
     assert seen == []
 
 
-SLD_PASS = oracle.sld_pass
+SOLVE_PASS = oracle.solve_pass
 
 
-def nan_pass(ch, p, h=oracle.DEFAULT_FD_STEP):
-    sp = SLD_PASS(ch, p, h)
-    return oracle.SldPass(*(np.full_like(x, np.nan) for x in (sp.rho, sp.drho, sp.slds, sp.gram)))
+def filled_solve(value, fields=("rho", "drho", "slds", "gram")):
+    """oracle.solve_pass with the named fields of its pass set to value."""
+    def solve(rho, drho):
+        sp = SOLVE_PASS(rho, drho)
+        return dataclasses.replace(sp, **{field: np.full_like(getattr(sp, field), value) for field in fields})
+
+    return solve
 
 
 def test_nan_error_fails_its_check(monkeypatch):
     """A check whose error is NaN fails; max() would have kept the 0.0 it starts from."""
-    monkeypatch.setattr(oracle, "sld_pass", nan_pass)
+    monkeypatch.setattr(oracle, "solve_pass", filled_solve(np.nan))
     by_name = {r.name: r for r in run_verification(dmax_full=2)}
     for kind in ("pure", "uqcm", "pqcm", "shrink"):
         assert np.isnan(by_name[f"oracle_agreement_{kind}"].max_error)
         assert not by_name[f"oracle_agreement_{kind}"].passed
 
 
-def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys):
-    """The report stays strict JSON; the progress line on stderr still says nan."""
+@pytest.mark.parametrize(
+    "value, fields",
+    [
+        pytest.param(np.nan, ("rho", "drho", "slds", "gram"), id="nan"),
+        # the step-robustness difference of two infinite QFIMs is inf - inf
+        pytest.param(np.inf, ("gram",), id="inf", marks=pytest.mark.filterwarnings("ignore:invalid value")),
+    ],
+)
+def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys, value, fields):
+    """The report stays strict JSON, with null for a NaN or an infinite error; the
+    progress line on stderr still says nan or inf."""
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr(oracle, "sld_pass", nan_pass)
+    monkeypatch.setattr(oracle, "solve_pass", filled_solve(value, fields))
     assert main(["verify", "--dmax", "2"]) == 3
     out, err = capsys.readouterr()
     by_name = {e["name"]: e for e in json.loads(out, parse_constant=reject)}
     for kind in ("pure", "uqcm", "pqcm", "shrink"):
         assert by_name[f"oracle_agreement_{kind}"]["max_error"] is None
         assert by_name[f"oracle_agreement_{kind}"]["pass"] is False
-        assert f"[FAIL] oracle_agreement_{kind}: max_error=nan " in err
+        assert f"[FAIL] oracle_agreement_{kind}: max_error={value} " in err
 
 
-def test_one_oracle_pass_per_draw_stack(monkeypatch):
-    """Every (d, channel) draw stack gets one pass, which all oracle checks read;
-    the six step-robustness evaluations come on top."""
+def test_one_oracle_solve_per_d(monkeypatch):
+    """At each d the stencils of the four draw stacks (pure, uqcm and pqcm on 10
+    draws, shrink on 5) take one solve, which every oracle check reads; each
+    step-robustness point's coarse and fine stencils take one more."""
     seen = []
+    stencil, solve = oracle._stencil, oracle.solve_pass
 
-    def counting(ch, p, h=oracle.DEFAULT_FD_STEP):
-        seen.append((ch.kind, p.dim, len(p.phases), h))
-        return SLD_PASS(ch, p, h)
+    def counting_stencil(fn, p, h):
+        if isinstance(getattr(fn, "__self__", None), channels.ParamChannel):  # not the basis checks' functions
+            seen.append((fn.__self__.kind, p.dim, len(p.phases), h))
+        return stencil(fn, p, h)
 
-    monkeypatch.setattr(oracle, "sld_pass", counting)
+    def counting_solve(rho, drho):
+        seen.append(("solve", len(rho)))
+        return solve(rho, drho)
+
+    monkeypatch.setattr(oracle, "_stencil", counting_stencil)
+    monkeypatch.setattr(oracle, "solve_pass", counting_solve)
     assert all(r.passed for r in run_verification(dmax_full=4))
     step = oracle.DEFAULT_FD_STEP
-    shared = [(ch, d, 10, step) for d in (2, 3, 4) for ch in ("pure", "uqcm", "pqcm")]
-    shared += [("shrink", d, 5, step) for d in (2, 3, 4)]
-    robustness = [(ch, d, d - 1, h) for ch, d in (("uqcm", 3), ("pqcm", 4), ("shrink", 5)) for h in (1e-4, 5e-5)]
-    assert seen == shared + robustness
+    expected = []
+    for d in (2, 3, 4):
+        expected += [(ch, d, 10, step) for ch in ("pure", "uqcm", "pqcm")] + [("shrink", d, 5, step), ("solve", 35)]
+    for ch, d in (("uqcm", 3), ("pqcm", 4), ("shrink", 5)):
+        expected += [(ch, d, 1, 1e-4), (ch, d, 1, 5e-5), ("solve", 2)]
+    assert seen == expected
+
+
+def bits(x) -> tuple:
+    return x.shape, x.dtype, x.tobytes()
+
+
+# (channel, draws, step) stacks of the oracle block: its four draw stacks at a d, and a
+# step-robustness point at both steps
+GROUP_CASES = {
+    **{f"d{d}": (d, [(ch, k, oracle.DEFAULT_FD_STEP) for ch, k in zip(verify.CHANNELS, (10, 10, 10, 5))])
+       for d in (*range(2, 9), 16)},
+    **{f"{ch.kind}-steps": (d, [(ch, 1, 1e-4), (ch, 1, 5e-5)])
+       for ch, d in ((verify.UQCM, 3), (verify.PQCM, 4), (verify.SHRINK, 5))},
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+def test_grouped_solve_gives_each_stack_its_own_pass(monkeypatch, case):
+    """Stacks whose merged drho fits ORACLE_SOLVE_BYTES solve together: the four draw
+    stacks at d <= 12, and at d = 16 pure alone, uqcm alone, then pqcm with shrink.  Each
+    stack's rho, drho, SLDs and G equal its own sld_pass bit for bit."""
+    d, cases = GROUP_CASES[case]
+    rng = np.random.default_rng(d)
+    stacks = [(ch, PhaseVector.random(d, rng, k), h) for ch, k, h in cases]
+    merged = []
+    monkeypatch.setattr(oracle, "solve_pass", lambda rho, drho: merged.append(drho) or SOLVE_PASS(rho, drho))
+    passes = [part for parts in verify._grouped_solves(stacks, lambda sp, parts: parts) for part in parts]
+    if d == 16:
+        assert [len(drho) for drho in merged] == [10, 10, 15]
+    else:
+        assert [len(drho) for drho in merged] == [sum(k for _, k, _ in cases)]
+    assert all(drho.nbytes <= verify.ORACLE_SOLVE_BYTES for drho in merged)
+    assert len(passes) == len(stacks)
+    for (ch, p, h), got in zip(stacks, passes):
+        want = oracle.sld_pass(ch, p, h)
+        for field in ("rho", "drho", "slds", "gram"):
+            assert bits(getattr(got, field)) == bits(getattr(want, field)), (ch.kind, field)
 
 
 def test_spectral_checks_read_the_traced_cloner(monkeypatch):
