@@ -118,9 +118,11 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     In the eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) wherever the
     denominator exceeds SLD_SUPPORT_TOL; kernel-kernel entries are set to zero
     (any completion solves the defining equation there, and the information
-    traces are insensitive to that block).  One path serves every rank: for a
-    full-rank rho the mask is all true, so the masked divide is the plain one
-    and the support guard, which cannot fire, is skipped.  rho has shape
+    traces are insensitive to that block).  One path serves every rank: drho~
+    is multiplied by the real factor 2 / (lam_i + lam_j), zero where the
+    denominator is too small, which gives the bits of the complex quotient;
+    for a full-rank rho the mask is all true and the support guard, which
+    cannot fire, is skipped.  rho has shape
     (..., d, d) and drho is any stack that broadcasts against it, e.g.
     (k, 1, d, d) against (k, d-1, d, d); one eigendecomposition per rho
     serves every slice, and a slice with no weight on the support raises
@@ -158,9 +160,7 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
         on_support = np.where(solvable, mag, 0.0).sum(axis=(-2, -1))
         if np.any((total > 1e-20) & (on_support < 1e-28 * total)):
             raise ValueError("derivative has no weight on the support of rho")
-        np.copyto(dtil, 0.0, where=~solvable)
-    dtil *= 2.0
-    np.divide(dtil, denom, out=dtil, where=solvable)  # the quotient in place, and then the SLDs
+    dtil *= np.divide(2.0, denom, out=np.zeros(denom.shape), where=solvable)  # the quotient, and then the SLDs
     return np.matmul(v, _times_per_point(dtil, vh), out=dtil)
 
 

@@ -414,7 +414,10 @@ def run_verification(
     injected into the shrinking factor used by the scaling-form check, which
     must then fail; this validates that the harness can detect a wrong channel.
     Every check runs at its TOLERANCES entry and the oracle at its default
-    step; progress sees each result as it is added.  A bad seed, a mutate
+    step; progress sees each result as it is added.  A check's error is the
+    largest of its errors, and 0.0 if none is positive; every block runs with
+    numpy's floating-point warnings off, so a NaN or infinite error fails its
+    check under any warning filter instead of raising.  A bad seed, a mutate
     that is not a bool, a progress that is neither None nor callable, or a
     dmax_full that check_arguments rejects, raises ValueError before any check.
     """
@@ -425,14 +428,13 @@ def run_verification(
     if progress is not None and not callable(progress):
         raise ValueError(f"progress must be None or callable, got {progress!r}")
     results: list[CheckResult] = []
-    for block in BLOCKS:
-        rng = np.random.default_rng([seed, zlib.crc32(block.__name__.encode())])
-        for name, errs in block(rng, dmax_full, mutate):
-            # the worst error, at least 0, and NaN if any is NaN (max() keeps
-            # whichever of a NaN and a number comes first)
-            err = float("nan") if np.isnan(errs).any() else max(0.0, *errs)
-            res = CheckResult(name, float(err), TOLERANCES[name])
-            results.append(res)
-            if progress is not None:
-                progress(res)
+    with np.errstate(all="ignore"):  # a non-finite error is a check's result, not a warning
+        for block in BLOCKS:
+            rng = np.random.default_rng([seed, zlib.crc32(block.__name__.encode())])
+            for name, errs in block(rng, dmax_full, mutate):
+                # np.max keeps any NaN; + 0.0 makes a -0.0 maximum read 0.0
+                res = CheckResult(name, float(np.max(errs, initial=0.0)) + 0.0, TOLERANCES[name])
+                results.append(res)
+                if progress is not None:
+                    progress(res)
     return results

@@ -91,6 +91,12 @@ CASES = [
      "invalid start byte\n"),
     ("compute-unknown-key", "compute", "machine = pure\ndmaxx = 3\n", 2, "",
      "usage error: config keys name no option of compute: dmaxx\n"),
+    ("compute-config-line-without-equals", "compute", "machine = pure\ndmax 3\n", 2, "",
+     "usage error: <config>:2: expected key=value\n"),
+    # blank lines, comment lines and trailing comments are skipped
+    ("compute-config-blank-and-comment-lines", "compute --dmin 4", "# pure input\n\nmachine = pure\n  # one row\n"
+     "dmax = 4  # inclusive\n", 0, f"# seed={DEFAULT_SEED}\n"
+     "d,eta,f_diag,f_offdiag,lambda1,lambda2,total_variance_min,attainable\n4,1,0.75,-0.25,0.25,1,6,true\n", ""),
     ("compute-bogus", "compute --bogus", None, 2, "", parse_error("compute", "unrecognized arguments: --bogus")),
     ("compute-unwritable-out", "compute --machine uqcm --dmax 4 --out /nonexistent-dir/out.csv", None, 1, "",
      "error: [Errno 2] No such file or directory: '/nonexistent-dir/out.csv'\n"),

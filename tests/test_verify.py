@@ -90,13 +90,14 @@ def test_nan_error_fails_its_check(monkeypatch):
     "value, fields",
     [
         pytest.param(np.nan, ("rho", "drho", "slds", "gram"), id="nan"),
-        # the step-robustness difference of two infinite QFIMs is inf - inf
-        pytest.param(np.inf, ("gram",), id="inf", marks=pytest.mark.filterwarnings("ignore:invalid value")),
+        # the step-robustness difference of two infinite QFIMs is inf - inf, a NaN without a warning
+        pytest.param(np.inf, ("gram",), id="inf"),
     ],
 )
 def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys, value, fields):
     """The report stays strict JSON, with null for a NaN or an infinite error; the
-    progress line on stderr still says nan or inf."""
+    progress line on stderr still says nan or inf.  The suite's warnings-as-errors
+    filter leaves the exit code at 3."""
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
@@ -108,6 +109,23 @@ def test_nan_error_is_null_in_the_json_report(monkeypatch, capsys, value, fields
         assert by_name[f"oracle_agreement_{kind}"]["max_error"] is None
         assert by_name[f"oracle_agreement_{kind}"]["pass"] is False
         assert f"[FAIL] oracle_agreement_{kind}: max_error={value} " in err
+    assert by_name["oracle_step_robustness"] == {
+        "name": "oracle_step_robustness", "pass": False, "max_error": None, "tolerance": 1e-6,
+    }
+
+
+@pytest.mark.parametrize(
+    "errs, worst",
+    [([2.0, np.nan], np.nan), ([np.nan, 2.0], np.nan), ([-1.0, -0.0, -2.0], 0.0)],
+    ids=["nan-after-larger", "nan-before-larger", "non-positive"],
+)
+def test_check_error_is_its_worst(monkeypatch, errs, worst):
+    """A check's error is NaN if any of its errors is, wherever the NaN stands, and
+    +0.0 when none is positive, as the report prints it."""
+    monkeypatch.setattr(verify, "BLOCKS", (lambda rng, dmax_full, mutate: iter([("sld_residual", errs)]),))
+    [res] = run_verification(dmax_full=2)
+    assert np.array_equal(res.max_error, worst, equal_nan=True)
+    assert np.copysign(1.0, res.max_error) == 1.0
 
 
 def test_one_oracle_solve_per_d(monkeypatch):
