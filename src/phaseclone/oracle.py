@@ -41,6 +41,7 @@ from .states import PhaseVector
 
 DEFAULT_FD_STEP = 1e-5
 SLD_SUPPORT_TOL = 1e-12
+MIN_FD_STEP = 2.0 * np.pi * np.finfo(float).eps
 
 
 def _check_args(p: PhaseVector, h: float) -> None:
@@ -48,8 +49,12 @@ def _check_args(p: PhaseVector, h: float) -> None:
         raise ValueError(f"expected a PhaseVector, got {p!r}")
     if np.ndim(h) != 0 or np.asarray(h).dtype.kind not in "iuf" or not (np.isfinite(h) and h > 0):
         raise ValueError(f"step must be a finite positive real number, got {h!r}")
-    if 1.0 / (2.0 * float(h)) == np.inf:  # Python floats overflow to inf without a warning
-        raise ValueError(f"step {h} is too small: 1/(2h) overflows")
+    # phases are stored mod 2 pi: a shift below 2 pi eps can round away at a phase near 2 pi
+    # (or near 0, whose phi - h wraps there), and at h = pi the points phi + h and phi - h coincide
+    if h < MIN_FD_STEP:
+        raise ValueError(f"step {h} is too small: h must be at least 2*pi*eps = {MIN_FD_STEP:.3g}")
+    if h >= np.pi:
+        raise ValueError(f"step {h} is too large: h must be below pi, where phi + h and phi - h are one point")
 
 
 def _stencil(fn, p: PhaseVector, h: float):

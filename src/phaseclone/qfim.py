@@ -44,10 +44,13 @@ def _check_shrink_args(d: int | np.ndarray, eta: float | np.ndarray) -> tuple:
     eta runs as the column it spells, after also rejecting an eta whose |F_off| =
     4 eta^2/(d[2+(d-2)eta]) is below the smallest normal float (lost digits or zero; a
     normal F_off keeps the total variance 2(d-1)/(d|F_off|) finite).  eta is one value
-    or an array that broadcasts against a column d; a column raises the scalar error
-    of its last underflowing entry (its largest d if ascending)."""
+    or an array that broadcasts against a column d, else ValueError; a column raises the
+    scalar error of its last underflowing entry (its largest d if ascending)."""
     d, eta = _check_dims(d, CLOSED_FORM_DMAX), _check_eta(eta)
-    small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
+    try:
+        small = 4.0 * (eta * eta) / (d * (2.0 + (d - 2) * eta)) < _TINY
+    except ValueError:  # numpy's "operands could not be broadcast together"
+        raise ValueError(f"eta must broadcast against d's column, got shapes {np.shape(eta)} and {np.shape(d)}") from None
     if small.any():
         i = np.flatnonzero(small)[-1]
         d_i, eta_i = (np.broadcast_to(x, np.shape(small)).flat[i] for x in (d, eta))

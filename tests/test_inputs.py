@@ -32,7 +32,9 @@ RULES = {
             (r"shrinking factor must be a real number in \(0, 1\]", ["0.5", None, 0.5 + 0j, True])],
     "h": [("step must be a finite positive real number",
            [0, -1e-5, nan, inf, -inf, "1e-5", None, 1e-5j, True, [1e-5], np.array([1e-5])]),
-          (r"too small: 1/\(2h\) overflows", [1e-320, np.float64(5e-324)])],
+          # phi +- h must be two points of the phases' circle, as floats stored mod 2 pi
+          (r"too small: h must be at least 2\*pi\*eps", [1e-16, 1e-320, np.float64(5e-324)]),
+          ("too large: h must be below pi", [np.pi, 4.0])],
     "k": [("stack size k must be an integer >= 0", [-1, 2.5, "2", True, 2 + 0j, [2]])],
     "seed": [("seed must be an integer >= 0", [-1, 1.5, "1", None, True, [1], 1 + 0j])],
 }
@@ -145,6 +147,10 @@ CASES = [
     # numpy's min() of an empty array would raise its own "zero-size array" error
     *[(f"{fn.__name__}-eta-empty", partial(fn, d, np.array([])), ValueError, "eta must hold at least one value")
       for fn, d in ((total_variance_bound, 5), (qfim_shrink_entries, np.arange(2, 5)))],
+    # numpy's own error would say "operands could not be broadcast together"
+    *[(f"{fn.__name__}-eta-does-not-broadcast", partial(fn, np.arange(2, 5), np.array([0.5, 0.6])), ValueError,
+       r"eta must broadcast against d's column, got shapes \(2,\) and \(3,\)")
+      for fn in (total_variance_bound, qfim_shrink_entries)],
     # |F_off(3)| = 4 eta^2/(3 (2 + eta)) is subnormal or zero, on each route to it
     *[(f"{call.func.__name__}-eta-{eta!r}-too-small", call, ValueError, "too small: the QFIM entries underflow at d=3")
       for eta in (1e-160, 1e-170, 5e-324) for call in [partial(qfim_shrink_entries, 3, eta),

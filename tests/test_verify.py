@@ -193,74 +193,6 @@ def test_grouped_solve_gives_each_stack_its_own_pass(monkeypatch, case):
             assert bits(getattr(got, field)) == bits(getattr(want, field)), (ch.kind, field)
 
 
-def test_spectral_checks_read_the_traced_cloner(monkeypatch):
-    """The spectral route decomposes each channel's density, for the cloners the
-    traced isometry: off-diagonal entries of the UQCM density off by a factor
-    1 + 1e-6 at d <= 10 fail the closed-form comparison, with no scaling form
-    between the two."""
-    density = channels.ParamChannel.density
-
-    def faulty(self, p):
-        rho = density(self, p)
-        if self.kind != "uqcm" or p.dim > 10:
-            return rho
-        return np.where(np.eye(p.dim, dtype=bool), rho, rho * (1 + 1e-6))
-
-    monkeypatch.setattr(channels.ParamChannel, "density", faulty)
-    assert [r.name for r in run_verification(dmax_full=2) if not r.passed] == [
-        "scaling_form_uqcm",
-        "fidelity_phase_independence_uqcm",
-        "spectral_vs_closed_uqcm",
-        "uqcm_diagonal_term_sums",
-    ]
-
-
-def _variance_off_at_one_point(fn):
-    # the last d of the check, and an eta inside its column
-    return lambda d, eta: fn(d, eta) * np.where((np.asarray(d) == 32) & (np.asarray(eta) == 0.5), 1 + 1e-6, 1.0)
-
-
-def _lam2_off_at_d20(fn):
-    def broken(d, fdiag, foff):
-        lam1, lam2 = fn(d, fdiag, foff)
-        return lam1, lam2 * np.where(np.asarray(d) == 20, 1 + 1e-6, 1.0)
-
-    return broken
-
-
-def _pqcm_below_uqcm_at_d40(fn):
-    def broken(d):
-        scale = np.where(np.asarray(d) == 40, 1 - 1e-3, 1.0)
-        return tuple(x * scale for x in fn(d))
-
-    return broken
-
-
-def _pure_off_diagonal_at_d9(fn):
-    def broken(d):
-        fdiag, foff = fn(d)
-        return fdiag, foff * np.where(np.asarray(d) == 9, 1 + 1e-9, 1.0)
-
-    return broken
-
-
-@pytest.mark.parametrize(
-    "module, name, fault, check",
-    [
-        (crb, "total_variance_bound", _variance_off_at_one_point, "variance_trace_inverse"),
-        (crb, "qfim_eigenvalues", _lam2_off_at_d20, "structured_vs_dense_eigenvalues"),
-        (qfim, "qfim_pqcm_entries", _pqcm_below_uqcm_at_d40, "pqcm_minus_uqcm_psd"),
-        (qfim, "qfim_pure_entries", _pure_off_diagonal_at_d9, "pure_inverse_eigenvalues"),
-    ],
-    ids=["variance", "eigenvalues", "gap", "pure-inverse"],
-)
-def test_stacked_check_keeps_every_point(monkeypatch, module, name, fault, check):
-    """A check that stacks its (d, eta, channel) cases still fails when its subject
-    is wrong at one of them."""
-    monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    assert check in [r.name for r in run_verification(dmax_full=2) if not r.passed]
-
-
 def test_report_passes_the_benchmark_check(capsys):
     """perfbench/reference.py judges the benchmark's verify output; a change that
     drops, renames or loosens a check fails here before the benchmark runs."""
@@ -272,24 +204,84 @@ def test_report_passes_the_benchmark_check(capsys):
     assert reference.check_verify_report(capsys.readouterr().out) == []
 
 
-@pytest.mark.parametrize(
-    "fault, failing",
-    [
-        (lambda l: l * (1 + 1e-6), ["sld_residual"]),
-        (lambda l: l * (1 + 1e-4), [f"oracle_agreement_{kind}" for kind in ("pure", "uqcm", "pqcm", "shrink")]
-         + ["sld_residual"]),
-        (lambda l: l + 1e-6j * np.eye(l.shape[-1]), ["sld_residual"]),
-    ],
-    ids=["1e-6", "1e-4", "anti-hermitian-1e-6j"],
-)
-def test_shared_pass_still_guards_the_solver(monkeypatch, fault, failing):
-    """A solver off by a factor 1 + 1e-6 fails the SLD residual, and the closed-form
-    agreement too at 1 + 1e-4 (G moves by 2e-4 F, and F <= 1).  An anti-Hermitian
-    part i eps I leaves L rho + (L rho)^dagger as it was, but not L rho + rho L:
-    the residual meets both sides."""
-    solve = oracle.sld_solve
-    monkeypatch.setattr(oracle, "sld_solve", lambda rho, drho: fault(solve(rho, drho)))
-    assert [r.name for r in run_verification(dmax_full=4) if not r.passed] == failing
+def scaled(factor, where=None, output=None):
+    """The fault that multiplies a routine's result, or entry `output` of its tuple, by
+    factor; with where, only where where(*args) holds, the arguments read as arrays."""
+    def fault(fn):
+        def broken(*args):
+            out = fn(*args)
+            scale = factor if where is None else np.where(where(*map(np.asarray, args)), factor, 1.0)
+            if isinstance(out, tuple):
+                return tuple(x * scale if output in (None, i) else x for i, x in enumerate(out))
+            return out * scale
+
+        return broken
+
+    return fault
+
+
+def anti_hermitian(solve):  # each SLD plus 1e-6j I
+    return lambda rho, drho: (slds := solve(rho, drho)) + 1e-6j * np.eye(slds.shape[-1])
+
+
+def uqcm_off_diagonal(density):  # the UQCM density's off-diagonal entries times 1 + 1e-6, at d <= 10
+    def broken(self, p):
+        rho = density(self, p)
+        if self.kind != "uqcm" or p.dim > 10:
+            return rho
+        return np.where(np.eye(p.dim, dtype=bool), rho, rho * (1 + 1e-6))
+
+    return broken
+
+
+ORACLE_AGREEMENT = [f"oracle_agreement_{ch.kind}" for ch in verify.CHANNELS]
+
+# fault id -> (owner, attribute, fault of the original, dmax_full, failing checks in report order).
+# Each row pins the whole list: a check that stops catching its fault, or starts to, fails the row.
+FAULTS = {
+    "sld_solve-1e-6": (oracle, "sld_solve", scaled(1 + 1e-6), 4, ["sld_residual"]),
+    # G moves by 2e-4 F, and F <= 1, so the closed-form agreement fails too
+    "sld_solve-1e-4": (oracle, "sld_solve", scaled(1 + 1e-4), 4, [*ORACLE_AGREEMENT, "sld_residual"]),
+    # i eps I leaves L rho + (L rho)^dagger as it was, but not L rho + rho L: the residual meets both sides
+    "sld_solve-anti-hermitian": (oracle, "sld_solve", anti_hermitian, 4, ["sld_residual"]),
+    # the spectral route decomposes the traced isometry, with no scaling form between the two
+    "uqcm-density-off-diagonal": (channels.ParamChannel, "density", uqcm_off_diagonal, 2, [
+        "scaling_form_uqcm", "fidelity_phase_independence_uqcm", "spectral_vs_closed_uqcm", "uqcm_diagonal_term_sums"]),
+    # F_diag = -(d-1) F_off breaks, beside the spectral route, the generic shrink form and a dense eigensolver
+    "uqcm-foff": (qfim, "qfim_uqcm_entries", scaled(1 + 1e-6, output=1), 2, [
+        "spectral_vs_closed_uqcm", "diag_offdiag_relation", "uqcm_matches_generic_shrink",
+        "structured_vs_dense_eigenvalues"]),
+    # a check that stacks its (d, eta) cases still fails when its subject is wrong at one of them
+    "variance-at-32-0.5": (crb, "total_variance_bound", scaled(1 + 1e-6, lambda d, eta: (d == 32) & (eta == 0.5)), 2,
+                           ["variance_trace_inverse"]),
+    "lam2-at-d20": (crb, "qfim_eigenvalues", scaled(1 + 1e-6, lambda d, *_: d == 20, output=1), 2,
+                    ["structured_vs_dense_eigenvalues"]),
+    "pqcm-below-uqcm-at-d40": (qfim, "qfim_pqcm_entries", scaled(1 - 1e-3, lambda d: d == 40), 2,
+                               ["pqcm_minus_uqcm_psd", "pqcm_diagonal_dominates", "pqcm_matches_generic_shrink"]),
+    "pure-foff-at-d9": (qfim, "qfim_pure_entries", scaled(1 + 1e-9, lambda d: d == 9, output=1), 2,
+                        ["diag_offdiag_relation", "pure_inverse_eigenvalues"]),
+    # each closed form, each eta form, the traced cloner and the variance bound, off by 1 + 1e-10
+    "qfim_uqcm_entries-1e-10": (qfim, "qfim_uqcm_entries", scaled(1 + 1e-10), 2, ["uqcm_matches_generic_shrink"]),
+    "qfim_pqcm_entries-1e-10": (qfim, "qfim_pqcm_entries", scaled(1 + 1e-10), 2, ["pqcm_matches_generic_shrink"]),
+    "qfim_shrink_entries-1e-10": (qfim, "qfim_shrink_entries", scaled(1 + 1e-10), 2, [
+        "uqcm_matches_generic_shrink", "pqcm_matches_generic_shrink", "variance_trace_inverse"]),
+    "qfim_pure_entries-1e-10": (qfim, "qfim_pure_entries", scaled(1 + 1e-10), 2, ["pure_inverse_eigenvalues"]),
+    "_first_clone-1e-10": (channels, "_first_clone", scaled(1 + 1e-10), 2, [
+        "fidelity_phase_independence_uqcm", "fidelity_phase_independence_pqcm", "uqcm_diagonal_term_sums"]),
+    "eta_uqcm-1e-10": (channels, "eta_uqcm", scaled(1 + 1e-10), 2,
+                       ["fidelity_phase_independence_uqcm", "uqcm_matches_generic_shrink"]),
+    "eta_pqcm-1e-10": (channels, "eta_pqcm", scaled(1 + 1e-10), 2,
+                       ["fidelity_phase_independence_pqcm", "pqcm_matches_generic_shrink"]),
+    "total_variance_bound-1e-10": (crb, "total_variance_bound", scaled(1 + 1e-10), 2,
+                                   ["variance_trace_inverse", "variance_pure_closed_form"]),
+}
+
+
+@pytest.mark.parametrize("fault_id", FAULTS)
+def test_fault_fails_exactly_its_checks(monkeypatch, fault_id):
+    owner, name, fault, dmax_full, failing = FAULTS[fault_id]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert [r.name for r in run_verification(dmax_full=dmax_full) if not r.passed] == failing
 
 
 def test_spectral_route_runs_once_per_stack(monkeypatch):
@@ -301,25 +293,6 @@ def test_spectral_route_runs_once_per_stack(monkeypatch):
     monkeypatch.setattr(qfim, "spectral_output", lambda rho: calls.append(rho.shape) or spectral_output(rho))
     assert all(r.passed for r in run_verification(dmax_full=8))
     assert len(calls) == 38
-
-
-def test_broken_off_diagonal_entry_is_caught(monkeypatch):
-    """A UQCM off-diagonal entry off by a factor 1 + 1e-6 breaks F_diag = -(d-1) F_off;
-    the checks that set the entry beside the spectral route, the generic shrink
-    form and a dense eigensolver fail with it, and no other check does."""
-    entries = qfim.qfim_uqcm_entries
-
-    def broken(d):
-        fdiag, foff = entries(d)
-        return fdiag, foff * (1 + 1e-6)
-
-    monkeypatch.setattr(qfim, "qfim_uqcm_entries", broken)
-    assert [r.name for r in run_verification(dmax_full=2) if not r.passed] == [
-        "spectral_vs_closed_uqcm",
-        "diag_offdiag_relation",
-        "uqcm_matches_generic_shrink",
-        "structured_vs_dense_eigenvalues",
-    ]
 
 
 def test_no_unit_test_repeats_a_check():
