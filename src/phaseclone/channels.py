@@ -19,6 +19,7 @@ phase points to a stack of results, with the same arithmetic as one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,9 @@ def shrink_output(p: PhaseVector, eta: float) -> np.ndarray:
     eta is one number, which every point shares."""
     _check_one_eta(eta)
     psi = equatorial_state(p)
-    return eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / p.dim * np.eye(p.dim)
+    rho = eta * (psi[..., :, None] * psi.conj()[..., None, :])
+    rho.reshape(rho.shape[:-2] + (p.dim * p.dim,))[..., :: p.dim + 1] += (1.0 - eta) / p.dim
+    return rho
 
 
 def _isometry_amplitudes(kind: str, d: int) -> tuple[float, float]:
@@ -76,6 +79,16 @@ def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (d**3,))
 
 
+@lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d
+def _clone_weights(d: int, diag: float, off: float) -> np.ndarray:
+    """Read-only W W^T of _first_clone, W holding diag on its diagonal and off elsewhere;
+    keyed on the amplitudes themselves, so other amplitudes at the same d get their own."""
+    w = np.where(np.eye(d, dtype=bool), diag, off)
+    out = w @ w.T
+    out.setflags(write=False)
+    return out
+
+
 def _first_clone(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     """Tr_{B,C} of _tripartite(a, diag, off), as a (d, d) matrix per point.
 
@@ -86,9 +99,8 @@ def _first_clone(a: np.ndarray, diag: float, off: float) -> np.ndarray:
         rho_A = (a a^dagger) * (W W^T) + off^2 diag_i(sum_{j != i} |a_j|^2).
     """
     d = a.shape[-1]
-    w = np.where(np.eye(d, dtype=bool), diag, off)
     rho = a[..., :, None] * a.conj()[..., None, :]
-    rho *= w @ w.T
+    rho *= _clone_weights(d, diag, off)
     weight = a.real**2 + a.imag**2
     rho.reshape(rho.shape[:-2] + (d * d,))[..., :: d + 1] += off**2 * (weight.sum(axis=-1, keepdims=True) - weight)
     return rho

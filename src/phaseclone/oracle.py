@@ -17,7 +17,9 @@ on a stack.  Its solve, solve_pass, takes that rho and its differences and
 forms the SLDs and the defining traces G_mn = Tr(rho L_m L_n) =
 Tr(L_m (L_n rho)) for every pair (m, n): one Gram product of the
 flattened L_m with the flattened transposes (L_n rho)^T, every L_n rho
-from one merged-row product per point.  Its views are the QFIM
+from one merged-row product per point.  The pass keeps those products as
+l_rho, so a caller that needs L rho again (verify's SLD residual) reads
+it instead of forming it twice.  Its views are the QFIM
 F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
 qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
@@ -174,13 +176,15 @@ class SldPass:
     """One finite-difference SLD evaluation at a phase point or a stack of them.
 
     rho (..., d, d), its central differences drho (..., d-1, d, d), their
-    SLDs (..., d-1, d, d) and the traces gram[..., m, n] = Tr(rho L_m L_n).
+    SLDs (..., d-1, d, d), the traces gram[..., m, n] = Tr(rho L_m L_n), and
+    l_rho (..., d-1, d, d), the products L_n rho that G was read from.
     """
 
     rho: np.ndarray
     drho: np.ndarray
     slds: np.ndarray
     gram: np.ndarray
+    l_rho: np.ndarray
 
     @property
     def qfim(self) -> np.ndarray:
@@ -206,16 +210,17 @@ def solve_pass(rho: np.ndarray, drho: np.ndarray) -> SldPass:
     drho (..., d-1, d, d), as _stencil returns them, with their SLDs and G.
 
     G_mn = Tr(L_m (L_n rho)) = sum_ab (L_m)_ab (L_n rho)_ba: L_n rho on each point's
-    merged rows, then one matrix product per point.  Each point of the stack gets a
-    single point's arithmetic, so the stencils of several channels or steps,
-    concatenated along the stack axis, solve together to the bits of their own passes.
+    merged rows, kept as the pass's l_rho, then one matrix product per point.  Each
+    point of the stack gets a single point's arithmetic, so the stencils of several
+    channels or steps, concatenated along the stack axis, solve together to the bits
+    of their own passes.
     """
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too
-    l_rho_t = _times_per_point(slds, rho_b).swapaxes(-1, -2)
-    gram = slds.reshape(flat) @ l_rho_t.reshape(flat).swapaxes(-1, -2)
-    return SldPass(rho, drho, slds, gram)
+    l_rho = _times_per_point(slds, rho_b)
+    gram = slds.reshape(flat) @ l_rho.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    return SldPass(rho, drho, slds, gram, l_rho)
 
 
 def qfim_numeric(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:

@@ -10,12 +10,15 @@ order, with that tolerance; it is the one list of check names, and no
 argument or config key changes a tolerance or the oracle's step.  The checks
 run in BLOCKS, each block on its own random stream seeded by the seed and the
 block's name, so one block's draws never move another block's errors.  Checks
-that share a quantity share its draws, in one block: at each d the stencils of
-the four channels' draw stacks take one oracle.solve_pass, whose merged
-derivatives stay within ORACLE_SOLVE_BYTES (a larger d splits the stacks into
-more solves), and it feeds the oracle attainability, QFIM-agreement and
-SLD-residual checks; the step-robustness check solves each point's two steps
-together.
+that share a quantity share its draws, in one block, and each quantity is
+computed once per pass.  At each d the stencils of the four channels' draw
+stacks take one oracle.solve_pass, whose merged derivatives stay within
+ORACLE_SOLVE_BYTES (a larger d splits the stacks into more solves), and it
+feeds the oracle attainability, QFIM-agreement and SLD-residual checks; a
+step-robustness point's two steps join the solve of its d (a d above
+dmax_full solves only them), and the residual reads the L rho that the solve
+formed for G.  closed_vs_spectral decomposes every density it reads at one d
+in one spectral_output.
 """
 
 from __future__ import annotations
@@ -184,31 +187,49 @@ def cloning_channels(rng, dmax_full, mutate):
     yield "eta_gap_large_d", [channels.eta_pqcm(100) - channels.eta_uqcm(100)]
 
 
+def _rows(sd: qfim.SpectralDecomposition, a: int, b: int) -> qfim.SpectralDecomposition:
+    return qfim.SpectralDecomposition(sd.eigenvalues[a:b], sd.eigenvectors[a:b])
+
+
 def closed_vs_spectral(rng, dmax_full, mutate):
-    # drawn channel-major, so that each seed keeps its draws; then one (channel, d, d) stack per d
+    # every point first, in the order of the checks that read them: the channel draws
+    # channel-major, so that each seed keeps its draws, the term-sum draws, then the
+    # phase-independence stacks, each a reference point and nine others
     cases = (UQCM, PQCM, SHRINK)
     draws = [[PhaseVector.random(d, rng) for d in range(2, 11)] for _ in cases]
-    errs = {ch.kind: [] for ch in cases}
-    for d, points in zip(range(2, 11), zip(*draws)):
-        f = qfim.qfim_from_spectral(qfim.spectral_output(np.stack([ch.density(p) for ch, p in zip(cases, points)])))
-        for ch, fc in zip(cases, f):
-            errs[ch.kind].append(np.abs(fc - qfim.closed_qfim(ch, d)).max())
-    for kind, e in errs.items():
-        yield f"spectral_vs_closed_{kind}", e
+    term_points = {d: PhaseVector.random(d, rng) for d in range(2, 13)}
+    stacks = {d: PhaseVector.random(d, rng, 10) for d in (3, 5)}
+    channel_points = dict(zip(range(2, 11), zip(*draws)))
 
-    # G's weight 4 l_i r_ij^2 splits as 4 l_i - 16 l_i^2 l_j/(l_i+l_j)^2: the [0, 0] entries of
-    # the two sums for the traced universal cloner, the first being 4 rho_11 = 4/d
-    errs = []
-    for d in range(2, 13):
-        sd = qfim.spectral_output(UQCM.density(PhaseVector.random(d, rng)))
-        first, second = (float(qfim._gram(sd, w)[0, 0].real) for w in TERM_WEIGHTS)
+    # one spectral_output per d of every density read there, in rows: the three channels
+    # (d <= 10), the traced universal cloner's term-sum draw, and the phase-independence
+    # stack (d = 3, 5); each check contracts its own rows, the bits of their own decomposition.
+    # G's weight 4 l_i r_ij^2 splits as 4 l_i - 16 l_i^2 l_j/(l_i+l_j)^2: the [0, 0] entries
+    # of the two term sums, the first being 4 rho_11 = 4/d
+    errs = {ch.kind: [] for ch in cases}
+    err_terms, err_phases = [], []
+    for d, term_point in term_points.items():
+        points = channel_points.get(d, ())
+        n = len(points)
+        rho = np.stack([ch.density(p) for ch, p in zip(cases, points)] + [UQCM.density(term_point)])
+        if d in stacks:
+            rho = np.concatenate((rho, UQCM.density(stacks[d])))
+        sd = qfim.spectral_output(rho)
+        for ch, fc in zip(cases, qfim.qfim_from_spectral(_rows(sd, 0, n))):
+            errs[ch.kind].append(np.abs(fc - qfim.closed_qfim(ch, d)).max())
+        first, second = (float(qfim._gram(_rows(sd, n, n + 1), w)[0, 0, 0].real) for w in TERM_WEIGHTS)
         second_closed = 2.0 * (d**3 + 7 * d**2 + 8 * d + 4) / ((d + 1) * (d + 4) * d**2)
-        errs += [
+        err_terms += [
             abs(first - 4.0 / d),
             abs(second - second_closed),
             abs((first - second) - qfim.qfim_uqcm_entries(d)[0]),
         ]
-    yield "uqcm_diagonal_term_sums", errs
+        if d in stacks:
+            f = qfim.qfim_from_spectral(_rows(sd, n + 1, len(rho)))
+            err_phases.append(np.abs(f[1:] - f[0]).max())
+    for kind, e in errs.items():
+        yield f"spectral_vs_closed_{kind}", e
+    yield "uqcm_diagonal_term_sums", err_terms
 
     yield "telescoping_sum_identity", [
         abs(sum(1.0 / (n * (n + 1)) for n in range(1, d)) - (1.0 - 1.0 / d)) for d in range(2, 65)
@@ -222,12 +243,7 @@ def closed_vs_spectral(rng, dmax_full, mutate):
         errs.extend(np.abs(fdiag + (d64 - 1) * foff))
     yield "diag_offdiag_relation", errs
 
-    # a reference point and nine others, drawn as one stack of ten
-    errs = []
-    for d in (3, 5):
-        f = qfim.qfim_from_spectral(qfim.spectral_output(UQCM.density(PhaseVector.random(d, rng, 10))))
-        errs.append(np.abs(f[1:] - f[0]).max())
-    yield "qfim_phase_independence", errs
+    yield "qfim_phase_independence", err_phases
 
 
 def _spectrum(d, fdiag, foff) -> tuple:
@@ -329,20 +345,25 @@ def _solve_group(group):
     sp = oracle.solve_pass(np.concatenate(rhos), np.concatenate(drhos))
     rows = np.cumsum([0] + [len(rho) for rho in rhos]).tolist()
     return sp, [
-        oracle.SldPass(rho, sp.drho[a:b], sp.slds[a:b], sp.gram[a:b]) for rho, a, b in zip(rhos, rows, rows[1:])
+        oracle.SldPass(rho, *(x[a:b] for x in (sp.drho, sp.slds, sp.gram, sp.l_rho)))
+        for rho, a, b in zip(rhos, rows, rows[1:])
     ]
 
 
-def _sld_residual(sp: oracle.SldPass) -> float:
-    # |drho - (rho L + L rho)/2| per SLD, formed in place; both products on merged rows:
-    # L rho, and rho L = (L^T rho^T)^T with rho^T = conj(rho), which reads only rho's
-    # Hermiticity, so a non-Hermitian L still meets both sides
-    rho = sp.rho[:, None]
-    r = oracle._times_per_point(sp.slds, rho)
-    r += oracle._times_per_point(sp.slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
-    r *= 0.5
-    np.subtract(sp.drho, r, out=r)
-    return np.linalg.norm(r, axis=(-2, -1)).max()
+def _sld_residual(sp: oracle.SldPass, n: int) -> float:
+    # |drho - (L rho + rho L)/2| per SLD of the pass's first n points: the pass's own L rho,
+    # and rho L = (L^T rho^T)^T on merged rows, with rho^T = conj(rho), which reads only rho's
+    # Hermiticity, so a non-Hermitian L still meets both sides.  L rho is added into rho L's
+    # own product (l_rho is never written), and r is a new C-ordered array, so the norm adds
+    # each matrix's entries in row order.  The norm is np.linalg.norm's sqrt(sum conj(r) r),
+    # formed in r, so at most two (n, d-1, d, d) temporaries live beside the pass's l_rho
+    rho_l = oracle._times_per_point(sp.slds[:n].swapaxes(-1, -2), sp.rho[:n, None].conj()).swapaxes(-1, -2)
+    rho_l += sp.l_rho[:n]
+    rho_l *= 0.5
+    r = np.subtract(sp.drho[:n], rho_l, order="C")
+    del rho_l
+    np.multiply(r.conj(), r, out=r)
+    return np.sqrt(np.add.reduce(r.real, axis=(-2, -1))).max()
 
 
 def attainability_and_oracle(rng, dmax_full, mutate):
@@ -352,22 +373,38 @@ def attainability_and_oracle(rng, dmax_full, mutate):
     draws = {d: [PhaseVector.random(d, rng, 10) for _ in range(3)] for d in dims}
     for d in dims:
         draws[d].append(PhaseVector.random(d, rng, 5))
-    steps = [(ch, PhaseVector.random(d, rng, 1)) for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5))]
+    steps = {d: (ch, PhaseVector.random(d, rng, 1)) for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5))}
 
     # one solve per d feeds every oracle check: its Im G against zero and the closed
     # attainability matrix, its QFIM against the closed form, and its SLDs against the
     # equation that defines them.  Each cloner stack's closed matrix reads the centre rho
-    # of its stencil, and is compared with zero, its raw-weight form and the oracle
+    # of its stencil, and is compared with zero, its raw-weight form and the oracle.  A
+    # step-robustness point's coarse and fine stencils join its d's solve after the draw
+    # stacks, and a d above dmax_full solves only them; the residual reads the draw rows
     agreement = {ch.kind: [] for ch in CHANNELS}
-    residual, err_closed, err_forms, err_num, err_agree = [], [], [], [], []
-
-    def read(sp, parts):  # one residual per solve; each stack's rho, QFIM and Im G
-        residual.append(_sld_residual(sp))
-        return [(part.rho, part.qfim, part.attainability) for part in parts]
+    residual, err_closed, err_forms, err_num, err_agree, err_steps = [], [], [], [], [], []
 
     def check_at(d):  # its arrays are freed on return, before the next d's stencils are built
-        stacks = [(ch, p, oracle.DEFAULT_FD_STEP) for ch, p in zip(CHANNELS, draws[d])]
+        stacks = [(ch, p, oracle.DEFAULT_FD_STEP) for ch, p in zip(CHANNELS, draws.get(d, ()))]
+        n, draw_rows = len(stacks), sum(len(p.phases) for _, p, _ in stacks)
+        if d in steps:
+            ch, p = steps[d]
+            stacks += [(ch, p, 1e-4), (ch, p, 5e-5)]
+
+        def read(sp, parts):  # one residual per solve, on its draw rows; each stack's rho, QFIM and Im G
+            nonlocal draw_rows
+            rows = min(draw_rows, len(sp.rho))
+            if rows:
+                residual.append(_sld_residual(sp, rows))
+            draw_rows -= rows
+            return [(part.rho, part.qfim, part.attainability) for part in parts]
+
         passes = [part for group in _grouped_solves(stacks, read) for part in group]
+        if d in steps:
+            (_, coarse, _), (_, fine, _) = passes[n:]
+            err_steps.append(np.abs(coarse - fine).max())
+        if not n:
+            return
         for ch, (_, f, _) in zip(CHANNELS, passes):
             agreement[ch.kind].append(np.abs(f - qfim.closed_qfim(ch, d)).max())
         cloners = passes[:3]  # pure, uqcm, pqcm
@@ -379,7 +416,7 @@ def attainability_and_oracle(rng, dmax_full, mutate):
             err_num.append(np.abs(num).max())
             err_agree.append(np.abs(num - a).max())
 
-    for d in dims:
+    for d in sorted({*dims, *steps}):
         check_at(d)
     yield "attainability_closed_zero", err_closed
     yield "attainability_weight_forms_agree", err_forms
@@ -387,14 +424,7 @@ def attainability_and_oracle(rng, dmax_full, mutate):
     yield "attainability_paths_agree", err_agree
     for ch in CHANNELS:
         yield f"oracle_agreement_{ch.kind}", agreement[ch.kind]
-
-    # each point's coarse and fine stencils solve together
-    errs = []
-    for ch, p in steps:
-        [(coarse, fine)] = _grouped_solves([(ch, p, 1e-4), (ch, p, 5e-5)], lambda sp, parts: [x.qfim for x in parts])
-        errs.append(np.abs(coarse - fine).max())
-    yield "oracle_step_robustness", errs
-
+    yield "oracle_step_robustness", err_steps
     yield "sld_residual", residual
 
 

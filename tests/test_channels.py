@@ -104,6 +104,15 @@ class TestShrinkOutput:
         rho = shrink_output(PhaseVector.zero(2), 2 / 3)
         assert_allclose(rho, np.array([[0.5, 1 / 3], [1 / 3, 0.5]]), atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_equals_the_identity_form(self, d):
+        # (1-eta)/d lands on the diagonal, as adding ((1-eta)/d) I would put it
+        p = PhaseVector.random(d, np.random.default_rng(d), 4)
+        psi = equatorial_state(p)
+        for eta in (0.3, 1.0):
+            want = eta * (psi[..., :, None] * psi.conj()[..., None, :]) + (1.0 - eta) / d * np.eye(d)
+            assert np.array_equal(shrink_output(p, eta), want)
+
     @pytest.mark.parametrize("d,eta", [(2, 2 / 3), (3, 0.4), (6, 0.9)])
     def test_eigenvalue_structure(self, d, eta):
         rho = shrink_output(PhaseVector.random(d, np.random.default_rng(d)), eta)
@@ -225,6 +234,23 @@ class TestDensitySlices:
             tracemalloc.stop()
         # one length-d^3 complex vector
         assert peak < 16 * d**3
+
+    @pytest.mark.parametrize("kind", ["uqcm", "pqcm"])
+    def test_clone_weights_are_cached_per_amplitudes(self, kind):
+        """W W^T is one read-only array per (d, diag, off): amplitudes off by 1e-9 get
+        their own, and the trace reads it as if built on the spot."""
+        d = 5
+        diag, off = channels._isometry_amplitudes(kind, d)
+        ww = channels._clone_weights(d, diag, off)
+        assert channels._clone_weights(d, diag, off) is ww
+        with pytest.raises(ValueError, match="read-only"):
+            ww[0, 0] = 0.0
+        a = equatorial_state(PhaseVector.random(d, np.random.default_rng(6)))
+        for amps in ((diag, off), (diag, off * (1 + 1e-9)), (diag * (1 + 1e-9), off)):
+            w = np.where(np.eye(d, dtype=bool), *amps)
+            assert np.array_equal(channels._clone_weights(d, *amps), w @ w.T)
+            want = np.outer(a, a.conj()) * (w @ w.T) + np.diag(amps[1] ** 2 * (1.0 - np.abs(a) ** 2))
+            assert_allclose(channels._first_clone(a, *amps), want, rtol=0, atol=1e-16)
 
     def test_peak_memory_is_flat_in_the_stack_size(self):
         # the whole (1000, 512) tripartite stack alone would take 8 MB

@@ -239,7 +239,7 @@ def two_call_gram(ch, p, h):
 
 
 class TestSldPass:
-    """One pass builds rho, its differences, their SLDs and G = Tr(rho L_m L_n)."""
+    """One pass builds rho, its differences, their SLDs, G = Tr(rho L_m L_n) and the L rho it was read from."""
 
     @pytest.mark.parametrize("d", [2, 5, 8])
     @pytest.mark.parametrize("k", [None, 1, 4])
@@ -255,6 +255,7 @@ class TestSldPass:
                 assert np.array_equal(sp.rho, rho)
                 assert np.array_equal(sp.drho, drho)
                 assert np.array_equal(sp.slds, sld_solve(rho[..., None, :, :], drho))
+                assert np.array_equal(sp.l_rho, _times_per_point(sp.slds, rho[..., None, :, :]))
                 g = two_call_gram(ch, p, h)
                 assert np.array_equal(sp.gram, g)
                 assert np.array_equal(qfim_numeric(ch, p, h), 0.5 * (g + g.swapaxes(-1, -2)).real)

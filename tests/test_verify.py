@@ -68,7 +68,7 @@ def test_bad_arguments_rejected_before_any_check(kwargs):
 SOLVE_PASS = oracle.solve_pass
 
 
-def filled_solve(value, fields=("rho", "drho", "slds", "gram")):
+def filled_solve(value, fields=("rho", "drho", "slds", "gram", "l_rho")):
     """oracle.solve_pass with the named fields of its pass set to value."""
     def solve(rho, drho):
         sp = SOLVE_PASS(rho, drho)
@@ -89,7 +89,7 @@ def test_nan_error_fails_its_check(monkeypatch):
 @pytest.mark.parametrize(
     "value, fields",
     [
-        pytest.param(np.nan, ("rho", "drho", "slds", "gram"), id="nan"),
+        pytest.param(np.nan, ("rho", "drho", "slds", "gram", "l_rho"), id="nan"),
         # the step-robustness difference of two infinite QFIMs is inf - inf, a NaN without a warning
         pytest.param(np.inf, ("gram",), id="inf"),
     ],
@@ -131,7 +131,8 @@ def test_check_error_is_its_worst(monkeypatch, errs, worst):
 def test_one_oracle_solve_per_d(monkeypatch):
     """At each d the stencils of the four draw stacks (pure, uqcm and pqcm on 10
     draws, shrink on 5) take one solve, which every oracle check reads; each
-    step-robustness point's coarse and fine stencils take one more."""
+    step-robustness point's coarse and fine stencils join its d's solve, and
+    d = 5, above dmax_full, solves only its step stacks."""
     seen = []
     stencil, solve = oracle._stencil, oracle.solve_pass
 
@@ -149,10 +150,13 @@ def test_one_oracle_solve_per_d(monkeypatch):
     assert all(r.passed for r in run_verification(dmax_full=4))
     step = oracle.DEFAULT_FD_STEP
     expected = []
-    for d in (2, 3, 4):
-        expected += [(ch, d, 10, step) for ch in ("pure", "uqcm", "pqcm")] + [("shrink", d, 5, step), ("solve", 35)]
-    for ch, d in (("uqcm", 3), ("pqcm", 4), ("shrink", 5)):
-        expected += [(ch, d, 1, 1e-4), (ch, d, 1, 5e-5), ("solve", 2)]
+    steps = {3: "uqcm", 4: "pqcm", 5: "shrink"}
+    for d in (2, 3, 4, 5):
+        if d <= 4:
+            expected += [(ch, d, 10, step) for ch in ("pure", "uqcm", "pqcm")] + [("shrink", d, 5, step)]
+        if d in steps:
+            expected += [(steps[d], d, 1, 1e-4), (steps[d], d, 1, 5e-5)]
+        expected.append(("solve", (35 if d <= 4 else 0) + (2 if d in steps else 0)))
     assert seen == expected
 
 
@@ -160,21 +164,23 @@ def bits(x) -> tuple:
     return x.shape, x.dtype, x.tobytes()
 
 
-# (channel, draws, step) stacks of the oracle block: its four draw stacks at a d, and a
-# step-robustness point at both steps
+# (channel, draws, step) stacks of the oracle block: its four draw stacks at a d, with a
+# step-robustness point at both steps after them at d = 3 and 4, and alone at d = 5, as
+# at a dmax_full below 5
+DRAW_STACKS = [(ch, k, oracle.DEFAULT_FD_STEP) for ch, k in zip(verify.CHANNELS, (10, 10, 10, 5))]
 GROUP_CASES = {
-    **{f"d{d}": (d, [(ch, k, oracle.DEFAULT_FD_STEP) for ch, k in zip(verify.CHANNELS, (10, 10, 10, 5))])
-       for d in (*range(2, 9), 16)},
-    **{f"{ch.kind}-steps": (d, [(ch, 1, 1e-4), (ch, 1, 5e-5)])
-       for ch, d in ((verify.UQCM, 3), (verify.PQCM, 4), (verify.SHRINK, 5))},
+    **{f"d{d}": (d, DRAW_STACKS) for d in (*range(2, 9), 16)},
+    **{f"{ch.kind}-steps": (d, [*draws, (ch, 1, 1e-4), (ch, 1, 5e-5)])
+       for ch, d, draws in ((verify.UQCM, 3, DRAW_STACKS), (verify.PQCM, 4, DRAW_STACKS), (verify.SHRINK, 5, []))},
 }
 
 
 @pytest.mark.parametrize("case", GROUP_CASES)
 def test_grouped_solve_gives_each_stack_its_own_pass(monkeypatch, case):
     """Stacks whose merged drho fits ORACLE_SOLVE_BYTES solve together: the four draw
-    stacks at d <= 12, and at d = 16 pure alone, uqcm alone, then pqcm with shrink.  Each
-    stack's rho, drho, SLDs and G equal its own sld_pass bit for bit."""
+    stacks at d <= 12, with a step point's two stacks at d = 3 and 4, and at d = 16 pure
+    alone, uqcm alone, then pqcm with shrink.  Each stack's rho, drho, SLDs, G and L rho
+    equal its own sld_pass bit for bit, so a step point's QFIMs are those of its lone pass."""
     d, cases = GROUP_CASES[case]
     rng = np.random.default_rng(d)
     stacks = [(ch, PhaseVector.random(d, rng, k), h) for ch, k, h in cases]
@@ -189,8 +195,72 @@ def test_grouped_solve_gives_each_stack_its_own_pass(monkeypatch, case):
     assert len(passes) == len(stacks)
     for (ch, p, h), got in zip(stacks, passes):
         want = oracle.sld_pass(ch, p, h)
-        for field in ("rho", "drho", "slds", "gram"):
+        for field in ("rho", "drho", "slds", "gram", "l_rho"):
             assert bits(getattr(got, field)) == bits(getattr(want, field)), (ch.kind, field)
+
+
+@pytest.mark.parametrize("dmax_full", [2, 4, 8])
+def test_step_points_ride_their_d_solve(monkeypatch, dmax_full):
+    """oracle_step_robustness has one error per point at any dmax_full, each the
+    coarse-fine QFIM gap of the point's two lone sld_pass calls, bit for bit."""
+    points = []
+    stencil = oracle._stencil
+
+    def recording_stencil(fn, p, h):
+        if h == 1e-4:
+            points.append((fn.__self__, p))
+        return stencil(fn, p, h)
+
+    monkeypatch.setattr(oracle, "_stencil", recording_stencil)
+    rng = np.random.default_rng([DEFAULT_SEED, zlib.crc32(b"attainability_and_oracle")])
+    errs = dict(verify.attainability_and_oracle(rng, dmax_full, False))["oracle_step_robustness"]
+    monkeypatch.undo()
+    assert [(ch.kind, p.dim) for ch, p in points] == [("uqcm", 3), ("pqcm", 4), ("shrink", 5)]
+    lone = [np.abs(oracle.sld_pass(ch, p, 1e-4).qfim - oracle.sld_pass(ch, p, 5e-5).qfim).max() for ch, p in points]
+    assert [bits(e) for e in errs] == [bits(e) for e in lone]
+
+
+def two_product_residual(sp: oracle.SldPass) -> float:
+    """The SLD residual with both of its products formed here: L rho, and rho L as
+    (L^T conj(rho))^T, each on merged rows."""
+    rho = sp.rho[:, None]
+    r = oracle._times_per_point(sp.slds, rho)
+    r += oracle._times_per_point(sp.slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
+    r *= 0.5
+    np.subtract(sp.drho, r, out=r)
+    return np.linalg.norm(r, axis=(-2, -1)).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_residual_reads_the_pass_l_rho(d):
+    """_sld_residual on a pass's first n points equals the two-product form on those
+    points bit for bit, and leaves the pass's L rho as it was."""
+    rng = np.random.default_rng(d)
+    sp = oracle.sld_pass(verify.UQCM, PhaseVector.random(d, rng, 10))
+    l_rho = sp.l_rho.copy()
+    for n in (10, 4):
+        head = oracle.SldPass(*(getattr(sp, f.name)[:n] for f in dataclasses.fields(sp)))
+        assert bits(np.float64(verify._sld_residual(sp, n))) == bits(np.float64(two_product_residual(head)))
+    assert bits(sp.l_rho) == bits(l_rho)
+
+
+def test_closed_vs_spectral_rows_are_lone_decompositions(monkeypatch):
+    """closed_vs_spectral decomposes every density at one d in one spectral_output, 11
+    calls for d = 2..12; each row of each call holds the bits of a lone spectral_output
+    of that row's density."""
+    calls = []
+    spectral_output = qfim.spectral_output
+    monkeypatch.setattr(qfim, "spectral_output", lambda rho: calls.append((rho, sd := spectral_output(rho))) or sd)
+    rng = np.random.default_rng([DEFAULT_SEED, zlib.crc32(b"closed_vs_spectral")])
+    assert all(max(errs) <= TOLERANCES[name] for name, errs in verify.closed_vs_spectral(rng, 8, False))
+    monkeypatch.undo()
+    # the three channels at d <= 10, the term-sum draw, the phase-independence stack at d = 3, 5
+    assert [rho.shape for rho, _ in calls] == [(3 * (d <= 10) + 1 + 10 * (d in (3, 5)), d, d) for d in range(2, 13)]
+    for rho, sd in calls:
+        for i, row in enumerate(rho):
+            lone = qfim.spectral_output(row)
+            assert bits(sd.eigenvalues[i]) == bits(lone.eigenvalues), (len(row), i)
+            assert bits(sd.eigenvectors[i]) == bits(lone.eigenvectors), (len(row), i)
 
 
 def test_report_passes_the_benchmark_check(capsys):
@@ -274,25 +344,30 @@ FAULTS = {
                        ["fidelity_phase_independence_pqcm", "pqcm_matches_generic_shrink"]),
     "total_variance_bound-1e-10": (crb, "total_variance_bound", scaled(1 + 1e-10), 2,
                                    ["variance_trace_inverse", "variance_pure_closed_form"]),
+    # the cloner's off amplitude, met after the suite has cached W W^T at the true amplitudes
+    "_isometry_amplitudes-off-1e-9": (channels, "_isometry_amplitudes", scaled(1 + 1e-9, output=1), 2, [
+        "scaling_form_uqcm", "scaling_form_pqcm", "fidelity_phase_independence_uqcm",
+        "fidelity_phase_independence_pqcm", "spectral_vs_closed_uqcm", "spectral_vs_closed_pqcm",
+        "uqcm_diagonal_term_sums"]),
 }
 
 
 @pytest.mark.parametrize("fault_id", FAULTS)
-def test_fault_fails_exactly_its_checks(monkeypatch, fault_id):
+def test_fault_fails_exactly_its_checks(monkeypatch, verify_results, fault_id):  # verify_results: caches warm
     owner, name, fault, dmax_full, failing = FAULTS[fault_id]
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert [r.name for r in run_verification(dmax_full=dmax_full) if not r.passed] == failing
 
 
 def test_spectral_route_runs_once_per_stack(monkeypatch):
-    """Each spectral check decomposes all of its draws at one d as one stack: 9 d
-    of closed_vs_spectral, 11 term-sum draws, 2 phase-independence stacks, 7 d of
-    the attainability block and 9 d of spectral_reconstruction."""
+    """Each spectral check decomposes all of its draws at one d as one stack, and
+    closed_vs_spectral all of its checks' draws at one d: 11 d of closed_vs_spectral
+    (2..12), 7 d of the attainability block and 9 d of spectral_reconstruction."""
     calls = []
     spectral_output = qfim.spectral_output
     monkeypatch.setattr(qfim, "spectral_output", lambda rho: calls.append(rho.shape) or spectral_output(rho))
     assert all(r.passed for r in run_verification(dmax_full=8))
-    assert len(calls) == 38
+    assert len(calls) == 27
 
 
 def test_no_unit_test_repeats_a_check():
