@@ -19,11 +19,18 @@ phase points to a stack of results, with the same arithmetic as one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .states import PhaseVector, _check_dim, _check_dims, _check_one_eta, _check_point, equatorial_state
+from .states import (
+    PhaseVector,
+    _cached_to_full_limit,
+    _check_dim,
+    _check_dims,
+    _check_one_eta,
+    _check_point,
+    equatorial_state,
+)
 
 MACHINES = ("pure", "uqcm", "pqcm", "shrink")
 
@@ -79,7 +86,7 @@ def _tripartite(a: np.ndarray, diag: float, off: float) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (d**3,))
 
 
-@lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d
+@_cached_to_full_limit
 def _clone_weights(d: int, diag: float, off: float) -> np.ndarray:
     """Read-only W W^T of _first_clone, W holding diag on its diagonal and off elsewhere;
     keyed on the amplitudes themselves, so other amplitudes at the same d get their own."""

@@ -14,12 +14,13 @@ eigenvectors) run on each point's (d-1)*d merged rows, one matrix product
 per point.  sld_pass is the one evaluation, in two halves.  Its stencil,
 _stencil, takes rho and all 2(d-1) shifted points from one density call
 on a stack.  Its solve, solve_pass, takes that rho and its differences and
-forms the SLDs and the defining traces G_mn = Tr(rho L_m L_n) =
-Tr(L_m (L_n rho)) for every pair (m, n): one Gram product of the
-flattened L_m with the flattened transposes (L_n rho)^T, every L_n rho
-from one merged-row product per point.  The pass keeps those products as
-l_rho, so a caller that needs L rho again (verify's SLD residual) reads
-it instead of forming it twice.  Its views are the QFIM
+returns an SldPass of three fields: rho; the defining traces
+G_mn = Tr(rho L_m L_n) = Tr(L_m (L_n rho)) for every pair (m, n), one Gram
+product of the flattened L_m with the flattened transposes (L_n rho)^T,
+every L_n rho from one merged-row product per point; and the SLD residual,
+the largest |drho_m - (L_m rho + rho L_m)/2| over m at each point, formed
+from the same L rho and one more merged-row product, rho L.  The pass
+keeps neither the SLDs nor the differences.  The views of G are the QFIM
 F = Re(G + G^T)/2 and the attainability matrix A = Im G, which
 qfim_numeric and attainability_numeric return.  Every function takes one
 phase point or a (k, d-1) stack of them and returns one result or a
@@ -175,16 +176,14 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
 class SldPass:
     """One finite-difference SLD evaluation at a phase point or a stack of them.
 
-    rho (..., d, d), its central differences drho (..., d-1, d, d), their
-    SLDs (..., d-1, d, d), the traces gram[..., m, n] = Tr(rho L_m L_n), and
-    l_rho (..., d-1, d, d), the products L_n rho that G was read from.
+    rho (..., d, d), the traces gram[..., m, n] = Tr(rho L_m L_n), and
+    residual (...), the largest Frobenius norm |drho_m - (L_m rho + rho L_m)/2|
+    over m at each point.
     """
 
     rho: np.ndarray
-    drho: np.ndarray
-    slds: np.ndarray
     gram: np.ndarray
-    l_rho: np.ndarray
+    residual: np.ndarray
 
     @property
     def qfim(self) -> np.ndarray:
@@ -198,8 +197,8 @@ class SldPass:
 
 
 def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> SldPass:
-    """rho, its central differences, their SLDs and G from one density call:
-    solve_pass on the stencil of channel.density at p."""
+    """rho, G and the SLD residual from one density call: solve_pass on the
+    stencil of channel.density at p."""
     if not callable(getattr(channel, "density", None)):  # a ParamChannel, or any family with a density
         raise ValueError(f"expected a ParamChannel or an object with a density method, got {channel!r}")
     return solve_pass(*_stencil(channel.density, p, h))
@@ -207,20 +206,30 @@ def sld_pass(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) 
 
 def solve_pass(rho: np.ndarray, drho: np.ndarray) -> SldPass:
     """The pass of a stencil: rho (..., d, d) and its central differences
-    drho (..., d-1, d, d), as _stencil returns them, with their SLDs and G.
+    drho (..., d-1, d, d), as _stencil returns them, with G and the SLD residual.
 
     G_mn = Tr(L_m (L_n rho)) = sum_ab (L_m)_ab (L_n rho)_ba: L_n rho on each point's
-    merged rows, kept as the pass's l_rho, then one matrix product per point.  Each
-    point of the stack gets a single point's arithmetic, so the stencils of several
-    channels or steps, concatenated along the stack axis, solve together to the bits
-    of their own passes.
+    merged rows, then one matrix product per point.  The residual adds to that L rho
+    rho L = (L^T rho^T)^T on merged rows, with rho^T = conj(rho), which reads only rho's
+    Hermiticity, so a non-Hermitian L still meets both sides.  Each point of the stack
+    gets a single point's arithmetic, so the stencils of several channels or steps,
+    concatenated along the stack axis, solve together to the bits of their own passes.
     """
     rho_b = rho[..., None, :, :]
     slds = sld_solve(rho_b, drho)
     flat = slds.shape[:-2] + (slds.shape[-2] * slds.shape[-1],)  # explicit: a k = 0 stack reshapes too
-    l_rho = _times_per_point(slds, rho_b)
-    gram = slds.reshape(flat) @ l_rho.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
-    return SldPass(rho, drho, slds, gram, l_rho)
+    r = _times_per_point(slds, rho_b)  # L rho, a new C-ordered array
+    gram = slds.reshape(flat) @ r.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
+    # r becomes drho - (L rho + rho L)/2 in place, so the norm adds each matrix's entries in
+    # row order; it is np.linalg.norm's sqrt(sum conj(r) r), formed in r.  L^T replaces the
+    # SLDs before rho L is formed, so at most four (..., d-1, d, d) arrays are alive
+    slds = slds.swapaxes(-1, -2).copy()
+    r += _times_per_point(slds, rho_b.conj()).swapaxes(-1, -2)
+    del slds
+    r *= 0.5
+    np.subtract(drho, r, out=r)
+    np.multiply(r.conj(), r, out=r)
+    return SldPass(rho, gram, np.sqrt(np.add.reduce(r.real, axis=(-2, -1))).max(axis=-1))
 
 
 def qfim_numeric(channel: ParamChannel, p: PhaseVector, h: float = DEFAULT_FD_STEP) -> np.ndarray:

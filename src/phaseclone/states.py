@@ -19,7 +19,7 @@ package API: verify and the tests call them, no program path does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -30,6 +30,14 @@ TWO_PI = 2.0 * np.pi
 # DMAX_FULL_LIMIT, and take 2-3 s at 32 on a 2-vCPU host; the library itself has no cap
 DEFAULT_SEED = 12345
 DMAX_FULL_LIMIT = 32
+
+
+def _cached_to_full_limit(fn):
+    """fn with an lru_cache(64) for d <= DMAX_FULL_LIMIT, the largest d that verify
+    repeats: an entry holds 8 d^2 bytes, so the cache stays below 1 MiB, and a larger d
+    is built on each call."""
+    cached = lru_cache(maxsize=64)(fn)
+    return wraps(fn)(lambda d, *args: (cached if d <= DMAX_FULL_LIMIT else fn)(d, *args))
 
 
 def _check_dim(d: int) -> int:
@@ -155,7 +163,7 @@ def phase_shift_unitary(p: PhaseVector) -> np.ndarray:
     return np.exp(1j * p.full_phases)[..., :, None] * np.eye(p.dim)
 
 
-@lru_cache(maxsize=64)  # an entry holds 8 d^2 bytes; the bound caps memory at large d
+@_cached_to_full_limit
 def _helmert_rows(d: int) -> np.ndarray:
     """Read-only (d, d) phase-free basis: the uniform row, then Helmert rows 1..d-1."""
     n = np.arange(1, d, dtype=float)[:, None]

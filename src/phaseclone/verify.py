@@ -13,12 +13,13 @@ block's name, so one block's draws never move another block's errors.  Checks
 that share a quantity share its draws, in one block, and each quantity is
 computed once per pass.  At each d the stencils of the four channels' draw
 stacks take one oracle.solve_pass, whose merged derivatives stay within
-ORACLE_SOLVE_BYTES (a larger d splits the stacks into more solves), and it
-feeds the oracle attainability, QFIM-agreement and SLD-residual checks; a
-step-robustness point's two steps join the solve of its d (a d above
-dmax_full solves only them), and the residual reads the L rho that the solve
-formed for G.  closed_vs_spectral decomposes every density it reads at one d
-in one spectral_output.
+ORACLE_SOLVE_BYTES (a larger d splits the stacks into more solves, whose
+passes are concatenated), and the oracle attainability, QFIM-agreement and
+SLD-residual checks read that one pass's rho, G and residual, split by the
+stacks' rows; the residual is formed in solve_pass.  A step-robustness
+point's two steps join the solve of its d (a d above dmax_full solves only
+them).  closed_vs_spectral decomposes every density it reads at one d in
+one spectral_output.
 """
 
 from __future__ import annotations
@@ -319,14 +320,12 @@ def variance_bounds(rng, dmax_full, mutate):
 ORACLE_SOLVE_BYTES = 1 << 20
 
 
-def _grouped_solves(stacks, read) -> list:
-    """read(merged pass, [each stack's pass]) for each group of consecutive (channel,
-    points, step) stacks, in order.  A group is one oracle.solve_pass on its stacks'
-    concatenated stencils, whose drho stays within ORACLE_SOLVE_BYTES.  Groups are sized
-    from the shapes before any stencil is built, and a group's arrays are freed once
-    read returns, so one group's stencils are alive at a time.  A stack's pass holds its
-    own stencil's rho and its rows of the merged drho, SLDs and G: the bits of its own
-    oracle.sld_pass."""
+def _oracle_pass(stacks) -> oracle.SldPass:
+    """The oracle.SldPass of consecutive (channel, points, step) stacks, their rows in
+    order.  Each group of stacks whose merged drho stays within ORACLE_SOLVE_BYTES takes
+    one oracle.solve_pass on its concatenated stencils; groups are sized from the shapes
+    before any stencil is built, and a group's stencils are freed once it is solved.
+    Each stack's rows hold the bits of its own oracle.sld_pass."""
     groups, size = [], 0
     for ch, p, h in stacks:
         nbytes = len(p.phases) * (p.dim - 1) * p.dim**2 * np.dtype(complex).itemsize
@@ -336,34 +335,11 @@ def _grouped_solves(stacks, read) -> list:
         else:
             groups.append([(ch, p, h)])
             size = nbytes
-    return [read(*_solve_group(group)) for group in groups]
-
-
-def _solve_group(group):
-    # the merged pass of one group, and each stack's rows of it
-    rhos, drhos = zip(*(oracle._stencil(ch.density, p, h) for ch, p, h in group))
-    sp = oracle.solve_pass(np.concatenate(rhos), np.concatenate(drhos))
-    rows = np.cumsum([0] + [len(rho) for rho in rhos]).tolist()
-    return sp, [
-        oracle.SldPass(rho, *(x[a:b] for x in (sp.drho, sp.slds, sp.gram, sp.l_rho)))
-        for rho, a, b in zip(rhos, rows, rows[1:])
+    passes = [
+        oracle.solve_pass(*map(np.concatenate, zip(*(oracle._stencil(ch.density, p, h) for ch, p, h in group))))
+        for group in groups
     ]
-
-
-def _sld_residual(sp: oracle.SldPass, n: int) -> float:
-    # |drho - (L rho + rho L)/2| per SLD of the pass's first n points: the pass's own L rho,
-    # and rho L = (L^T rho^T)^T on merged rows, with rho^T = conj(rho), which reads only rho's
-    # Hermiticity, so a non-Hermitian L still meets both sides.  L rho is added into rho L's
-    # own product (l_rho is never written), and r is a new C-ordered array, so the norm adds
-    # each matrix's entries in row order.  The norm is np.linalg.norm's sqrt(sum conj(r) r),
-    # formed in r, so at most two (n, d-1, d, d) temporaries live beside the pass's l_rho
-    rho_l = oracle._times_per_point(sp.slds[:n].swapaxes(-1, -2), sp.rho[:n, None].conj()).swapaxes(-1, -2)
-    rho_l += sp.l_rho[:n]
-    rho_l *= 0.5
-    r = np.subtract(sp.drho[:n], rho_l, order="C")
-    del rho_l
-    np.multiply(r.conj(), r, out=r)
-    return np.sqrt(np.add.reduce(r.real, axis=(-2, -1))).max()
+    return oracle.SldPass(*(np.concatenate(x) for x in zip(*((sp.rho, sp.gram, sp.residual) for sp in passes))))
 
 
 def attainability_and_oracle(rng, dmax_full, mutate):
@@ -375,46 +351,39 @@ def attainability_and_oracle(rng, dmax_full, mutate):
         draws[d].append(PhaseVector.random(d, rng, 5))
     steps = {d: (ch, PhaseVector.random(d, rng, 1)) for ch, d in ((UQCM, 3), (PQCM, 4), (SHRINK, 5))}
 
-    # one solve per d feeds every oracle check: its Im G against zero and the closed
-    # attainability matrix, its QFIM against the closed form, and its SLDs against the
-    # equation that defines them.  Each cloner stack's closed matrix reads the centre rho
+    # one pass per d feeds every oracle check: its Im G against zero and the closed
+    # attainability matrix, its QFIM against the closed form, and its residual against the
+    # equation that defines the SLDs.  Each cloner stack's closed matrix reads the centre rho
     # of its stencil, and is compared with zero, its raw-weight form and the oracle.  A
-    # step-robustness point's coarse and fine stencils join its d's solve after the draw
+    # step-robustness point's coarse and fine stencils join its d's pass after the draw
     # stacks, and a d above dmax_full solves only them; the residual reads the draw rows
     agreement = {ch.kind: [] for ch in CHANNELS}
     residual, err_closed, err_forms, err_num, err_agree, err_steps = [], [], [], [], [], []
 
     def check_at(d):  # its arrays are freed on return, before the next d's stencils are built
         stacks = [(ch, p, oracle.DEFAULT_FD_STEP) for ch, p in zip(CHANNELS, draws.get(d, ()))]
-        n, draw_rows = len(stacks), sum(len(p.phases) for _, p, _ in stacks)
+        n = len(stacks)
         if d in steps:
             ch, p = steps[d]
             stacks += [(ch, p, 1e-4), (ch, p, 5e-5)]
-
-        def read(sp, parts):  # one residual per solve, on its draw rows; each stack's rho, QFIM and Im G
-            nonlocal draw_rows
-            rows = min(draw_rows, len(sp.rho))
-            if rows:
-                residual.append(_sld_residual(sp, rows))
-            draw_rows -= rows
-            return [(part.rho, part.qfim, part.attainability) for part in parts]
-
-        passes = [part for group in _grouped_solves(stacks, read) for part in group]
+        sp = _oracle_pass(stacks)
+        ends = np.cumsum([len(p.phases) for _, p, _ in stacks]).tolist()
+        fs = np.split(sp.qfim, ends[:-1])  # each stack's QFIMs
         if d in steps:
-            (_, coarse, _), (_, fine, _) = passes[n:]
-            err_steps.append(np.abs(coarse - fine).max())
+            err_steps.append(np.abs(fs[n] - fs[n + 1]).max())
         if not n:
             return
-        for ch, (_, f, _) in zip(CHANNELS, passes):
+        residual.append(sp.residual[: ends[n - 1]].max())
+        for ch, f in zip(CHANNELS, fs):
             agreement[ch.kind].append(np.abs(f - qfim.closed_qfim(ch, d)).max())
-        cloners = passes[:3]  # pure, uqcm, pqcm
-        sd = qfim.spectral_output(np.stack([rho for rho, _, _ in cloners]))
+        cloners = slice(ends[2])  # the pure, uqcm and pqcm rows
+        sd = qfim.spectral_output(sp.rho[cloners])
         closed = crb.attainability_closed(sd)
+        num = sp.attainability[cloners]
         err_closed.append(np.abs(closed).max())
         err_forms.append(np.abs(closed - qfim._gram(sd, RAW_WEIGHT).imag).max())
-        for (_, _, num), a in zip(cloners, closed):
-            err_num.append(np.abs(num).max())
-            err_agree.append(np.abs(num - a).max())
+        err_num.append(np.abs(num).max())
+        err_agree.append(np.abs(num - closed).max())
 
     for d in sorted({*dims, *steps}):
         check_at(d)

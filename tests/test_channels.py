@@ -18,7 +18,7 @@ from phaseclone.channels import (
     shrink_output,
     uqcm_full_output,
 )
-from phaseclone.states import PhaseVector, equatorial_state
+from phaseclone.states import PhaseVector, complement_basis, equatorial_state
 
 # largest d at which the tests build the length-d^3 dense references
 DENSE_DMAX = 32
@@ -251,6 +251,22 @@ class TestDensitySlices:
             assert np.array_equal(channels._clone_weights(d, *amps), w @ w.T)
             want = np.outer(a, a.conj()) * (w @ w.T) + np.diag(amps[1] ** 2 * (1.0 - np.abs(a) ** 2))
             assert_allclose(channels._first_clone(a, *amps), want, rtol=0, atol=1e-16)
+
+    def test_large_d_is_built_uncached(self):
+        """W W^T and the Helmert rows are cached only for d <= DMAX_FULL_LIMIT, the
+        largest d that verify repeats: after a sweep over d = 200..263, each d's entry
+        8 d^2 bytes, less than 1 MiB is held."""
+        rng = np.random.default_rng(9)
+        tracemalloc.start()
+        try:
+            for d in range(200, 264):
+                p = PhaseVector.random(d, rng)
+                ParamChannel("uqcm").density(p)
+                complement_basis(p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
     def test_peak_memory_is_flat_in_the_stack_size(self):
         # the whole (1000, 512) tripartite stack alone would take 8 MB

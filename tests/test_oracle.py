@@ -28,6 +28,7 @@ from phaseclone.states import (
     complement_basis,
     equatorial_state,
 )
+from phaseclone.verify import TOLERANCES
 
 
 KINDS = ("pure", "uqcm", "pqcm", "shrink")
@@ -238,8 +239,19 @@ def two_call_gram(ch, p, h):
     return slds.reshape(flat) @ l_rho.swapaxes(-1, -2).reshape(flat).swapaxes(-1, -2)
 
 
+def two_product_residual(rho, slds, drho):
+    """The SLD residual with both of its products formed here: L rho, and rho L as
+    (L^T conj(rho))^T, each on merged rows; the largest norm over m at each point."""
+    rho = rho[..., None, :, :]
+    r = _times_per_point(slds, rho)
+    r += _times_per_point(slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
+    r *= 0.5
+    np.subtract(drho, r, out=r)
+    return np.linalg.norm(r, axis=(-2, -1)).max(axis=-1)
+
+
 class TestSldPass:
-    """One pass builds rho, its differences, their SLDs, G = Tr(rho L_m L_n) and the L rho it was read from."""
+    """One pass builds rho, G = Tr(rho L_m L_n) and the SLD residual at each point."""
 
     @pytest.mark.parametrize("d", [2, 5, 8])
     @pytest.mark.parametrize("k", [None, 1, 4])
@@ -251,15 +263,34 @@ class TestSldPass:
             for h in (1e-5, 3e-4):
                 sp = sld_pass(ch, p, h)
                 rho = ch.density(p)
-                drho = _central_differences(ch.density, p, h)
                 assert np.array_equal(sp.rho, rho)
-                assert np.array_equal(sp.drho, drho)
-                assert np.array_equal(sp.slds, sld_solve(rho[..., None, :, :], drho))
-                assert np.array_equal(sp.l_rho, _times_per_point(sp.slds, rho[..., None, :, :]))
                 g = two_call_gram(ch, p, h)
                 assert np.array_equal(sp.gram, g)
+                drho = _central_differences(ch.density, p, h)
+                residual = two_product_residual(rho, sld_solve(rho[..., None, :, :], drho), drho)
+                assert np.array_equal(sp.residual, residual)
                 assert np.array_equal(qfim_numeric(ch, p, h), 0.5 * (g + g.swapaxes(-1, -2)).real)
                 assert np.array_equal(attainability_numeric(ch, p, h), g.imag)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("k", [None, 10, 0])
+    def test_residual_is_the_two_product_form(self, d, k):
+        """The residual, formed from the L rho that G was read from, equals the
+        two-product form on the same stencil bit for bit: at one point, on a stack
+        and on an empty stack."""
+        p = PhaseVector(d, np.zeros((0, d - 1))) if k == 0 else PhaseVector.random(d, np.random.default_rng(d), k)
+        rho, drho = oracle_module._stencil(ParamChannel("uqcm").density, p, 1e-5)
+        want = two_product_residual(rho, sld_solve(rho[..., None, :, :], drho), drho)
+        got = sld_pass(ParamChannel("uqcm"), p).residual
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+    def test_residual_meets_both_sides(self, monkeypatch):
+        """i eps I leaves L rho + (L rho)^dagger as it was, but not L rho + rho L: an SLD
+        plus 1e-6j I gives a residual above verify's tolerance at every point."""
+        solve = sld_solve
+        monkeypatch.setattr(oracle_module, "sld_solve", lambda rho, drho: solve(rho, drho) + 1e-6j * np.eye(rho.shape[-1]))
+        residual = sld_pass(ParamChannel("uqcm"), PhaseVector.random(4, np.random.default_rng(4), 3)).residual
+        assert residual.shape == (3,) and (residual > TOLERANCES["sld_residual"]).all()
 
     def test_rho_owns_its_memory(self):
         # a view of the stacked density would keep every shifted point alive

@@ -34,7 +34,7 @@ def spectral_fields(p):
 
 
 def sld_fields(ch):
-    """sld_pass's five fields: rho, drho, slds, gram and l_rho."""
+    """sld_pass's three fields: rho, gram and residual."""
     return lambda p: tuple(vars(oracle.sld_pass(ch, p)).values())
 
 

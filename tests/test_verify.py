@@ -68,7 +68,7 @@ def test_bad_arguments_rejected_before_any_check(kwargs):
 SOLVE_PASS = oracle.solve_pass
 
 
-def filled_solve(value, fields=("rho", "drho", "slds", "gram", "l_rho")):
+def filled_solve(value, fields=("gram", "residual")):
     """oracle.solve_pass with the named fields of its pass set to value."""
     def solve(rho, drho):
         sp = SOLVE_PASS(rho, drho)
@@ -89,7 +89,7 @@ def test_nan_error_fails_its_check(monkeypatch):
 @pytest.mark.parametrize(
     "value, fields",
     [
-        pytest.param(np.nan, ("rho", "drho", "slds", "gram", "l_rho"), id="nan"),
+        pytest.param(np.nan, ("gram", "residual"), id="nan"),
         # the step-robustness difference of two infinite QFIMs is inf - inf, a NaN without a warning
         pytest.param(np.inf, ("gram",), id="inf"),
     ],
@@ -179,24 +179,26 @@ GROUP_CASES = {
 def test_grouped_solve_gives_each_stack_its_own_pass(monkeypatch, case):
     """Stacks whose merged drho fits ORACLE_SOLVE_BYTES solve together: the four draw
     stacks at d <= 12, with a step point's two stacks at d = 3 and 4, and at d = 16 pure
-    alone, uqcm alone, then pqcm with shrink.  Each stack's rho, drho, SLDs, G and L rho
-    equal its own sld_pass bit for bit, so a step point's QFIMs are those of its lone pass."""
+    alone, uqcm alone, then pqcm with shrink.  Each stack's rows of the one pass hold the
+    rho, G and residual of its own sld_pass bit for bit, so a step point's QFIMs are those
+    of its lone pass."""
     d, cases = GROUP_CASES[case]
     rng = np.random.default_rng(d)
     stacks = [(ch, PhaseVector.random(d, rng, k), h) for ch, k, h in cases]
     merged = []
     monkeypatch.setattr(oracle, "solve_pass", lambda rho, drho: merged.append(drho) or SOLVE_PASS(rho, drho))
-    passes = [part for parts in verify._grouped_solves(stacks, lambda sp, parts: parts) for part in parts]
+    sp = verify._oracle_pass(stacks)
     if d == 16:
         assert [len(drho) for drho in merged] == [10, 10, 15]
     else:
         assert [len(drho) for drho in merged] == [sum(k for _, k, _ in cases)]
     assert all(drho.nbytes <= verify.ORACLE_SOLVE_BYTES for drho in merged)
-    assert len(passes) == len(stacks)
-    for (ch, p, h), got in zip(stacks, passes):
+    rows = np.cumsum([0] + [k for _, k, _ in cases]).tolist()
+    assert len(sp.rho) == rows[-1]
+    for (ch, p, h), a, b in zip(stacks, rows, rows[1:]):
         want = oracle.sld_pass(ch, p, h)
-        for field in ("rho", "drho", "slds", "gram", "l_rho"):
-            assert bits(getattr(got, field)) == bits(getattr(want, field)), (ch.kind, field)
+        for field in ("rho", "gram", "residual"):
+            assert bits(getattr(sp, field)[a:b]) == bits(getattr(want, field)), (ch.kind, field)
 
 
 @pytest.mark.parametrize("dmax_full", [2, 4, 8])
@@ -218,30 +220,6 @@ def test_step_points_ride_their_d_solve(monkeypatch, dmax_full):
     assert [(ch.kind, p.dim) for ch, p in points] == [("uqcm", 3), ("pqcm", 4), ("shrink", 5)]
     lone = [np.abs(oracle.sld_pass(ch, p, 1e-4).qfim - oracle.sld_pass(ch, p, 5e-5).qfim).max() for ch, p in points]
     assert [bits(e) for e in errs] == [bits(e) for e in lone]
-
-
-def two_product_residual(sp: oracle.SldPass) -> float:
-    """The SLD residual with both of its products formed here: L rho, and rho L as
-    (L^T conj(rho))^T, each on merged rows."""
-    rho = sp.rho[:, None]
-    r = oracle._times_per_point(sp.slds, rho)
-    r += oracle._times_per_point(sp.slds.swapaxes(-1, -2), rho.conj()).swapaxes(-1, -2)
-    r *= 0.5
-    np.subtract(sp.drho, r, out=r)
-    return np.linalg.norm(r, axis=(-2, -1)).max()
-
-
-@pytest.mark.parametrize("d", [2, 3, 8, 16])
-def test_residual_reads_the_pass_l_rho(d):
-    """_sld_residual on a pass's first n points equals the two-product form on those
-    points bit for bit, and leaves the pass's L rho as it was."""
-    rng = np.random.default_rng(d)
-    sp = oracle.sld_pass(verify.UQCM, PhaseVector.random(d, rng, 10))
-    l_rho = sp.l_rho.copy()
-    for n in (10, 4):
-        head = oracle.SldPass(*(getattr(sp, f.name)[:n] for f in dataclasses.fields(sp)))
-        assert bits(np.float64(verify._sld_residual(sp, n))) == bits(np.float64(two_product_residual(head)))
-    assert bits(sp.l_rho) == bits(l_rho)
 
 
 def test_closed_vs_spectral_rows_are_lone_decompositions(monkeypatch):
